@@ -62,11 +62,6 @@ class StreamId:
     def __str__(self):
         return f"{self.kind}:{self.rx}:{self.sc}"
 
-    @classmethod
-    def parse(cls, text: str) -> "StreamId":
-        kind, rx, sc = text.split(":")
-        return cls(kind, int(rx), int(sc))
-
 
 def all_stream_ids(n_rx: int, n_sc: int) -> list[StreamId]:
     """All N_D = (2*n_rx - 1)*n_sc stream ids in deterministic order."""

@@ -1,10 +1,16 @@
 """Trace, label, event, and report file formats.
 
-Traces are line-delimited text: a JSON header line, then one record per
-packet holding the timestamp followed by the interleaved re/im CSI values
-(row-major antenna-then-subcarrier). Floats are written with shortest
-round-trip precision, so write-then-read reproduces the in-memory arrays
-bit for bit. A ``.gz`` extension transparently gzip-compresses.
+A trace file is one JSON header line (format version, sample rate, antenna
+and subcarrier counts, record count, CSI dtype, scene geometry) followed by
+two arrays in NumPy ``.npy`` format: ``timestamps_s`` (float64, shape
+``(n_records,)``) and ``csi`` (the header's dtype, shape
+``(n_rx, n_sc, n_records)``). The arrays hold the raw in-memory bytes, so
+write-then-read reproduces the arrays bit for bit. Reading checks the
+arrays against the header, refuses pickled data, truncation and trailing
+bytes, and rejects non-finite samples and timestamps that do not strictly
+increase. A ``.gz`` extension transparently gzip-compresses; written gzip
+members carry no timestamp or file name, so equal content gives equal
+bytes.
 
 Ground-truth labels live in a CSV sidecar (start_s, end_s, class,
 person_id); detector output in an events CSV; reports as JSON.
@@ -12,9 +18,12 @@ person_id); detector output in an events CSV; reports as JSON.
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import hashlib
+import io
 import json
+import zlib
 
 import numpy as np
 
@@ -33,17 +42,32 @@ __all__ = [
     "file_sha256",
 ]
 
-TRACE_FORMAT_VERSION = 1
+TRACE_FORMAT_VERSION = 2
+
+_MAX_HEADER_BYTES = 1 << 16
 
 
+@contextlib.contextmanager
 def _open(path, mode: str):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, mode + "t", encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
+    """Open ``path`` for reading ("r", "rb") or writing ("w", "wb").
+
+    Modes without "b" give UTF-8 text. A ``.gz`` suffix gzip-compresses;
+    the gzip header gets mtime 0 and an empty file name.
+    """
+    with open(path, mode[0] + "b") as raw:
+        f = raw
+        if str(path).endswith(".gz"):
+            f = gzip.GzipFile(filename="", fileobj=raw, mode=mode[0] + "b", mtime=0)
+        with f:
+            if mode.endswith("b"):
+                yield f
+            else:
+                with io.TextIOWrapper(f, encoding="utf-8") as text:
+                    yield text
 
 
 def write_trace(trace: CsiTrace, path) -> None:
-    """Write a trace file (header line + one record line per packet)."""
+    """Write a trace file (JSON header line + timestamps and CSI arrays)."""
     header = {
         "version": TRACE_FORMAT_VERSION,
         "sample_rate_hz": trace.sample_rate_hz,
@@ -57,58 +81,92 @@ def write_trace(trace: CsiTrace, path) -> None:
             "phi_rad": trace.geometry.phi_rad,
         },
     }
-    flat = trace.csi.reshape(trace.n_rx * trace.n_sc, trace.n_samples)
-    with _open(path, "w") as f:
-        f.write(json.dumps(header) + "\n")
-        for k in range(trace.n_samples):
-            parts = [repr(float(trace.timestamps_s[k]))]
-            col = flat[:, k]
-            for v in col:
-                parts.append(repr(float(v.real)))
-                parts.append(repr(float(v.imag)))
-            f.write(" ".join(parts) + "\n")
+    with _open(path, "wb") as f:
+        f.write(json.dumps(header).encode("utf-8") + b"\n")
+        np.save(f, np.asarray(trace.timestamps_s, dtype=np.float64), allow_pickle=False)
+        np.save(f, trace.csi, allow_pickle=False)
+
+
+def _read_header(f, path) -> dict:
+    line = f.readline(_MAX_HEADER_BYTES)
+    if not line.endswith(b"\n"):
+        raise ValueError(f"{path}: missing or oversized trace header line")
+    header = json.loads(line)
+    version = header.get("version") if isinstance(header, dict) else None
+    if version != TRACE_FORMAT_VERSION:
+        raise ValueError(f"unsupported trace format version {version}")
+    return header
+
+
+def _load_array(f, path, name: str, shape: tuple, dtype: np.dtype) -> np.ndarray:
+    try:
+        arr = np.load(f, allow_pickle=False)
+    except (ValueError, EOFError) as e:
+        raise ValueError(f"{path}: {name} array is truncated or malformed ({e})") from e
+    if not isinstance(arr, np.ndarray) or arr.shape != shape or arr.dtype != dtype:
+        raise ValueError(
+            f"{path}: header announces {name} of shape {shape} and dtype {dtype}, "
+            f"file holds shape {getattr(arr, 'shape', None)} and "
+            f"dtype {getattr(arr, 'dtype', None)}"
+        )
+    return arr
+
+
+def _check_samples(path, timestamps: np.ndarray, csi: np.ndarray) -> None:
+    """Reject non-finite values and timestamps that do not strictly increase.
+
+    CSI is checked one stream row at a time, so no temporary of the full
+    array's size is allocated.
+    """
+    bad = ~np.isfinite(timestamps)
+    if bad.any():
+        raise ValueError(f"{path}: non-finite timestamp at record {int(np.argmax(bad))}")
+    not_increasing = np.diff(timestamps) <= 0
+    if not_increasing.any():
+        k = int(np.argmax(not_increasing)) + 1
+        raise ValueError(f"{path}: timestamps do not strictly increase at record {k}")
+    for rx, sc in np.ndindex(csi.shape[:2]):
+        if not np.isfinite(csi[rx, sc]).all():
+            raise ValueError(f"{path}: non-finite CSI on antenna {rx}, subcarrier {sc}")
 
 
 def read_trace(path) -> CsiTrace:
     """Read a trace file back into a CsiTrace.
 
-    The file format does not carry per-stream path parameters or the
-    outlier log; those fields come back empty.
+    Raises ValueError for a file that is not a well-formed trace of the
+    current format version, or whose samples are non-finite or whose
+    timestamps do not strictly increase. The file format does not carry
+    per-stream path parameters or the outlier log; those fields come back
+    empty.
     """
     from .signal_model import SceneGeometry
 
-    with _open(path, "r") as f:
-        header = json.loads(f.readline())
-        if header.get("version") != TRACE_FORMAT_VERSION:
-            raise ValueError(f"unsupported trace format version {header.get('version')}")
-        n_rx, n_sc = header["n_rx"], header["n_sc"]
-        n = header["n_records"]
-        dtype = np.dtype(header["dtype"])
-        timestamps = np.empty(n, dtype=np.float64)
-        flat = np.empty((n_rx * n_sc, n), dtype=dtype)
-        rows = 0
-        for k, line in enumerate(f):
-            vals = line.split()
-            if len(vals) != 1 + 2 * n_rx * n_sc:
-                raise ValueError(f"{path}: malformed record on line {k + 2}")
-            timestamps[k] = float(vals[0])
-            re = np.array(vals[1::2], dtype=np.float64)
-            im = np.array(vals[2::2], dtype=np.float64)
-            flat[:, k] = (re + 1j * im).astype(dtype)
-            rows += 1
-        if rows != n:
-            raise ValueError(
-                f"{path}: header announces {n} records but file holds {rows}"
-            )
-    g = header["geometry"]
-    geometry = SceneGeometry(
-        wavelength_m=g["wavelength_m"], psi=g["psi"], phi_rad=g.get("phi_rad")
-    )
+    try:
+        with _open(path, "rb") as f:
+            header = _read_header(f, path)
+            try:
+                sample_rate_hz = float(header["sample_rate_hz"])
+                n_rx, n_sc = int(header["n_rx"]), int(header["n_sc"])
+                n = int(header["n_records"])
+                dtype = np.dtype(header["dtype"])
+                g = header["geometry"]
+                geometry = SceneGeometry(
+                    wavelength_m=g["wavelength_m"], psi=g["psi"], phi_rad=g.get("phi_rad")
+                )
+            except (KeyError, TypeError, AttributeError) as e:
+                raise ValueError(f"{path}: malformed trace header ({e!r})") from e
+            timestamps = _load_array(f, path, "timestamps_s", (n,), np.dtype(np.float64))
+            csi = _load_array(f, path, "csi", (n_rx, n_sc, n), dtype)
+            if f.read(1):
+                raise ValueError(f"{path}: trailing bytes after the csi array")
+    except (EOFError, zlib.error, gzip.BadGzipFile) as e:
+        raise ValueError(f"{path}: truncated or corrupt trace ({e})") from e
+    _check_samples(path, timestamps, csi)
     return CsiTrace(
-        sample_rate_hz=header["sample_rate_hz"],
+        sample_rate_hz=sample_rate_hz,
         n_rx=n_rx,
         n_sc=n_sc,
-        csi=flat.reshape(n_rx, n_sc, n),
+        csi=csi,
         timestamps_s=timestamps,
         labels=np.zeros(n, dtype=np.int8),
         events=(),

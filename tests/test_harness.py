@@ -1,5 +1,8 @@
 """Trace file round-trips, metrics, sweeps, and the command-line interface."""
 
+import dataclasses
+import gzip
+import io
 import json
 import math
 
@@ -40,6 +43,14 @@ from csiwatch.traceio import (
 G = SceneGeometry()
 
 
+def edit_trace_file(path, edit):
+    """Replace the uncompressed bytes of a trace file by ``edit(bytes)``."""
+    gz = str(path).endswith(".gz")
+    data = gzip.decompress(path.read_bytes()) if gz else path.read_bytes()
+    data = edit(data)
+    path.write_bytes(gzip.compress(data) if gz else data)
+
+
 def tiny_trace(duration=5.0, seed=0, dtype=np.complex128):
     noise = NoiseSpec(awgn_sigma=0.01, jitter_std_s=0.0005)
     return generate_trace(
@@ -63,13 +74,100 @@ class TestTraceIO:
         assert back.geometry == trace.geometry
 
     def test_header_record_count_enforced(self, tmp_path):
-        trace = tiny_trace()
         path = tmp_path / "t.csitrace"
-        write_trace(trace, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-10]) + "\n")
-        with pytest.raises(ValueError, match="announces"):
+        write_trace(tiny_trace(), path)
+        path.write_bytes(path.read_bytes()[:-10 * 6 * 16])
+        with pytest.raises(ValueError, match="truncated or"):
             read_trace(path)
+
+    @pytest.mark.parametrize("cut", [1, 5000])
+    def test_truncated_gzip_rejected(self, tmp_path, cut):
+        path = tmp_path / "t.csitrace.gz"
+        write_trace(tiny_trace(), path)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ValueError, match="truncated or"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("suffix", ["csitrace", "csitrace.gz"])
+    def test_trailing_bytes_rejected(self, tmp_path, suffix):
+        path = tmp_path / f"t.{suffix}"
+        write_trace(tiny_trace(), path)
+        edit_trace_file(path, lambda data: data + b"\0")
+        with pytest.raises(ValueError, match="trailing bytes after"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("n_rx", 3, "header announces"),
+        ("n_sc", 2, "header announces"),
+        ("n_records", 999, "header announces"),
+        ("dtype", "complex64", "header announces"),
+        ("dtype", "no-such-dtype", "malformed trace header"),
+    ])
+    def test_header_array_mismatch_rejected(self, tmp_path, field, value, match):
+        path = tmp_path / "t.csitrace"
+        write_trace(tiny_trace(), path)
+
+        def edit(data):
+            line, arrays = data.split(b"\n", 1)
+            header = json.loads(line)
+            header[field] = value
+            return json.dumps(header).encode() + b"\n" + arrays
+
+        edit_trace_file(path, edit)
+        with pytest.raises(ValueError, match=match):
+            read_trace(path)
+
+    def test_pickled_object_array_rejected(self, tmp_path):
+        path = tmp_path / "t.csitrace"
+        write_trace(tiny_trace(), path)
+
+        def edit(data):
+            buf = io.BytesIO()
+            np.save(buf, np.array([{"x": 1}, None], dtype=object), allow_pickle=True)
+            return data.split(b"\n", 1)[0] + b"\n" + buf.getvalue()
+
+        edit_trace_file(path, edit)
+        with pytest.raises(ValueError, match="allow_pickle"):
+            read_trace(path)
+
+    def test_version_1_text_file_rejected(self, tmp_path, capsys):
+        path = tmp_path / "old.csitrace"
+        header = {"version": 1, "sample_rate_hz": 200.0, "n_rx": 1, "n_sc": 1,
+                  "n_records": 1, "dtype": "complex128",
+                  "geometry": {"wavelength_m": 0.057, "psi": 1.0, "phi_rad": None}}
+        path.write_text(json.dumps(header) + "\n0.0 1.0 0.0\n")
+        with pytest.raises(ValueError, match="unsupported trace format version 1"):
+            read_trace(path)
+        assert main(["detect", "--trace", str(path)]) == 2
+        assert "unsupported trace format version" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad, match", [
+        ("nan_timestamp", "non-finite timestamp"),
+        ("swapped_timestamps", "strictly increase"),
+        ("repeated_timestamp", "strictly increase"),
+        ("nan_sample", "non-finite CSI"),
+        ("inf_all_streams", "non-finite CSI"),
+    ])
+    def test_bad_samples_rejected(self, tmp_path, capsys, bad, match):
+        trace = tiny_trace()
+        ts, csi = trace.timestamps_s.copy(), trace.csi.copy()
+        k = 300
+        if bad == "nan_timestamp":
+            ts[k] = np.nan
+        elif bad == "swapped_timestamps":
+            ts[[k, k + 1]] = ts[[k + 1, k]]
+        elif bad == "repeated_timestamp":
+            ts[k + 1] = ts[k]
+        elif bad == "nan_sample":
+            csi[1, 2, k] = np.nan
+        else:
+            csi[:, :, k] = np.inf
+        path = tmp_path / "bad.csitrace"
+        write_trace(dataclasses.replace(trace, timestamps_s=ts, csi=csi), path)
+        with pytest.raises(ValueError, match=match):
+            read_trace(path)
+        assert main(["detect", "--trace", str(path)]) == 2
+        assert match in capsys.readouterr().err
 
     def test_labels_round_trip(self, tmp_path):
         labels = [
@@ -281,9 +379,10 @@ class TestCli:
         events = read_events_csv(events_path)
         assert any(e.event_class is EventClass.SEIZURE for e in events)
 
-    def test_simulate_deterministic_checksums(self, tmp_path):
+    @pytest.mark.parametrize("suffix", ["csitrace", "csitrace.gz"])
+    def test_simulate_deterministic_checksums(self, tmp_path, suffix):
         scenario = self._write_scenario(tmp_path)
-        p1, p2 = tmp_path / "a.csitrace", tmp_path / "b.csitrace"
+        p1, p2 = tmp_path / f"a.{suffix}", tmp_path / f"b.{suffix}"
         assert main(["simulate", "--config", str(scenario), "--out", str(p1)]) == 0
         assert main(["simulate", "--config", str(scenario), "--out", str(p2)]) == 0
         from csiwatch.traceio import file_sha256
