@@ -19,7 +19,6 @@ class PipelineConfig:
     geometry to obtain the operating value.
     """
 
-    sample_rate_hz: float = 200.0
     t_cal_s: float = 13.0
     k_streams: int = 15
     f_o_br_max_hz: float = 0.3          # adult maximum breathing rate
@@ -38,8 +37,8 @@ class PipelineConfig:
 
     def __post_init__(self):
         for name in (
-            "sample_rate_hz", "t_cal_s", "f_o_br_max_hz", "t_win_ed_s",
-            "t_win_ec_s", "t_min_s", "q", "ed_hop_s",
+            "t_cal_s", "f_o_br_max_hz", "t_win_ed_s", "t_win_ec_s",
+            "t_min_s", "q", "ed_hop_s",
             "event_close_hysteresis_s", "hampel_window_s", "hampel_n_sigmas",
             "pca_block_s",
         ):

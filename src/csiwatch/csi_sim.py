@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -45,6 +47,7 @@ __all__ = [
     "scratch_profile",
     "cough_profile",
     "limb_jerk_profile",
+    "event_motion",
     "build_night_scenario",
     "generate_trace",
     "superpose_person",
@@ -311,9 +314,8 @@ def posture_shift_profile(
         sign = -sign
         t += lobe_s + float(rng.uniform(0.2, 0.6))
     if not np.any(v):
-        v[: _smooth_lobe(min(1.0, duration_s), v_max_mps, rate_hz).size] = _smooth_lobe(
-            min(1.0, duration_s), v_max_mps, rate_hz
-        )[: n]
+        lobe = _smooth_lobe(min(1.0, duration_s), v_max_mps, rate_hz)[:n]
+        v[: lobe.size] = lobe
     return SampledProfile(v, rate_hz)
 
 
@@ -377,6 +379,45 @@ def limb_jerk_profile(
     return SampledProfile(_smooth_lobe(duration_s, v_max_mps, rate_hz), rate_hz)
 
 
+class _MotionKind(NamedTuple):
+    """How one event kind becomes a motion profile."""
+
+    factory: Callable[..., MotionProfile]
+    defaults: dict[str, float]  # the parameters a scenario may set
+    night_duration_s: tuple[float, float]  # build_night_scenario's duration draw
+    takes_rng: bool = False
+
+
+_MOTION_KINDS = {
+    EventKind.SEIZURE: _MotionKind(
+        seizure_profile, {"v_max_mps": 0.75, "f_o_hz": 3.0, "phase_rad": 0.0, "tonic_s": 0.0},
+        (20.0, 26.0),
+    ),
+    EventKind.POSTURE_SHIFT: _MotionKind(
+        posture_shift_profile, {"v_max_mps": 0.3}, (6.0, 10.0), takes_rng=True
+    ),
+    EventKind.SCRATCH: _MotionKind(scratch_profile, {}, (3.0, 6.0), takes_rng=True),
+    EventKind.COUGH: _MotionKind(cough_profile, {}, (1.2, 2.0), takes_rng=True),
+    EventKind.LIMB_JERK: _MotionKind(limb_jerk_profile, {"v_max_mps": 0.5}, (0.2, 0.35)),
+}
+
+
+def event_motion(
+    kind: EventKind, duration_s: float, rng: np.random.Generator, rate_hz: float, /, **params
+) -> MotionProfile:
+    """The motion profile of one event of the given kind.
+
+    params override the kind's parameter defaults. Other keys are ignored,
+    so a whole scenario-config event spec can be passed. Only posture
+    shifts, scratches and coughs draw from rng.
+    """
+    motion = _MOTION_KINDS[kind]
+    kwargs = {name: float(params.get(name, value)) for name, value in motion.defaults.items()}
+    if motion.takes_rng:
+        kwargs["rng"] = rng
+    return motion.factory(duration_s, rate_hz=rate_hz, **kwargs)
+
+
 def build_night_scenario(
     duration_s: float,
     n_seizures: int,
@@ -399,27 +440,17 @@ def build_night_scenario(
     per-deployment phase offsets.
     """
     rng = np.random.default_rng(seed)
-    specs = []
-    for _ in range(n_seizures):
-        specs.append(("seizure", float(rng.uniform(20.0, 26.0))))
     normal_kinds = [EventKind.POSTURE_SHIFT, EventKind.SCRATCH, EventKind.COUGH,
                     EventKind.LIMB_JERK]
-    for i in range(n_normal_events):
-        kind = normal_kinds[i % len(normal_kinds)]
-        if kind is EventKind.POSTURE_SHIFT:
-            dur = float(rng.uniform(6.0, 10.0))
-        elif kind is EventKind.SCRATCH:
-            dur = float(rng.uniform(3.0, 6.0))
-        elif kind is EventKind.COUGH:
-            dur = float(rng.uniform(1.2, 2.0))
-        else:
-            dur = float(rng.uniform(0.2, 0.35))
-        specs.append((kind.value, dur))
+    kinds = [EventKind.SEIZURE] * n_seizures + [
+        normal_kinds[i % len(normal_kinds)] for i in range(n_normal_events)
+    ]
+    durations = [float(rng.uniform(*_MOTION_KINDS[kind].night_duration_s)) for kind in kinds]
 
     # Rejection-sample non-overlapping start times with the required gaps.
     placed: list[tuple[float, float]] = []
     starts = []
-    for _, dur in specs:
+    for dur in durations:
         for _attempt in range(10000):
             s = float(rng.uniform(start_clear_s, duration_s - dur - 1.0))
             if all(s + dur + min_gap_s <= a or b + min_gap_s <= s for a, b in placed):
@@ -429,28 +460,17 @@ def build_night_scenario(
         else:
             raise ValueError("could not place all events; scenario too crowded")
 
+    # Parameters drawn per event, in this order, before its motion is built.
+    drawn = {
+        EventKind.SEIZURE: {"v_max_mps": seizure_v_range, "f_o_hz": seizure_f_range,
+                            "phase_rad": (0.0, 2.0 * math.pi)},
+        EventKind.LIMB_JERK: {"v_max_mps": (0.3, 0.6)},
+    }
     events = []
-    for (name, dur), start in zip(specs, starts):
-        if name == "seizure":
-            motion = seizure_profile(
-                dur,
-                v_max_mps=float(rng.uniform(*seizure_v_range)),
-                f_o_hz=float(rng.uniform(*seizure_f_range)),
-                phase_rad=float(rng.uniform(0.0, 2.0 * math.pi)),
-            )
-            events.append(ScenarioEvent(EventKind.SEIZURE, start, dur, motion))
-        else:
-            kind = EventKind(name)
-            if kind is EventKind.POSTURE_SHIFT:
-                motion = posture_shift_profile(dur, rng=rng, rate_hz=rate_hz)
-            elif kind is EventKind.SCRATCH:
-                motion = scratch_profile(dur, rng=rng, rate_hz=rate_hz)
-            elif kind is EventKind.COUGH:
-                motion = cough_profile(dur, rng=rng, rate_hz=rate_hz)
-            else:
-                motion = limb_jerk_profile(dur, v_max_mps=float(rng.uniform(0.3, 0.6)),
-                                           rate_hz=rate_hz)
-            events.append(ScenarioEvent(kind, start, dur, motion))
+    for kind, dur, start in zip(kinds, durations, starts):
+        params = {name: float(rng.uniform(*r)) for name, r in drawn.get(kind, {}).items()}
+        motion = event_motion(kind, dur, rng, rate_hz, **params)
+        events.append(ScenarioEvent(kind, start, dur, motion))
 
     return Scenario(
         duration_s=duration_s,

@@ -24,12 +24,8 @@ from .csi_sim import (
     EventKind,
     breathing_profile,
     build_night_scenario,
-    cough_profile,
+    event_motion,
     generate_trace,
-    limb_jerk_profile,
-    posture_shift_profile,
-    scratch_profile,
-    seizure_profile,
     superpose_person,
 )
 from .detector import (
@@ -42,7 +38,13 @@ from .detector import (
     run_detection,
 )
 from .metrics import RunReport, combine_reports, compute_report
-from .preprocess import CalibrationState, calibrate, derive_streams, extract_pipeline_stream
+from .preprocess import (
+    CalibrationState,
+    calibrate,
+    compute_stream_snr,
+    derive_streams,
+    extract_pipeline_stream,
+)
 from .signal_model import SceneGeometry
 
 __all__ = [
@@ -193,16 +195,9 @@ def selected_stream_event_snr(
         trace, ids=list(calibration.selected_ids),
         start_s=label.start_s, end_s=label.end_s,
     )
-    ratios = []
-    for row in range(streams.n_streams):
-        x = streams.data[row]
-        p = np.abs(np.fft.rfft(x - x.mean())) ** 2
-        freqs = np.fft.rfftfreq(x.size, 1.0 / streams.sample_rate_hz)
-        sig = p[(freqs > 0) & (freqs <= signal_band_hz)].sum()
-        noise = p[freqs > signal_band_hz].sum()
-        if noise > 0:
-            ratios.append(sig / noise)
-    return float(np.median(ratios)) if ratios else float("inf")
+    return float(np.median([
+        compute_stream_snr(row, streams.sample_rate_hz, signal_band_hz) for row in streams.data
+    ]))
 
 
 # ---------------------------------------------------------------------------
@@ -219,31 +214,10 @@ def _geometry_from(cfg: dict) -> SceneGeometry:
 
 def _event_from(spec: dict, index: int, base_seed: int, rate_hz: float) -> ScenarioEvent:
     kind = EventKind(spec["kind"])
-    start = float(spec["start_s"])
     dur = float(spec["duration_s"])
     rng = np.random.default_rng(base_seed + 7919 * (index + 1))
-    if kind is EventKind.SEIZURE:
-        motion = seizure_profile(
-            dur,
-            v_max_mps=float(spec.get("v_max_mps", 0.75)),
-            f_o_hz=float(spec.get("f_o_hz", 3.0)),
-            phase_rad=float(spec.get("phase_rad", 0.0)),
-            tonic_s=float(spec.get("tonic_s", 0.0)),
-            rate_hz=rate_hz,
-        )
-    elif kind is EventKind.POSTURE_SHIFT:
-        motion = posture_shift_profile(
-            dur, v_max_mps=float(spec.get("v_max_mps", 0.3)), rng=rng, rate_hz=rate_hz
-        )
-    elif kind is EventKind.SCRATCH:
-        motion = scratch_profile(dur, rng=rng, rate_hz=rate_hz)
-    elif kind is EventKind.COUGH:
-        motion = cough_profile(dur, rng=rng, rate_hz=rate_hz)
-    else:
-        motion = limb_jerk_profile(
-            dur, v_max_mps=float(spec.get("v_max_mps", 0.5)), rate_hz=rate_hz
-        )
-    return ScenarioEvent(kind, start, dur, motion)
+    motion = event_motion(kind, dur, rng, rate_hz, **spec)
+    return ScenarioEvent(kind, float(spec["start_s"]), dur, motion)
 
 
 def _scenario_from(cfg: dict, duration_s: float, seed: int, rate_hz: float) -> Scenario:

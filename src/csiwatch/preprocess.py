@@ -124,6 +124,8 @@ def derive_streams(
     timestamps onto the nominal uniform grid (skipped when the trace is
     jitter-free). Only the raw streams actually referenced by ``ids`` are
     touched, so extracting a few streams from an hour-long trace stays cheap.
+    A NaN or Inf sample in a requested stream raises ValueError naming the
+    stream and the time.
     """
     if end_s is None:
         end_s = trace.duration_s
@@ -148,15 +150,25 @@ def derive_streams(
                 raw_cache[key] = series[i0 : i0 + grid.size]
         return raw_cache[key]
 
+    def require_finite(values: np.ndarray, sid: StreamId) -> np.ndarray:
+        # NaN and Inf carry into the sum, so one reduction checks a row
+        if not np.isfinite(values.sum()):
+            k = int(np.argmin(np.isfinite(values)))
+            raise ValueError(f"stream {sid}: non-finite CSI sample at {grid[k]:.3f} s")
+        return values
+
     data = np.empty((len(ids), grid.size), dtype=np.float64)
     for row, sid in enumerate(ids):
         if sid.kind == "mag":
             c = raw(sid.rx, sid.sc)
             data[row] = c.real.astype(np.float64) ** 2 + c.imag.astype(np.float64) ** 2
+            require_finite(data[row], sid)
         else:
-            ci = raw(sid.rx, sid.sc)
-            cref = raw(0, sid.sc)
-            data[row] = np.unwrap(np.angle(ci * np.conj(cref)))
+            # checked before the angle, which maps an infinite product to a
+            # finite one; a temporary, so it is freed before the unwrap
+            data[row] = np.unwrap(np.angle(
+                require_finite(raw(sid.rx, sid.sc) * np.conj(raw(0, sid.sc)), sid)
+            ))
     return StreamSet(tuple(ids), data, fs, start_s=grid[0] if grid.size else start_s)
 
 
@@ -181,28 +193,29 @@ def hampel_filter(
         return x.copy()
     med = median_filter(x, size=w, mode="nearest")
 
+    # each evaluated window's median is the median filter's output at its centre
     hop = (w + 1) // 2
     windows = np.lib.stride_tricks.sliding_window_view(x, w)[::hop]
-    m_rows = np.median(windows, axis=1)
-    mad_rows = np.median(np.abs(windows - m_rows[:, None]), axis=1)
+    centers = w // 2 + hop * np.arange(windows.shape[0])
+    mad_rows = np.median(np.abs(windows - med[centers, None]), axis=1)
 
-    # nearest evaluated window center supplies each sample's scale
-    centers = w // 2 + hop * np.arange(mad_rows.size)
-    idx = np.clip(np.searchsorted(centers, np.arange(n)), 0, mad_rows.size - 1)
-    left = np.maximum(idx - 1, 0)
-    use_left = np.abs(centers[left] - np.arange(n)) <= np.abs(centers[idx] - np.arange(n))
-    scale = mad_rows[np.where(use_left, left, idx)]
+    # nearest evaluated window center supplies each sample's scale (ties left)
+    counts = np.full(mad_rows.size, hop)
+    counts[0] = w // 2 + hop // 2 + 1
+    counts[-1] = n - counts[:-1].sum()
+    scale = np.repeat(mad_rows, counts)
 
     dev = np.abs(x - med)
     threshold = n_sigmas * MAD_SCALE * scale
     return np.where(dev > threshold, med, x)
 
 
-def _hampel_window_samples(config: PipelineConfig) -> int:
-    w = int(round(config.hampel_window_s * config.sample_rate_hz))
-    if w % 2 == 0:
-        w += 1
-    return max(w, 3)
+def _hampel_rows(streams: StreamSet, config: PipelineConfig) -> None:
+    """Hampel-filter every stream in place; the window is hampel_window_s at
+    the streams' own sample rate, rounded up to odd and at least 3 samples."""
+    window = max(int(round(config.hampel_window_s * streams.sample_rate_hz)) | 1, 3)
+    for row in streams.data:
+        row[:] = hampel_filter(row, window, config.hampel_n_sigmas)
 
 
 def compute_stream_snr(stream: np.ndarray, sample_rate_hz: float, bw_br_hz: float) -> float:
@@ -338,16 +351,12 @@ def calibrate(
             f"ending at {cal_end:.2f} s"
         )
     streams = derive_streams(trace, start_s=cal_start_s, end_s=cal_end)
-    window = _hampel_window_samples(config)
-    cleaned = np.empty_like(streams.data)
-    for row in range(streams.n_streams):
-        cleaned[row] = hampel_filter(streams.data[row], window, config.hampel_n_sigmas)
-    cal_set = StreamSet(streams.ids, cleaned, fs, streams.start_s)
+    _hampel_rows(streams, config)
 
-    selected, snrs = select_streams(cal_set, config.k_streams, config.bw_br_hz)
-    rows = [cal_set.ids.index(sid) for sid in selected]
+    selected, snrs = select_streams(streams, config.k_streams, config.bw_br_hz)
+    rows = [streams.ids.index(sid) for sid in selected]
     p_cal = pca_first_component(
-        cal_set.data[rows], fs, config.pca_block_s, config.pca_overlap
+        streams.data[rows], fs, config.pca_block_s, config.pca_overlap
     )
     _, energies = sliding_out_of_band_energy(
         p_cal, fs, config.t_win_ed_s, config.ed_hop_s, config.bw_br_adj_hz
@@ -369,11 +378,7 @@ def extract_pipeline_stream(
 ) -> np.ndarray:
     """Full-length denoised stream p(t) from the selected streams."""
     streams = derive_streams(trace, ids=list(calibration.selected_ids))
-    window = _hampel_window_samples(config)
-    for row in range(streams.n_streams):
-        streams.data[row] = hampel_filter(
-            streams.data[row], window, config.hampel_n_sigmas
-        )
+    _hampel_rows(streams, config)
     return pca_first_component(
         streams.data, trace.sample_rate_hz, config.pca_block_s, config.pca_overlap
     )

@@ -302,6 +302,53 @@ class TestNightScenarioBuilder:
         for a, b in zip(evs, evs[1:]):
             assert b.start_s - a.end_s >= 8.0
 
+    # (kind, start_s, duration_s) of build_night_scenario(300, 2, 8, seed=s),
+    # recorded before the motion kinds moved into one table
+    RECORDED = {
+        0: [
+            ("seizure", 20.70483867829908, 21.618720282583222),
+            ("limb_jerk", 57.64595684778876, 0.3402608635681652),
+            ("posture_shift", 67.92519550539747, 6.163894095744778),
+            ("cough", 103.06496578255869, 1.850616191360218),
+            ("cough", 127.87322965676195, 1.6348999931723383),
+            ("limb_jerk", 137.78732575211836, 0.33691333659165823),
+            ("scratch", 169.41644956764597, 3.049582906585587),
+            ("posture_shift", 201.45316616313676, 8.42654310306872),
+            ("seizure", 228.18806577883407, 23.821770123928726),
+            ("scratch", 293.04755862161034, 5.188489682951995),
+        ],
+        1: [
+            ("scratch", 56.61403269425689, 5.845948341411732),
+            ("limb_jerk", 76.71040190282648, 0.26349896734588635),
+            ("posture_shift", 90.74307221151521, 9.310810375281767),
+            ("posture_shift", 109.82662261804461, 6.576638450878535),
+            ("cough", 131.88422498870204, 1.4494651616083885),
+            ("seizure", 156.31020402798018, 25.702782177955612),
+            ("cough", 192.93132126113983, 1.6396749501384476),
+            ("seizure", 212.84590932568562, 23.07092974820154),
+            ("limb_jerk", 275.73880810900505, 0.20413386698646027),
+            ("scratch", 289.4795166996505, 4.227597409107483),
+        ],
+        2: [
+            ("cough", 49.01920351172639, 1.4199754943248304),
+            ("seizure", 58.59737265673813, 21.79094686048474),
+            ("limb_jerk", 116.41602556868442, 0.3092840790217692),
+            ("posture_shift", 136.6991693855192, 9.256902962377122),
+            ("seizure", 164.7442335398003, 21.569672805495898),
+            ("scratch", 204.54149713126674, 3.275747826405291),
+            ("scratch", 233.92733891533678, 3.1654398819992045),
+            ("limb_jerk", 251.14270096014573, 0.2986149522313389),
+            ("posture_shift", 262.6303319750998, 6.751604293466414),
+            ("cough", 288.2892605435997, 1.6800804207725233),
+        ],
+    }
+
+    @pytest.mark.parametrize("seed", sorted(RECORDED))
+    def test_events_match_recorded(self, seed):
+        scen = build_night_scenario(300.0, 2, 8, seed=seed)
+        got = [(e.kind.value, e.start_s, e.duration_s) for e in scen.events]
+        assert got == self.RECORDED[seed]
+
     def test_normal_profiles_respect_speed_bound(self):
         rng = np.random.default_rng(0)
         for maker in (posture_shift_profile, scratch_profile):

@@ -18,7 +18,11 @@ from csiwatch.csi_sim import (
     Scenario,
     ScenarioEvent,
     breathing_profile,
+    cough_profile,
     generate_trace,
+    limb_jerk_profile,
+    posture_shift_profile,
+    scratch_profile,
     seizure_profile,
 )
 from csiwatch.detector import DetectedEvent, EventClass
@@ -310,6 +314,61 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="duration_s"):
             parse_scenario_config({})
 
+    # an event spec and the factory call it stands for, given the event's rng
+    # and the trace's sample rate
+    FACTORY_CASES = {
+        "seizure": (
+            {"kind": "seizure", "start_s": 10.0, "duration_s": 22.0},
+            lambda dur, rng, rate: seizure_profile(dur, 0.75, 3.0, rate_hz=rate),
+        ),
+        "seizure_tonic": (
+            {"kind": "seizure", "start_s": 10.0, "duration_s": 24.0, "v_max_mps": 0.7,
+             "f_o_hz": 2.2, "phase_rad": 1.0, "tonic_s": 4.0},
+            lambda dur, rng, rate: seizure_profile(
+                dur, 0.7, 2.2, phase_rad=1.0, tonic_s=4.0, rate_hz=rate),
+        ),
+        "posture_shift": (
+            {"kind": "posture_shift", "start_s": 10.0, "duration_s": 7.0},
+            lambda dur, rng, rate: posture_shift_profile(dur, rng=rng, rate_hz=rate),
+        ),
+        "posture_shift_v": (
+            {"kind": "posture_shift", "start_s": 10.0, "duration_s": 7.0, "v_max_mps": 0.25},
+            lambda dur, rng, rate: posture_shift_profile(dur, 0.25, rng=rng, rate_hz=rate),
+        ),
+        "scratch": (
+            {"kind": "scratch", "start_s": 10.0, "duration_s": 4.0},
+            lambda dur, rng, rate: scratch_profile(dur, rng=rng, rate_hz=rate),
+        ),
+        "cough": (
+            {"kind": "cough", "start_s": 10.0, "duration_s": 1.5},
+            lambda dur, rng, rate: cough_profile(dur, rng=rng, rate_hz=rate),
+        ),
+        "limb_jerk": (
+            {"kind": "limb_jerk", "start_s": 10.0, "duration_s": 0.3},
+            lambda dur, rng, rate: limb_jerk_profile(dur, 0.5, rate_hz=rate),
+        ),
+        "limb_jerk_v": (
+            {"kind": "limb_jerk", "start_s": 10.0, "duration_s": 0.25, "v_max_mps": 0.4},
+            lambda dur, rng, rate: limb_jerk_profile(dur, 0.4, rate_hz=rate),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FACTORY_CASES))
+    def test_event_motion_matches_factory(self, case):
+        spec, factory = self.FACTORY_CASES[case]
+        seed, rate, duration = 4, 100.0, 40.0
+        cfg = {"duration_s": duration, "seed": seed, "n_rx": 1, "n_sc": 2,
+               "sample_rate_hz": rate, "events": [spec]}
+        # the first event's rng, as simulate_from_config seeds it
+        motion = factory(spec["duration_s"], np.random.default_rng(seed + 7919), rate)
+        event = ScenarioEvent(EventKind(spec["kind"]), spec["start_s"], spec["duration_s"],
+                              motion)
+        direct = generate_trace(
+            Scenario(duration, breathing_profile(duration), (event,)), G, None,
+            seed=seed, n_rx=1, n_sc=2, sample_rate_hz=rate,
+        )
+        assert simulate_from_config(cfg).content_hash() == direct.content_hash()
+
 
 def detection_corpus_trace(seed=0, duration=160.0):
     events = (
@@ -429,6 +488,16 @@ class TestCli:
         assert rc == 3
         assert "internal error" in capsys.readouterr().err
 
+    def test_pipeline_config_sample_rate_rejected(self, tmp_path, capsys):
+        # the pipeline takes its rate from the trace, so the config has no rate
+        trace_path = tmp_path / "t.csitrace"
+        write_trace(tiny_trace(), trace_path)
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({"sample_rate_hz": 100.0}))
+        rc = main(["detect", "--trace", str(trace_path), "--config", str(config)])
+        assert rc == 2
+        assert "bad pipeline config" in capsys.readouterr().err
+
     def test_oracle_output(self, capsys):
         assert main(["oracle", "--beta-prime", "2.0", "--f-o", "1.0",
                      "--delta-mu", "0.7854", "--psi", "1.0"]) == 0
@@ -481,6 +550,15 @@ class TestPipelineEndToEnd:
         rep = compute_report(result.events, list(trace.events))
         assert rep.sdr_pct == 100.0
         assert rep.n_false_alarms == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("stage", [run_pipeline, analyze_trace])
+    def test_non_finite_csi_rejected(self, stage, bad):
+        trace = generate_trace(Scenario(60.0, breathing_profile(60.0)), G, None,
+                               seed=0, n_rx=3, n_sc=6)
+        trace.csi[:, :, 6000] = bad
+        with pytest.raises(ValueError, match=r"non-finite CSI sample at 30\.000 s"):
+            stage(trace, PipelineConfig())
 
     def test_breathing_only_zero_events(self):
         trace = tiny_trace(duration=30.0)

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from csiwatch import preprocess
 from csiwatch.config import PipelineConfig
 from csiwatch.csi_sim import NoiseSpec, Scenario, breathing_profile, generate_trace
 from csiwatch.preprocess import (
@@ -14,6 +17,7 @@ from csiwatch.preprocess import (
     calibrate,
     compute_stream_snr,
     derive_streams,
+    extract_pipeline_stream,
     hampel_filter,
     pca_first_component,
     select_streams,
@@ -94,6 +98,83 @@ class TestHampel:
             once = hampel_filter(streams.data[row], 101, 3.0)
             twice = hampel_filter(once, 101, 3.0)
             assert np.array_equal(once, twice)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 300).flatmap(lambda n: st.lists(
+            st.one_of(st.integers(-3, 3).map(float),
+                      st.floats(-100.0, 100.0, allow_nan=False)),
+            min_size=n, max_size=n,
+        )),
+        st.integers(1, 40).map(lambda k: 2 * k + 1),
+    )
+    def test_matches_reference(self, values, window):
+        # small integers give tied medians and zero MADs
+        x = np.array(values)
+        assert np.array_equal(hampel_filter(x, window), reference_hampel(x, window))
+
+    def test_window_sized_from_trace_rate(self, monkeypatch):
+        # 0.5 s at 100 Hz is 50 samples, rounded up to odd
+        windows = []
+        real = preprocess.hampel_filter
+
+        def spy(stream, window_samples, n_sigmas=3.0):
+            windows.append(window_samples)
+            return real(stream, window_samples, n_sigmas)
+
+        monkeypatch.setattr(preprocess, "hampel_filter", spy)
+        trace = generate_trace(
+            Scenario(20.0, breathing_profile(20.0)), G,
+            NoiseSpec(awgn_sigma=0.01), seed=0, n_rx=2, n_sc=3, sample_rate_hz=100.0,
+        )
+        config = PipelineConfig(k_streams=3)
+        extract_pipeline_stream(trace, calibrate(trace, config), config)
+        assert len(windows) == trace.n_streams + 3
+        assert set(windows) == {51}
+
+
+def reference_hampel(x, window, n_sigmas=3.0):
+    """Hampel filter written out sample by sample: the median of each
+    sample's window (edges padded with the nearest sample), replaced when the
+    sample deviates by more than n_sigmas scaled MADs. The MAD comes from the
+    nearest of the windows centred every half window (ties to the left)."""
+    n = x.size
+    w = min(window, n if n % 2 == 1 else n - 1)
+    if w < 3:
+        return x.copy()
+    h = w // 2
+    padded = np.concatenate([np.full(h, x[0]), x, np.full(h, x[-1])])
+    centers = list(range(h, n - h, (w + 1) // 2))
+    mads = [np.median(np.abs(x[c - h : c + h + 1] - np.median(x[c - h : c + h + 1])))
+            for c in centers]
+    out = x.copy()
+    for i in range(n):
+        med = np.median(padded[i : i + w])
+        k = min(range(len(centers)), key=lambda k: abs(centers[k] - i))
+        if abs(x[i] - med) > n_sigmas * 1.4826 * mads[k]:
+            out[i] = med
+    return out
+
+
+class TestDeriveStreams:
+    def test_nan_sample_named(self):
+        trace = breathing_trace(duration=10.0, n_rx=2, n_sc=2)
+        trace.csi[1, 0, 400] = math.nan
+        with pytest.raises(ValueError, match=r"stream mag:1:0: non-finite CSI sample at 2\.000 s"):
+            derive_streams(trace)
+
+    def test_infinite_reference_sample_rejected_in_phase_stream(self):
+        # the angle of an infinite phase-difference product is finite
+        trace = breathing_trace(duration=10.0, n_rx=2, n_sc=2)
+        trace.csi[0, 1, 400] = complex(math.inf, 0.0)
+        with pytest.raises(ValueError, match=r"stream pd:1:1: non-finite CSI sample at 2\.000 s"):
+            derive_streams(trace, ids=[StreamId("pd", 1, 1)])
+
+    def test_unread_stream_not_checked(self):
+        trace = breathing_trace(duration=10.0, n_rx=2, n_sc=2)
+        trace.csi[1, 1, 400] = math.nan
+        streams = derive_streams(trace, ids=[StreamId("mag", 0, 0), StreamId("pd", 1, 0)])
+        assert np.all(np.isfinite(streams.data))
 
 
 class TestStreamSnr:
