@@ -15,7 +15,7 @@ import numpy as np
 
 from . import harness, traceio
 from .config import PipelineConfig
-from .detector import EventClass
+from .detector import ED_THRESHOLD_Q, EventClass
 from .metrics import combine_reports, compute_report
 from .signal_model import SceneGeometry
 from .spectral_oracle import (
@@ -136,7 +136,7 @@ def cmd_detect(args) -> int:
 
     n_sz = sum(1 for e in result.events if e.event_class is EventClass.SEIZURE)
     print(f"f_th = {result.f_th_hz:.2f} Hz, gamma_th = "
-          f"{config.q * result.calibration.sigma_c_sq:.3e}")
+          f"{ED_THRESHOLD_Q * result.calibration.sigma_c_sq:.3e}")
     print(f"{len(result.events)} events detected ({n_sz} classified seizure); "
           f"events written to {events_out}")
     if report.sdr_pct is not None:
@@ -253,6 +253,12 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+PIPELINE_CONFIG_HELP = (
+    "pipeline config JSON; it may set t_cal_s, k_streams, t_min_s and f_th_hz, "
+    'at the top level or under "pipeline"'
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="csiwatch",
@@ -271,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="run the detection pipeline on a trace")
     p.add_argument("--trace", required=True)
     p.add_argument("--labels", help="label sidecar (default: derived from trace name)")
-    p.add_argument("--config", help="pipeline config JSON")
+    p.add_argument("--config", help=PIPELINE_CONFIG_HELP)
     p.add_argument("--cal-start", type=float, default=0.0)
     p.add_argument("--cal-len", type=float, help="calibration length (default t_cal)")
     p.add_argument("--f-th", type=float, help="override f_th (Hz)")
@@ -285,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", required=True, choices=["f_th", "t_min", "psi"])
     p.add_argument("--grid", help="start:stop:step (f_th and t_min sweeps)")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--config", help="pipeline config JSON")
+    p.add_argument("--config", help=PIPELINE_CONFIG_HELP)
     p.add_argument("--cal-start", type=float, default=0.0)
     p.set_defaults(func=cmd_sweep)
 

@@ -407,11 +407,16 @@ def event_motion(
 ) -> MotionProfile:
     """The motion profile of one event of the given kind.
 
-    params override the kind's parameter defaults. Other keys are ignored,
-    so a whole scenario-config event spec can be passed. Only posture
-    shifts, scratches and coughs draw from rng.
+    params override the kind's parameter defaults; any other key raises
+    ValueError. Only posture shifts, scratches and coughs draw from rng.
     """
     motion = _MOTION_KINDS[kind]
+    unknown = sorted(params.keys() - motion.defaults.keys())
+    if unknown:
+        allowed = ", ".join(motion.defaults) or "none"
+        raise ValueError(
+            f"unknown {kind.value} event parameter {unknown[0]!r} (allowed: {allowed})"
+        )
     kwargs = {name: float(params.get(name, value)) for name, value in motion.defaults.items()}
     if motion.takes_rng:
         kwargs["rng"] = rng

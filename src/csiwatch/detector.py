@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .config import PipelineConfig
-from .preprocess import CalibrationState
+from .preprocess import BREATHING_BAND_HZ, CalibrationState
 
 __all__ = [
     "EventClass",
@@ -41,6 +41,15 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+ED_WINDOW_S = 2.0  # event-detection window T_win
+ED_HOP_S = 0.05
+# the breathing band widened by the 1/T_win smearing of the ED window
+ED_BAND_HZ = BREATHING_BAND_HZ + 1.0 / ED_WINDOW_S
+ED_THRESHOLD_Q = 2.0  # gamma_th = q * sigma_c^2
+EVENT_CLOSE_HYSTERESIS_S = 1.0
+EC_WINDOW_S = 4.0  # event-classification window
+EC_OVERLAP = 0.5
 
 
 class EventClass(Enum):
@@ -86,9 +95,9 @@ class DetectedEvent:
 def sliding_out_of_band_energy(
     p: np.ndarray,
     sample_rate_hz: float,
-    win_s: float,
-    hop_s: float,
-    f_lo_hz: float,
+    win_s: float = ED_WINDOW_S,
+    hop_s: float = ED_HOP_S,
+    f_lo_hz: float = ED_BAND_HZ,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Spectral energy above f_lo for every sliding rectangular window.
 
@@ -129,7 +138,6 @@ def detect_event_intervals(
     p: np.ndarray,
     sample_rate_hz: float,
     calibration: CalibrationState,
-    config: PipelineConfig,
 ) -> list[DetectedInterval]:
     """Threshold the sliding out-of-band energy and merge triggers into events.
 
@@ -140,19 +148,17 @@ def detect_event_intervals(
     """
     if calibration is None:
         raise ValueError("event detection requires a calibration state")
-    ends, energies = sliding_out_of_band_energy(
-        p, sample_rate_hz, config.t_win_ed_s, config.ed_hop_s, config.bw_br_adj_hz
-    )
+    ends, energies = sliding_out_of_band_energy(p, sample_rate_hz)
     if ends.size == 0:
         return []
-    gamma_th = config.q * calibration.sigma_c_sq
+    gamma_th = ED_THRESHOLD_Q * calibration.sigma_c_sq
     h1 = energies > gamma_th
     idx = np.flatnonzero(h1)
     if idx.size == 0:
         return []
 
-    hop = max(int(round(config.ed_hop_s * sample_rate_hz)), 1)
-    max_gap_positions = int(round(config.event_close_hysteresis_s * sample_rate_hz / hop))
+    hop = max(int(round(ED_HOP_S * sample_rate_hz)), 1)
+    max_gap_positions = int(round(EVENT_CLOSE_HYSTERESIS_S * sample_rate_hz / hop))
 
     runs: list[tuple[int, int]] = []
     run_start = idx[0]
@@ -169,7 +175,7 @@ def detect_event_intervals(
     for first, last in runs:
         start_s = float(ends[first] + 1) / fs
         raw_end_s = float(ends[last] + 1) / fs
-        end_s = max(start_s, raw_end_s - config.t_win_ed_s)
+        end_s = max(start_s, raw_end_s - ED_WINDOW_S)
         open_at_end = bool(last == ends.size - 1)
         intervals.append(DetectedInterval(start_s, end_s, open_at_end))
     return intervals
@@ -219,18 +225,17 @@ def build_event_profile(
     p: np.ndarray,
     sample_rate_hz: float,
     interval: DetectedInterval,
-    config: PipelineConfig,
 ) -> EventBandwidthProfile:
     """Per-window 90th-percentile bandwidths over the event's extent.
 
-    Consecutive windows of t_win_ec seconds overlap by ec_overlap; an event
+    Consecutive windows of EC_WINDOW_S seconds overlap by EC_OVERLAP; an event
     too short for one full window contributes a single truncated window.
     """
     fs = sample_rate_hz
     s = int(round(interval.start_s * fs))
     e = min(int(round(interval.end_s * fs)), p.size)
-    L = int(round(config.t_win_ec_s * fs))
-    hop = max(int(round(L * (1.0 - config.ec_overlap))), 1)
+    L = int(round(EC_WINDOW_S * fs))
+    hop = max(int(round(L * (1.0 - EC_OVERLAP))), 1)
 
     offsets = list(range(s, e - L + 1, hop))
     window_bs = []
@@ -317,7 +322,7 @@ def run_detection(
     Returns the classified events plus, for each, its bandwidth profile
     (None when the duration gate made bandwidth analysis unnecessary).
     """
-    intervals = detect_event_intervals(p, sample_rate_hz, calibration, config)
+    intervals = detect_event_intervals(p, sample_rate_hz, calibration)
     events: list[DetectedEvent] = []
     profiles: list[EventBandwidthProfile | None] = []
     for interval in intervals:
@@ -327,7 +332,7 @@ def run_detection(
             )
             profiles.append(None)
             continue
-        profile = build_event_profile(p, sample_rate_hz, interval, config)
+        profile = build_event_profile(p, sample_rate_hz, interval)
         events.append(classify_event(profile, f_th_hz, config.t_min_s))
         profiles.append(profile)
     return events, profiles

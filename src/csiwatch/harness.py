@@ -86,7 +86,7 @@ def run_pipeline(
     t0 = time.perf_counter()
     f_th = config.resolve_f_th(trace.geometry)
     calibration = calibrate(trace, config, cal_start_s)
-    p = extract_pipeline_stream(trace, calibration, config)
+    p = extract_pipeline_stream(trace, calibration)
     events, profiles = run_detection(
         p, trace.sample_rate_hz, calibration, config, f_th
     )
@@ -119,11 +119,9 @@ def analyze_trace(
 ) -> TraceAnalysis:
     """Run detection once, keeping every event's bandwidth trajectory."""
     calibration = calibrate(trace, config, cal_start_s)
-    p = extract_pipeline_stream(trace, calibration, config)
-    intervals = detect_event_intervals(p, trace.sample_rate_hz, calibration, config)
-    profiles = [
-        build_event_profile(p, trace.sample_rate_hz, iv, config) for iv in intervals
-    ]
+    p = extract_pipeline_stream(trace, calibration)
+    intervals = detect_event_intervals(p, trace.sample_rate_hz, calibration)
+    profiles = [build_event_profile(p, trace.sample_rate_hz, iv) for iv in intervals]
     return TraceAnalysis(
         profiles=profiles,
         labels=list(trace.events),
@@ -216,7 +214,8 @@ def _event_from(spec: dict, index: int, base_seed: int, rate_hz: float) -> Scena
     kind = EventKind(spec["kind"])
     dur = float(spec["duration_s"])
     rng = np.random.default_rng(base_seed + 7919 * (index + 1))
-    motion = event_motion(kind, dur, rng, rate_hz, **spec)
+    params = {k: v for k, v in spec.items() if k not in ("kind", "start_s", "duration_s")}
+    motion = event_motion(kind, dur, rng, rate_hz, **params)
     return ScenarioEvent(kind, float(spec["start_s"]), dur, motion)
 
 

@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 MAD_SCALE = 1.4826  # scaled-MAD factor for a normal distribution
+HAMPEL_WINDOW_S = 0.5
+# B_br = 2 * f_o,br, twice the adult maximum breathing rate of 0.3 Hz: the
+# in-band part of a stream's calibration SNR
+BREATHING_BAND_HZ = 0.6
 
 
 @dataclass(frozen=True, order=True)
@@ -93,23 +97,27 @@ class StreamSet:
 def resample_uniform(
     timestamps_s: np.ndarray, values: np.ndarray, grid_s: np.ndarray
 ) -> np.ndarray:
-    """Linear interpolation of (possibly jittered) samples onto a uniform grid.
+    """Linear interpolation of complex samples at (possibly jittered) packet
+    times onto a uniform grid, component-wise.
 
-    Complex values interpolate component-wise. Grid points outside the
-    timestamp span clamp to the edge values.
+    Only the packets that bracket the grid are interpolated, so resampling
+    a short window costs the same on an hour-long series as on a short one.
+    Grid points outside the timestamp span clamp to the edge values.
     """
-    if np.iscomplexobj(values):
-        re = np.interp(grid_s, timestamps_s, values.real)
-        im = np.interp(grid_s, timestamps_s, values.imag)
-        return re + 1j * im
-    return np.interp(grid_s, timestamps_s, values)
+    if grid_s.size:
+        lo, hi = np.searchsorted(timestamps_s, (grid_s[0], grid_s[-1]))
+        bracket = slice(max(lo - 1, 0), hi + 1)
+        timestamps_s, values = timestamps_s[bracket], values[bracket]
+    re = np.interp(grid_s, timestamps_s, values.real)
+    im = np.interp(grid_s, timestamps_s, values.imag)
+    return re + 1j * im
 
 
-def _uniform_grid(trace: CsiTrace, start_s: float, end_s: float) -> tuple[np.ndarray, int]:
+def _uniform_grid(trace: CsiTrace, start_s: float, end_s: float) -> np.ndarray:
     fs = trace.sample_rate_hz
     i0 = int(round(start_s * fs))
     i1 = min(int(round(end_s * fs)), trace.n_samples)
-    return np.arange(i0, i1) / fs, i0
+    return np.arange(i0, i1) / fs
 
 
 def derive_streams(
@@ -120,56 +128,42 @@ def derive_streams(
 ) -> StreamSet:
     """Form the requested derived streams on the uniform grid.
 
-    Raw complex samples are first resampled from the trace's packet
-    timestamps onto the nominal uniform grid (skipped when the trace is
-    jitter-free). Only the raw streams actually referenced by ``ids`` are
-    touched, so extracting a few streams from an hour-long trace stays cheap.
-    A NaN or Inf sample in a requested stream raises ValueError naming the
-    stream and the time.
+    Each stream resamples the raw complex series it reads from the trace's
+    packet timestamps onto the nominal uniform grid; a phase difference
+    also reads antenna 0's series. No raw series outlives its stream, so
+    extracting a few streams from an hour-long trace stays cheap. A NaN or
+    Inf sample in a series a requested stream reads raises ValueError
+    naming the stream and the time.
     """
     if end_s is None:
         end_s = trace.duration_s
     if ids is None:
         ids = all_stream_ids(trace.n_rx, trace.n_sc)
-    grid, _ = _uniform_grid(trace, start_s, end_s)
-    fs = trace.sample_rate_hz
+    grid = _uniform_grid(trace, start_s, end_s)
 
-    nominal = np.arange(trace.n_samples) / fs
-    jittered = bool(np.any(trace.timestamps_s != nominal))
-
-    raw_cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def raw(rx: int, sc: int) -> np.ndarray:
-        key = (rx, sc)
-        if key not in raw_cache:
-            series = trace.csi[rx, sc]
-            if jittered:
-                raw_cache[key] = resample_uniform(trace.timestamps_s, series, grid)
-            else:
-                i0 = int(round(grid[0] * fs))
-                raw_cache[key] = series[i0 : i0 + grid.size]
-        return raw_cache[key]
-
-    def require_finite(values: np.ndarray, sid: StreamId) -> np.ndarray:
-        # NaN and Inf carry into the sum, so one reduction checks a row
-        if not np.isfinite(values.sum()):
-            k = int(np.argmin(np.isfinite(values)))
+    def raw(rx: int, sc: int, sid: StreamId) -> np.ndarray:
+        c = resample_uniform(trace.timestamps_s, trace.csi[rx, sc], grid)
+        # NaN and Inf carry into the sum, so one reduction checks a series
+        if not np.isfinite(c.sum()):
+            k = int(np.argmin(np.isfinite(c)))
             raise ValueError(f"stream {sid}: non-finite CSI sample at {grid[k]:.3f} s")
-        return values
+        return c
+
+    def form(sid: StreamId) -> np.ndarray:
+        c = raw(sid.rx, sid.sc, sid)
+        if sid.kind == "mag":
+            return c.real**2 + c.imag**2
+        # c is named, so numpy cannot reuse its buffer for the product: the
+        # in-place complex multiply rounds differently. The product is freed
+        # before the unwrap.
+        return np.unwrap(np.angle(c * np.conj(raw(0, sid.sc, sid))))
 
     data = np.empty((len(ids), grid.size), dtype=np.float64)
     for row, sid in enumerate(ids):
-        if sid.kind == "mag":
-            c = raw(sid.rx, sid.sc)
-            data[row] = c.real.astype(np.float64) ** 2 + c.imag.astype(np.float64) ** 2
-            require_finite(data[row], sid)
-        else:
-            # checked before the angle, which maps an infinite product to a
-            # finite one; a temporary, so it is freed before the unwrap
-            data[row] = np.unwrap(np.angle(
-                require_finite(raw(sid.rx, sid.sc) * np.conj(raw(0, sid.sc)), sid)
-            ))
-    return StreamSet(tuple(ids), data, fs, start_s=grid[0] if grid.size else start_s)
+        data[row] = form(sid)
+    return StreamSet(
+        tuple(ids), data, trace.sample_rate_hz, start_s=grid[0] if grid.size else start_s
+    )
 
 
 def hampel_filter(
@@ -210,12 +204,12 @@ def hampel_filter(
     return np.where(dev > threshold, med, x)
 
 
-def _hampel_rows(streams: StreamSet, config: PipelineConfig) -> None:
-    """Hampel-filter every stream in place; the window is hampel_window_s at
+def _hampel_rows(streams: StreamSet) -> None:
+    """Hampel-filter every stream in place; the window is HAMPEL_WINDOW_S at
     the streams' own sample rate, rounded up to odd and at least 3 samples."""
-    window = max(int(round(config.hampel_window_s * streams.sample_rate_hz)) | 1, 3)
+    window = max(int(round(HAMPEL_WINDOW_S * streams.sample_rate_hz)) | 1, 3)
     for row in streams.data:
-        row[:] = hampel_filter(row, window, config.hampel_n_sigmas)
+        row[:] = hampel_filter(row, window)
 
 
 def compute_stream_snr(stream: np.ndarray, sample_rate_hz: float, bw_br_hz: float) -> float:
@@ -246,7 +240,6 @@ class CalibrationState:
     selected_ids: tuple[StreamId, ...]
     sigma_c_sq: float
     t_cal_s: float
-    bw_br_hz: float
     cal_start_s: float
     snr_by_id: dict | None = None
 
@@ -351,34 +344,25 @@ def calibrate(
             f"ending at {cal_end:.2f} s"
         )
     streams = derive_streams(trace, start_s=cal_start_s, end_s=cal_end)
-    _hampel_rows(streams, config)
+    _hampel_rows(streams)
 
-    selected, snrs = select_streams(streams, config.k_streams, config.bw_br_hz)
+    selected, snrs = select_streams(streams, config.k_streams, BREATHING_BAND_HZ)
     rows = [streams.ids.index(sid) for sid in selected]
-    p_cal = pca_first_component(
-        streams.data[rows], fs, config.pca_block_s, config.pca_overlap
-    )
-    _, energies = sliding_out_of_band_energy(
-        p_cal, fs, config.t_win_ed_s, config.ed_hop_s, config.bw_br_adj_hz
-    )
+    p_cal = pca_first_component(streams.data[rows], fs)
+    _, energies = sliding_out_of_band_energy(p_cal, fs)
     if energies.size == 0:
         raise ValueError("calibration window shorter than one detection window")
     return CalibrationState(
         selected_ids=tuple(selected),
         sigma_c_sq=float(energies.max()),
         t_cal_s=config.t_cal_s,
-        bw_br_hz=config.bw_br_hz,
         cal_start_s=cal_start_s,
         snr_by_id=snrs,
     )
 
 
-def extract_pipeline_stream(
-    trace: CsiTrace, calibration: CalibrationState, config: PipelineConfig
-) -> np.ndarray:
+def extract_pipeline_stream(trace: CsiTrace, calibration: CalibrationState) -> np.ndarray:
     """Full-length denoised stream p(t) from the selected streams."""
     streams = derive_streams(trace, ids=list(calibration.selected_ids))
-    _hampel_rows(streams, config)
-    return pca_first_component(
-        streams.data, trace.sample_rate_hz, config.pca_block_s, config.pca_overlap
-    )
+    _hampel_rows(streams)
+    return pca_first_component(streams.data, trace.sample_rate_hz)

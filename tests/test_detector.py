@@ -163,10 +163,9 @@ class TestDetectEvents:
 
     def test_missing_calibration_rejected(self):
         trace = trace_with([], duration=30.0)
-        config = PipelineConfig()
-        p = extract_pipeline_stream(trace, calibrate(trace, config), config)
+        p = extract_pipeline_stream(trace, calibrate(trace, PipelineConfig()))
         with pytest.raises(ValueError, match="calibration"):
-            detect_event_intervals(p, FS, None, config)
+            detect_event_intervals(p, FS, None)
 
 
 class TestClassification:
@@ -223,7 +222,7 @@ class TestClassification:
         t = np.arange(600) / FS
         p[400:1000] = np.sin(2 * math.pi * 12.0 * t)
         interval = DetectedInterval(2.0, 5.0)
-        profile = build_event_profile(p, FS, interval, PipelineConfig(t_min_s=2.0))
+        profile = build_event_profile(p, FS, interval)
         assert len(profile.window_bs) == 1
         det = classify_event(profile, 8.85, 2.0)
         assert det.event_class is EventClass.SEIZURE

@@ -353,6 +353,13 @@ class TestScenarioConfig:
         ),
     }
 
+    def test_unknown_event_parameter_rejected(self):
+        cfg = {"duration_s": 40.0, "events": [
+            {"kind": "seizure", "start_s": 10.0, "duration_s": 22.0, "f_o": 2.5, "v_max": 0.7},
+        ]}
+        with pytest.raises(ValueError, match=r"unknown seizure event parameter 'f_o'"):
+            simulate_from_config(cfg)
+
     @pytest.mark.parametrize("case", sorted(FACTORY_CASES))
     def test_event_motion_matches_factory(self, case):
         spec, factory = self.FACTORY_CASES[case]
@@ -470,6 +477,15 @@ class TestCli:
                    "--out", str(tmp_path / "x.csitrace")])
         assert rc == 2
 
+    def test_unknown_event_parameter_exit_code(self, tmp_path, capsys):
+        scenario = self._write_scenario(tmp_path, events=[
+            {"kind": "seizure", "start_s": 50.0, "duration_s": 22.0, "f_o": 3.0},
+        ])
+        rc = main(["simulate", "--config", str(scenario),
+                   "--out", str(tmp_path / "x.csitrace")])
+        assert rc == 2
+        assert "unknown seizure event parameter 'f_o'" in capsys.readouterr().err
+
     def test_missing_config_exit_code(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "x.csitrace")])
@@ -497,6 +513,23 @@ class TestCli:
         rc = main(["detect", "--trace", str(trace_path), "--config", str(config)])
         assert rc == 2
         assert "bad pipeline config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["q", "t_win_ed_s", "hampel_n_sigmas", "pca_block_s"])
+    def test_pipeline_config_constant_rejected(self, tmp_path, capsys, key):
+        # only t_cal_s, k_streams, t_min_s and f_th_hz are settable
+        trace_path = tmp_path / "t.csitrace"
+        write_trace(tiny_trace(), trace_path)
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({key: 1.0}))
+        rc = main(["detect", "--trace", str(trace_path), "--config", str(config)])
+        assert rc == 2
+        assert "bad pipeline config" in capsys.readouterr().err
+
+    def test_detect_help_lists_pipeline_keys(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["detect", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "t_cal_s, k_streams, t_min_s and f_th_hz" in help_text
 
     def test_oracle_output(self, capsys):
         assert main(["oracle", "--beta-prime", "2.0", "--f-o", "1.0",
@@ -551,6 +584,7 @@ class TestPipelineEndToEnd:
         assert rep.sdr_pct == 100.0
         assert rep.n_false_alarms == 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("stage", [run_pipeline, analyze_trace])
     def test_non_finite_csi_rejected(self, stage, bad):

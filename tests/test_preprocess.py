@@ -1,6 +1,8 @@
 """Hampel filtering, SNR stream selection, and PCA denoising."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from csiwatch import preprocess
 from csiwatch.config import PipelineConfig
 from csiwatch.csi_sim import NoiseSpec, Scenario, breathing_profile, generate_trace
+from csiwatch.detector import ED_BAND_HZ
 from csiwatch.preprocess import (
     StreamId,
     StreamSet,
@@ -26,12 +29,13 @@ from csiwatch.signal_model import SceneGeometry
 
 FS = 200.0
 G = SceneGeometry()
+JITTER = NoiseSpec(awgn_sigma=0.01, jitter_std_s=0.0005)
 
 
-def breathing_trace(duration=30.0, noise=None, seed=0, n_rx=3, n_sc=10):
+def breathing_trace(duration=30.0, noise=None, seed=0, n_rx=3, n_sc=10, dtype=np.complex128):
     return generate_trace(
         Scenario(duration, breathing_profile(duration)),
-        G, noise, seed=seed, n_rx=n_rx, n_sc=n_sc,
+        G, noise, seed=seed, n_rx=n_rx, n_sc=n_sc, dtype=dtype,
     )
 
 
@@ -127,8 +131,7 @@ class TestHampel:
             Scenario(20.0, breathing_profile(20.0)), G,
             NoiseSpec(awgn_sigma=0.01), seed=0, n_rx=2, n_sc=3, sample_rate_hz=100.0,
         )
-        config = PipelineConfig(k_streams=3)
-        extract_pipeline_stream(trace, calibrate(trace, config), config)
+        extract_pipeline_stream(trace, calibrate(trace, PipelineConfig(k_streams=3)))
         assert len(windows) == trace.n_streams + 3
         assert set(windows) == {51}
 
@@ -175,6 +178,54 @@ class TestDeriveStreams:
         trace.csi[1, 1, 400] = math.nan
         streams = derive_streams(trace, ids=[StreamId("mag", 0, 0), StreamId("pd", 1, 0)])
         assert np.all(np.isfinite(streams.data))
+
+
+    @pytest.mark.parametrize("sid", [StreamId("mag", 1, 0), StreamId("pd", 1, 0)], ids=str)
+    def test_infinite_sample_rejected_without_runtime_warning(self, sid):
+        trace = breathing_trace(duration=10.0, n_rx=2, n_sc=2)
+        trace.csi[:, 0, 400] = complex(math.inf, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=rf"stream {sid}: non-finite CSI sample at 2\.000 s"):
+                derive_streams(trace, ids=[sid])
+
+    @pytest.mark.parametrize("window", [(2.0012, 5.0037), (0.0, 1.0), (9.0, 10.0)])
+    def test_window_equals_full_length_columns(self, window):
+        # window ends between packets: only the packets around the window are
+        # interpolated, and the result is bit for bit the full-length one
+        trace = breathing_trace(duration=10.0, noise=JITTER, n_rx=2, n_sc=3, dtype=np.complex64)
+        full = derive_streams(trace)
+        part = derive_streams(trace, start_s=window[0], end_s=window[1])
+        i0 = int(round(window[0] * FS))
+        assert part.start_s == full.start_s + i0 / FS
+        assert np.array_equal(part.data, full.data[:, i0 : i0 + part.data.shape[1]])
+        assert i0 + part.data.shape[1] == int(round(window[1] * FS))
+
+    def test_jitter_free_rows_equal_closed_form(self):
+        trace = breathing_trace(duration=10.0, noise=NoiseSpec(awgn_sigma=0.01), n_rx=2, n_sc=2)
+        streams = derive_streams(trace)
+        csi = trace.csi
+        for row, sid in enumerate(streams.ids):
+            c = csi[sid.rx, sid.sc]
+            if sid.kind == "mag":
+                expected = c.real**2 + c.imag**2
+            else:
+                expected = np.unwrap(np.angle(c * np.conj(csi[0, sid.sc])))
+            assert np.array_equal(streams.data[row], expected), sid
+
+    def test_peak_memory_holds_few_raw_series(self):
+        # each magnitude stream needs only its own raw series, so the peak
+        # stays near the output however many streams are formed
+        trace = breathing_trace(duration=60.0, noise=JITTER, dtype=np.complex64)
+        ids = all_stream_ids(3, 10)[:15]
+        tracemalloc.start()
+        try:
+            streams = derive_streams(trace, ids=ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        series_bytes = trace.n_samples * np.dtype(np.complex128).itemsize
+        assert peak < streams.data.nbytes + 8 * series_bytes
 
 
 class TestStreamSnr:
@@ -257,8 +308,8 @@ class TestSelection:
         config = PipelineConfig()
         assert config.t_cal_s == 13.0
         assert config.k_streams == 15
-        assert config.bw_br_hz == pytest.approx(0.6)
-        assert config.bw_br_adj_hz == pytest.approx(1.1)
+        assert preprocess.BREATHING_BAND_HZ == pytest.approx(0.6)
+        assert ED_BAND_HZ == pytest.approx(1.1)
 
     def test_trace_shorter_than_calibration_rejected(self):
         trace = breathing_trace(duration=10.0, n_rx=2, n_sc=3)
