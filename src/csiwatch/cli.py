@@ -92,11 +92,11 @@ def _pipeline_config(args) -> PipelineConfig:
         raise InputError(f"bad pipeline config: {e}") from e
 
 
-def _check_calibration_clear(labels, cal_start: float, cal_end: float):
+def _check_calibration_clear(trace_path: Path, labels, cal_start: float, cal_end: float):
     for label in labels:
         if min(label.end_s, cal_end) - max(label.start_s, cal_start) > 0:
             raise InputError(
-                f"calibration window [{cal_start:.1f}, {cal_end:.1f}] s overlaps a "
+                f"{trace_path}: calibration window [{cal_start:.1f}, {cal_end:.1f}] s overlaps a "
                 f"labeled {label.kind.value} event at {label.start_s:.1f} s; "
                 "calibration must contain breathing only"
             )
@@ -114,7 +114,7 @@ def cmd_detect(args) -> int:
     cal_start = args.cal_start
     cal_len = args.cal_len if args.cal_len is not None else config.t_cal_s
     config = config.with_overrides(t_cal_s=cal_len)
-    _check_calibration_clear(labels, cal_start, cal_start + cal_len)
+    _check_calibration_clear(trace_path, labels, cal_start, cal_start + cal_len)
 
     try:
         result = harness.run_pipeline(trace, config, cal_start_s=cal_start)
@@ -185,6 +185,7 @@ def cmd_sweep(args) -> int:
         if not labels_path.exists():
             raise InputError(f"missing labels sidecar for {path}")
         labels = traceio.read_labels(labels_path)
+        _check_calibration_clear(path, labels, args.cal_start, args.cal_start + config.t_cal_s)
         analysis = harness.analyze_trace(trace, config, cal_start_s=args.cal_start)
         analysis.labels = labels
         analyses.append(analysis)

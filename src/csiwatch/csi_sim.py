@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -38,9 +38,6 @@ __all__ = [
     "NoiseSpec",
     "LabelInterval",
     "CsiTrace",
-    "LABEL_BREATHING",
-    "LABEL_NORMAL",
-    "LABEL_SEIZURE",
     "breathing_profile",
     "seizure_profile",
     "posture_shift_profile",
@@ -54,10 +51,6 @@ __all__ = [
     "import_speed_csv",
 ]
 
-LABEL_BREATHING = 0
-LABEL_NORMAL = 1
-LABEL_SEIZURE = 2
-
 SEIZURE_MIN_DURATION_S = 20.0
 LIMB_JERK_MAX_DURATION_S = 0.4
 
@@ -68,10 +61,6 @@ class EventKind(Enum):
     LIMB_JERK = "limb_jerk"
     SCRATCH = "scratch"
     COUGH = "cough"
-
-    @property
-    def label(self) -> int:
-        return LABEL_SEIZURE if self is EventKind.SEIZURE else LABEL_NORMAL
 
 
 @dataclass(frozen=True)
@@ -179,34 +168,53 @@ class LabelInterval:
     def is_seizure(self) -> bool:
         return self.kind is EventKind.SEIZURE
 
-    @property
-    def label(self) -> int:
-        return self.kind.label
-
 
 @dataclass
 class CsiTrace:
     """Uniform-rate multi-stream CSI record with ground truth.
 
     csi is stream-major, shape (n_rx, n_sc, n_samples); timestamps_s holds
-    the actual (possibly jittered) packet arrival times. alpha/mu arrays
-    hold the per-stream path parameters of person 1.
+    the actual (possibly jittered) packet arrival times, one per sample,
+    the first within half a sample period of 0 s. Packets may be missing:
+    the trace spans the uniform grid through its last packet. events are
+    the ground-truth intervals. The alpha/mu arrays hold the per-stream
+    path parameters of person 1 where the trace was simulated, and are None
+    where they are unknown (a trace read from a file).
     """
 
     sample_rate_hz: float
-    n_rx: int
-    n_sc: int
     csi: np.ndarray
     timestamps_s: np.ndarray
-    labels: np.ndarray
     events: tuple[LabelInterval, ...]
     geometry: SceneGeometry
-    alpha_d: np.ndarray
-    mu_d: np.ndarray
-    alpha_r: np.ndarray
-    mu_r: np.ndarray
+    alpha_d: np.ndarray | None = None
+    mu_d: np.ndarray | None = None
+    alpha_r: np.ndarray | None = None
+    mu_r: np.ndarray | None = None
     outlier_log: tuple[tuple[int, int, int], ...] = ()
-    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.timestamps_s.shape != (self.n_samples,):
+            raise ValueError(
+                f"timestamps_s has shape {self.timestamps_s.shape}, "
+                f"expected one entry per sample ({self.n_samples},)"
+            )
+        if self.n_samples == 0:
+            raise ValueError("a trace holds at least one sample")
+        # the span is read off the last timestamp, so the clock must start at 0
+        if not abs(self.timestamps_s[0]) <= 0.5 / self.sample_rate_hz:
+            raise ValueError(
+                f"first packet at {self.timestamps_s[0]!r} s; a trace starts within "
+                "half a sample period of 0 s"
+            )
+
+    @property
+    def n_rx(self) -> int:
+        return self.csi.shape[0]
+
+    @property
+    def n_sc(self) -> int:
+        return self.csi.shape[1]
 
     @property
     def n_samples(self) -> int:
@@ -214,7 +222,9 @@ class CsiTrace:
 
     @property
     def duration_s(self) -> float:
-        return self.n_samples / self.sample_rate_hz
+        """Span of the uniform grid through the last packet's sample."""
+        fs = self.sample_rate_hz
+        return (round(self.timestamps_s[-1] * fs) + 1) / fs
 
     @property
     def n_streams(self) -> int:
@@ -222,6 +232,8 @@ class CsiTrace:
         return (2 * self.n_rx - 1) * self.n_sc
 
     def path_params(self, rx: int, sc: int) -> PathParams:
+        if self.alpha_d is None:
+            raise ValueError("this trace carries no path parameters")
         return PathParams(
             alpha_d=float(self.alpha_d[rx, sc]),
             mu_d=float(self.mu_d[rx, sc]),
@@ -238,7 +250,6 @@ class CsiTrace:
         )
         h.update(self.csi.tobytes())
         h.update(self.timestamps_s.tobytes())
-        h.update(self.labels.tobytes())
         for ev in self.events:
             h.update(f"{ev.start_s!r},{ev.end_s!r},{ev.kind.value},{ev.person_id}".encode())
         return h.hexdigest()
@@ -527,15 +538,10 @@ def scenario_displacement(scenario: Scenario, t: np.ndarray) -> np.ndarray:
     return d
 
 
-def _labels_for(scenario: Scenario, t: np.ndarray, person_id: int):
-    labels = np.zeros(t.size, dtype=np.int8)
-    intervals = []
-    for ev in scenario.events:
-        lo = np.searchsorted(t, ev.start_s, side="left")
-        hi = np.searchsorted(t, ev.end_s, side="left")  # [start, end)
-        labels[lo:hi] = np.maximum(labels[lo:hi], ev.kind.label)
-        intervals.append(LabelInterval(ev.start_s, ev.end_s, ev.kind, person_id))
-    return labels, intervals
+def _label_intervals(scenario: Scenario, person_id: int) -> tuple[LabelInterval, ...]:
+    return tuple(
+        LabelInterval(ev.start_s, ev.end_s, ev.kind, person_id) for ev in scenario.events
+    )
 
 
 def _stream_magnitude_std(stream: np.ndarray) -> float:
@@ -635,23 +641,17 @@ def generate_trace(
                 csi[i, j, idx] = vals * (1.0 + noise.outlier_magnitude * std / mags)
                 outlier_log.extend((i, j, int(k)) for k in idx)
 
-    labels, intervals = _labels_for(scenario, timestamps, person_id=1)
-
     return CsiTrace(
         sample_rate_hz=sample_rate_hz,
-        n_rx=n_rx,
-        n_sc=n_sc,
         csi=csi,
         timestamps_s=timestamps,
-        labels=labels,
-        events=tuple(intervals),
+        events=_label_intervals(scenario, person_id=1),
         geometry=geometry,
         alpha_d=alpha_d,
         mu_d=mu_d,
         alpha_r=alpha_r,
         mu_r=mu_r,
         outlier_log=tuple(outlier_log),
-        meta={"seed": seed, "scenario_duration_s": scenario.duration_s},
     )
 
 
@@ -665,8 +665,8 @@ def superpose_person(
     """Add a second person's reflected path to every stream of a trace.
 
     The second body contributes an independent additive reflection per
-    stream, evaluated on the trace's own (jittered) timestamps; labels merge
-    with person_id 2.
+    stream, evaluated on the trace's own (jittered) timestamps; its events
+    join the trace's with person_id 2.
     """
     if abs(scenario2.duration_s - trace.duration_s) > 1.0 / trace.sample_rate_hz:
         raise ValueError("second scenario must cover the same time span as the trace")
@@ -684,22 +684,8 @@ def superpose_person(
         for j in range(trace.n_sc):
             csi[i, j] += coef2[i, j] * base2
 
-    labels2, intervals2 = _labels_for(scenario2, trace.timestamps_s, person_id=2)
-    return CsiTrace(
-        sample_rate_hz=trace.sample_rate_hz,
-        n_rx=trace.n_rx,
-        n_sc=trace.n_sc,
-        csi=csi,
-        timestamps_s=trace.timestamps_s.copy(),
-        labels=np.maximum(trace.labels, labels2),
-        events=tuple(trace.events) + tuple(intervals2),
-        geometry=trace.geometry,
-        alpha_d=trace.alpha_d,
-        mu_d=trace.mu_d,
-        alpha_r=trace.alpha_r,
-        mu_r=trace.mu_r,
-        outlier_log=trace.outlier_log,
-        meta={**trace.meta, "second_person_seed": seed},
+    return replace(
+        trace, csi=csi, events=trace.events + _label_intervals(scenario2, person_id=2)
     )
 
 

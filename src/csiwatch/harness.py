@@ -70,7 +70,6 @@ class PipelineResult:
     p: np.ndarray
     calibration: CalibrationState
     f_th_hz: float
-    config: PipelineConfig
     processing_s: float
     trace_duration_s: float
 
@@ -97,7 +96,6 @@ def run_pipeline(
         p=p,
         calibration=calibration,
         f_th_hz=f_th,
-        config=config,
         processing_s=elapsed,
         trace_duration_s=trace.duration_s,
     )
@@ -110,7 +108,6 @@ class TraceAnalysis:
     profiles: list[EventBandwidthProfile]
     labels: list[LabelInterval]
     geometry: SceneGeometry
-    sample_rate_hz: float
     calibration: CalibrationState | None = None
 
 
@@ -126,7 +123,6 @@ def analyze_trace(
         profiles=profiles,
         labels=list(trace.events),
         geometry=trace.geometry,
-        sample_rate_hz=trace.sample_rate_hz,
         calibration=calibration,
     )
 
@@ -202,8 +198,16 @@ def selected_stream_event_snr(
 # Scenario configuration (JSON-friendly dicts)
 # ---------------------------------------------------------------------------
 
+def _check_keys(section: dict, allowed: tuple[str, ...], where: str) -> None:
+    """Reject a key nothing reads, so a typo fails instead of being ignored."""
+    unknown = sorted(section.keys() - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {where} key {unknown[0]!r} (allowed: {', '.join(allowed)})")
+
+
 def _geometry_from(cfg: dict) -> SceneGeometry:
     g = cfg.get("geometry", {})
+    _check_keys(g, ("wavelength_m", "psi", "phi_rad"), "geometry")
     wavelength = g.get("wavelength_m", SceneGeometry().wavelength_m)
     if "phi_rad" in g and "psi" not in g:
         return SceneGeometry.from_phi(g["phi_rad"], wavelength_m=wavelength)
@@ -221,6 +225,7 @@ def _event_from(spec: dict, index: int, base_seed: int, rate_hz: float) -> Scena
 
 def _scenario_from(cfg: dict, duration_s: float, seed: int, rate_hz: float) -> Scenario:
     br = cfg.get("breathing", {})
+    _check_keys(br, ("f_o_hz", "displacement_m", "phase_rad"), "breathing")
     breathing = breathing_profile(
         duration_s,
         f_o_hz=float(br.get("f_o_hz", 0.25)),
@@ -229,6 +234,8 @@ def _scenario_from(cfg: dict, duration_s: float, seed: int, rate_hz: float) -> S
     )
     if "auto_events" in cfg:
         auto = cfg["auto_events"]
+        _check_keys(auto, ("n_seizures", "n_normal_events", "normal_events_per_hour"),
+                    "auto_events")
         if "normal_events_per_hour" in auto:
             n_normal = int(round(auto["normal_events_per_hour"] * duration_s / 3600.0))
         else:
@@ -255,12 +262,21 @@ def parse_scenario_config(cfg: dict):
     """
     if "duration_s" not in cfg:
         raise ValueError("scenario config needs duration_s")
+    # "pipeline" holds the settings `csiwatch detect --config` reads
+    _check_keys(cfg, ("duration_s", "seed", "sample_rate_hz", "n_rx", "n_sc", "dtype",
+                      "ratio_range", "noise", "geometry", "breathing", "events",
+                      "auto_events", "second_person", "pipeline"), "scenario config")
+    second = cfg.get("second_person")
+    if second is not None:
+        _check_keys(second, ("seed", "breathing", "events", "auto_events"), "second_person")
     duration = float(cfg["duration_s"])
     seed = int(cfg.get("seed", 0))
     rate = float(cfg.get("sample_rate_hz", 200.0))
     scenario = _scenario_from(cfg, duration, seed, rate)
     geometry = _geometry_from(cfg)
     nz = cfg.get("noise", {})
+    _check_keys(nz, ("awgn_sigma", "outlier_rate_per_s", "outlier_magnitude", "jitter_std_s"),
+                "noise")
     noise = NoiseSpec(
         awgn_sigma=nz.get("awgn_sigma", 0.0),
         outlier_rate_per_s=nz.get("outlier_rate_per_s", 0.0),
@@ -276,7 +292,7 @@ def parse_scenario_config(cfg: dict):
     }
     if "ratio_range" in cfg:
         sim_kwargs["ratio_range"] = tuple(cfg["ratio_range"])
-    return scenario, geometry, noise, sim_kwargs, cfg.get("second_person")
+    return scenario, geometry, noise, sim_kwargs, second
 
 
 def simulate_from_config(cfg: dict) -> CsiTrace:

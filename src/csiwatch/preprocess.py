@@ -116,7 +116,7 @@ def resample_uniform(
 def _uniform_grid(trace: CsiTrace, start_s: float, end_s: float) -> np.ndarray:
     fs = trace.sample_rate_hz
     i0 = int(round(start_s * fs))
-    i1 = min(int(round(end_s * fs)), trace.n_samples)
+    i1 = int(round(end_s * fs))
     return np.arange(i0, i1) / fs
 
 

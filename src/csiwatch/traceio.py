@@ -135,9 +135,10 @@ def read_trace(path) -> CsiTrace:
 
     Raises ValueError for a file that is not a well-formed trace of the
     current format version, or whose samples are non-finite or whose
-    timestamps do not strictly increase. The file format does not carry
-    per-stream path parameters or the outlier log; those fields come back
-    empty.
+    timestamps do not strictly increase, or whose first packet lies more
+    than half a sample period from 0 s. The file format does not carry
+    ground truth, per-stream path parameters or the outlier log: events and
+    the outlier log come back empty, the path parameters None.
     """
     from .signal_model import SceneGeometry
 
@@ -162,20 +163,10 @@ def read_trace(path) -> CsiTrace:
     except (EOFError, zlib.error, gzip.BadGzipFile) as e:
         raise ValueError(f"{path}: truncated or corrupt trace ({e})") from e
     _check_samples(path, timestamps, csi)
-    return CsiTrace(
-        sample_rate_hz=sample_rate_hz,
-        n_rx=n_rx,
-        n_sc=n_sc,
-        csi=csi,
-        timestamps_s=timestamps,
-        labels=np.zeros(n, dtype=np.int8),
-        events=(),
-        geometry=geometry,
-        alpha_d=np.ones((n_rx, n_sc)),
-        mu_d=np.zeros((n_rx, n_sc)),
-        alpha_r=np.zeros((n_rx, n_sc)),
-        mu_r=np.zeros((n_rx, n_sc)),
-    )
+    try:
+        return CsiTrace(sample_rate_hz, csi, timestamps, events=(), geometry=geometry)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
 
 
 def write_labels(events, path) -> None:

@@ -173,6 +173,30 @@ class TestTraceIO:
         assert main(["detect", "--trace", str(path)]) == 2
         assert match in capsys.readouterr().err
 
+    def test_epoch_stamped_file_rejected(self, tmp_path, capsys):
+        # a capture clock that does not start at 0 s; the file is written by
+        # hand because CsiTrace refuses such a trace
+        trace = tiny_trace()
+        header = {"version": 2, "sample_rate_hz": trace.sample_rate_hz, "n_rx": 2, "n_sc": 3,
+                  "n_records": trace.n_samples, "dtype": "complex128",
+                  "geometry": {"wavelength_m": G.wavelength_m, "psi": G.psi,
+                               "phi_rad": G.phi_rad}}
+        path = tmp_path / "epoch.csitrace"
+        with open(path, "wb") as f:
+            f.write(json.dumps(header).encode() + b"\n")
+            np.save(f, trace.timestamps_s + 1.7e9)
+            np.save(f, trace.csi)
+        with pytest.raises(ValueError, match="first packet"):
+            read_trace(path)
+        assert main(["detect", "--trace", str(path)]) == 2
+        assert "first packet" in capsys.readouterr().err
+
+    def test_read_trace_has_no_path_parameters(self, tmp_path):
+        path = tmp_path / "t.csitrace"
+        write_trace(tiny_trace(), path)
+        with pytest.raises(ValueError, match="no path parameters"):
+            read_trace(path).path_params(0, 0)
+
     def test_labels_round_trip(self, tmp_path):
         labels = [
             LabelInterval(10.0, 30.5, EventKind.SEIZURE, 1),
@@ -313,6 +337,32 @@ class TestScenarioConfig:
     def test_missing_duration_rejected(self):
         with pytest.raises(ValueError, match="duration_s"):
             parse_scenario_config({})
+
+    @pytest.mark.parametrize("cfg, match", [
+        ({"duration_s": 10, "sample_rate": 100, "noise": {"awgn": 0.5}, "n_rxx": 1},
+         "unknown scenario config key 'n_rxx'"),
+        ({"duration_s": 10, "noise": {"awgn": 0.5}}, "unknown noise key 'awgn'"),
+        ({"duration_s": 10, "geometry": {"phi": 0.5}}, "unknown geometry key 'phi'"),
+        ({"duration_s": 10, "breathing": {"f_o": 0.3}}, "unknown breathing key 'f_o'"),
+        ({"duration_s": 10, "auto_events": {"n_seizure": 1}},
+         "unknown auto_events key 'n_seizure'"),
+        ({"duration_s": 10, "second_person": {"sead": 3}}, "unknown second_person key 'sead'"),
+        ({"duration_s": 10, "second_person": {"breathing": {"f_o": 0.3}}},
+         "unknown breathing key 'f_o'"),
+    ])
+    def test_unknown_key_rejected(self, cfg, match):
+        with pytest.raises(ValueError, match=match):
+            simulate_from_config(cfg)
+
+    def test_second_person_and_pipeline_sections_load(self):
+        cfg = {
+            "duration_s": 30.0, "n_rx": 1, "n_sc": 2, "pipeline": {"t_min_s": 5.0},
+            "second_person": {"seed": 3, "breathing": {"f_o_hz": 0.2}, "events": [
+                {"kind": "cough", "start_s": 10.0, "duration_s": 1.5}]},
+        }
+        assert simulate_from_config(cfg).events == (
+            LabelInterval(10.0, 11.5, EventKind.COUGH, 2),
+        )
 
     # an event spec and the factory call it stands for, given the event's rng
     # and the trace's sample rate
@@ -467,6 +517,32 @@ class TestCli:
         rc = main(["detect", "--trace", str(trace_path)])
         assert rc == 2
         assert "breathing only" in capsys.readouterr().err
+
+    def test_sweep_rejects_calibration_overlapping_event(self, tmp_path, capsys):
+        scenario = self._write_scenario(
+            tmp_path,
+            events=[{"kind": "seizure", "start_s": 5.0, "duration_s": 22.0,
+                     "v_max_mps": 0.75, "f_o_hz": 3.0}],
+        )
+        tdir = tmp_path / "traces"
+        tdir.mkdir()
+        assert main(["simulate", "--config", str(scenario),
+                     "--out", str(tdir / "bad.csitrace")]) == 0
+        rc = main(["sweep", "--trace-dir", str(tdir), "--param", "f_th",
+                   "--grid", "7:11:2", "--out", str(tmp_path / "sweep.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "bad.csitrace" in err and "breathing only" in err
+
+    def test_scenario_key_typo_exit_code(self, tmp_path, capsys):
+        scenario = tmp_path / "typo.json"
+        scenario.write_text(json.dumps(
+            {"duration_s": 10, "sample_rate": 100, "noise": {"awgn": 0.5}, "n_rxx": 1}
+        ))
+        rc = main(["simulate", "--config", str(scenario),
+                   "--out", str(tmp_path / "x.csitrace")])
+        assert rc == 2
+        assert "unknown scenario config key 'n_rxx'" in capsys.readouterr().err
 
     def test_invalid_scenario_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 """Hampel filtering, SNR stream selection, and PCA denoising."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -11,7 +12,13 @@ from hypothesis import strategies as st
 
 from csiwatch import preprocess
 from csiwatch.config import PipelineConfig
-from csiwatch.csi_sim import NoiseSpec, Scenario, breathing_profile, generate_trace
+from csiwatch.csi_sim import (
+    NoiseSpec,
+    Scenario,
+    breathing_profile,
+    build_night_scenario,
+    generate_trace,
+)
 from csiwatch.detector import ED_BAND_HZ
 from csiwatch.preprocess import (
     StreamId,
@@ -377,3 +384,27 @@ class TestPca:
     def test_needs_two_streams(self):
         with pytest.raises(ValueError):
             pca_first_component(np.ones((1, 100)), FS)
+
+
+class TestTimeBase:
+    @pytest.mark.parametrize("jitter_std_s", [0.0, 0.0005, 0.002])
+    @pytest.mark.parametrize("duration, rate", [(300.0, 200.0), (37.35, 100.0), (61.7, 30.0)])
+    def test_span_is_sample_count_without_gaps(self, duration, rate, jitter_std_s):
+        # with every packet present the grid spans exactly n_samples periods
+        trace = generate_trace(
+            Scenario.breathing_only(duration), G, NoiseSpec(jitter_std_s=jitter_std_s),
+            seed=1, n_rx=1, n_sc=1, sample_rate_hz=rate,
+        )
+        assert trace.duration_s == trace.n_samples / trace.sample_rate_hz
+
+    def test_dropped_packets_keep_the_span(self):
+        # 3 s of packets lost mid-seizure (100-103 s) must not cut the night short
+        noise = NoiseSpec(awgn_sigma=0.02, outlier_rate_per_s=0.02, jitter_std_s=0.0005)
+        full = generate_trace(build_night_scenario(300.0, 1, 3, seed=7), G, noise, seed=7,
+                              dtype=np.complex64)
+        keep = np.r_[0:20000, 20600:full.n_samples]
+        gap = dataclasses.replace(full, csi=full.csi[:, :, keep],
+                                  timestamps_s=full.timestamps_s[keep])
+        assert gap.duration_s == 300.0
+        calibration = calibrate(gap, PipelineConfig())
+        assert extract_pipeline_stream(gap, calibration).size == 60_000
