@@ -16,7 +16,6 @@ from .csi_sim import (
     breathing_profile,
     build_night_scenario,
     generate_trace,
-    import_speed_csv,
     seizure_profile,
     superpose_person,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "breathing_profile",
     "build_night_scenario",
     "generate_trace",
-    "import_speed_csv",
     "seizure_profile",
     "superpose_person",
     "DetectedEvent",

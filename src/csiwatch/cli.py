@@ -7,6 +7,7 @@ invalid calibration placement), 3 on internal invariant violations.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -113,7 +114,7 @@ def cmd_detect(args) -> int:
     config = _pipeline_config(args)
     cal_start = args.cal_start
     cal_len = args.cal_len if args.cal_len is not None else config.t_cal_s
-    config = config.with_overrides(t_cal_s=cal_len)
+    config = dataclasses.replace(config, t_cal_s=cal_len)
     _check_calibration_clear(trace_path, labels, cal_start, cal_start + cal_len)
 
     try:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .signal_model import SceneGeometry
 from .spectral_oracle import derive_f_th
@@ -43,6 +43,3 @@ class PipelineConfig:
         if self.f_th_hz is not None:
             return self.f_th_hz
         return derive_f_th(geometry)
-
-    def with_overrides(self, **kwargs) -> "PipelineConfig":
-        return replace(self, **kwargs)

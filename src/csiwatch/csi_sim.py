@@ -21,7 +21,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.signal import butter, sosfiltfilt
 
 from .signal_model import (
     MotionProfile,
@@ -48,11 +47,16 @@ __all__ = [
     "build_night_scenario",
     "generate_trace",
     "superpose_person",
-    "import_speed_csv",
 ]
 
 SEIZURE_MIN_DURATION_S = 20.0
 LIMB_JERK_MAX_DURATION_S = 0.4
+# reflected-to-direct path amplitude ratio, drawn per stream and per person
+PATH_RATIO_RANGE = (0.05, 0.15)
+# build_night_scenario: an event-free lead-in for calibration, and the
+# stillness kept between consecutive events
+NIGHT_START_CLEAR_S = 20.0
+NIGHT_MIN_GAP_S = 8.0
 
 
 class EventKind(Enum):
@@ -113,19 +117,6 @@ class Scenario:
                 )
         object.__setattr__(self, "events", events)
 
-    @classmethod
-    def breathing_only(
-        cls,
-        duration_s: float,
-        f_o_hz: float = 0.25,
-        displacement_m: float = 0.005,
-        phase_rad: float = 0.0,
-    ):
-        return cls(
-            duration_s=duration_s,
-            breathing=breathing_profile(duration_s, f_o_hz, displacement_m, phase_rad),
-        )
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -149,10 +140,6 @@ class NoiseSpec:
             raise ValueError("awgn_sigma must be non-negative")
         if self.outlier_rate_per_s < 0 or self.outlier_magnitude < 0 or self.jitter_std_s < 0:
             raise ValueError("noise parameters must be non-negative")
-
-    @classmethod
-    def none(cls):
-        return cls()
 
 
 @dataclass(frozen=True)
@@ -194,6 +181,11 @@ class CsiTrace:
     outlier_log: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self):
+        # every span and grid below divides by the rate
+        if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise ValueError(
+                f"sample_rate_hz must be finite and positive, got {self.sample_rate_hz!r}"
+            )
         if self.timestamps_s.shape != (self.n_samples,):
             raise ValueError(
                 f"timestamps_s has shape {self.timestamps_s.shape}, "
@@ -443,13 +435,12 @@ def build_night_scenario(
     breathing_displacement_m: float = 0.005,
     seizure_v_range: tuple[float, float] = (0.7, 0.8),
     seizure_f_range: tuple[float, float] = (2.0, 3.5),
-    start_clear_s: float = 20.0,
-    min_gap_s: float = 8.0,
     rate_hz: float = 200.0,
 ) -> Scenario:
     """Compose a night: breathing throughout, randomized non-overlapping events.
 
-    The leading start_clear_s seconds stay event-free for calibration. The
+    The leading NIGHT_START_CLEAR_S seconds stay event-free for calibration,
+    and consecutive events are at least NIGHT_MIN_GAP_S apart. The
     default seizure draw ranges sit inside the clonic-phase parameter ranges
     but away from the detectability boundary, so every generated seizure's
     spectral signature clears the classification threshold regardless of the
@@ -468,8 +459,9 @@ def build_night_scenario(
     starts = []
     for dur in durations:
         for _attempt in range(10000):
-            s = float(rng.uniform(start_clear_s, duration_s - dur - 1.0))
-            if all(s + dur + min_gap_s <= a or b + min_gap_s <= s for a, b in placed):
+            s = float(rng.uniform(NIGHT_START_CLEAR_S, duration_s - dur - 1.0))
+            if all(s + dur + NIGHT_MIN_GAP_S <= a or b + NIGHT_MIN_GAP_S <= s
+                   for a, b in placed):
                 placed.append((s, s + dur))
                 starts.append(s)
                 break
@@ -558,7 +550,7 @@ def generate_trace(
     n_rx: int = 3,
     n_sc: int = 30,
     sample_rate_hz: float = 200.0,
-    ratio_range: tuple[float, float] = (0.05, 0.15),
+    ratio_range: tuple[float, float] = PATH_RATIO_RANGE,
     dtype=np.complex128,
 ) -> CsiTrace:
     """Generate a labeled CSI trace for one person.
@@ -573,7 +565,7 @@ def generate_trace(
     hour-scale traces; complex128 keeps the noiseless closed-form agreement
     at the 1e-9 level.
     """
-    noise = noise or NoiseSpec.none()
+    noise = noise or NoiseSpec()
     if n_rx < 1 or n_sc < 1:
         raise ValueError("n_rx and n_sc must be >= 1")
     rng = np.random.default_rng(seed)
@@ -655,28 +647,22 @@ def generate_trace(
     )
 
 
-def superpose_person(
-    trace: CsiTrace,
-    scenario2: Scenario,
-    geometry2: SceneGeometry | None = None,
-    seed: int = 1,
-    ratio_range: tuple[float, float] = (0.05, 0.15),
-) -> CsiTrace:
+def superpose_person(trace: CsiTrace, scenario2: Scenario, seed: int = 1) -> CsiTrace:
     """Add a second person's reflected path to every stream of a trace.
 
-    The second body contributes an independent additive reflection per
-    stream, evaluated on the trace's own (jittered) timestamps; its events
-    join the trace's with person_id 2.
+    The second body, in the trace's geometry, contributes an independent
+    additive reflection per stream (amplitude ratio drawn on
+    PATH_RATIO_RANGE), evaluated on the trace's own (jittered) timestamps;
+    its events join the trace's with person_id 2.
     """
     if abs(scenario2.duration_s - trace.duration_s) > 1.0 / trace.sample_rate_hz:
         raise ValueError("second scenario must cover the same time span as the trace")
-    geometry2 = geometry2 or trace.geometry
     rng = np.random.default_rng(seed)
     mu_r2 = rng.uniform(0.0, 2.0 * math.pi, (trace.n_rx, trace.n_sc))
-    ratio2 = rng.uniform(ratio_range[0], ratio_range[1], (trace.n_rx, trace.n_sc))
+    ratio2 = rng.uniform(*PATH_RATIO_RANGE, (trace.n_rx, trace.n_sc))
 
     d2 = scenario_displacement(scenario2, trace.timestamps_s)
-    base2 = np.exp(1j * (geometry2.beta_rad_per_m * d2)).astype(trace.csi.dtype)
+    base2 = np.exp(1j * (trace.geometry.beta_rad_per_m * d2)).astype(trace.csi.dtype)
     coef2 = (ratio2 * np.exp(1j * mu_r2)).astype(trace.csi.dtype)
 
     csi = trace.csi.copy()
@@ -688,56 +674,3 @@ def superpose_person(
         trace, csi=csi, events=trace.events + _label_intervals(scenario2, person_id=2)
     )
 
-
-# ---------------------------------------------------------------------------
-# Accelerometry import
-# ---------------------------------------------------------------------------
-
-def import_speed_csv(path, column_spec: str = "auto") -> SampledProfile:
-    """Build a Sampled speed profile from a CSV of accelerations or speeds.
-
-    Accepted headers: ``t_s, ax, ay, az`` (accelerations, m/s^2) or
-    ``t_s, speed`` (m/s). Accelerations are integrated per axis with the
-    trapezoid rule, high-pass filtered at 0.05 Hz to remove integration
-    drift, and combined into a speed magnitude. Timestamps must be strictly
-    increasing; non-uniform timestamps are resampled to the median rate.
-    """
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    if data.dtype.names is None:
-        raise ValueError(f"{path}: expected a CSV header row")
-    names = [c.strip().lower() for c in data.dtype.names]
-    if column_spec == "auto":
-        if set(names) >= {"t_s", "ax", "ay", "az"}:
-            column_spec = "accel"
-        elif set(names) >= {"t_s", "speed"}:
-            column_spec = "speed"
-        else:
-            raise ValueError(
-                f"{path}: unrecognized columns {names}; expected "
-                "(t_s, ax, ay, az) or (t_s, speed)"
-            )
-    t = np.asarray(data["t_s"], dtype=float)
-    if t.size < 16:
-        raise ValueError(f"{path}: need at least 16 rows, got {t.size}")
-    dt = np.diff(t)
-    if np.any(dt <= 0):
-        raise ValueError(f"{path}: timestamps must be strictly increasing")
-
-    rate = 1.0 / float(np.median(dt))
-    n = int(round((t[-1] - t[0]) * rate)) + 1
-    grid = t[0] + np.arange(n) / rate
-
-    if column_spec == "speed":
-        speed = np.interp(grid, t, np.asarray(data["speed"], dtype=float))
-        return SampledProfile(speed, rate)
-
-    # second-order sections: a 0.05 Hz corner at a ~100 Hz rate is numerically
-    # fragile in transfer-function form
-    sos = butter(2, 0.05, btype="highpass", fs=rate, output="sos")
-    sq = np.zeros(n)
-    for axis in ("ax", "ay", "az"):
-        acc = np.interp(grid, t, np.asarray(data[axis], dtype=float))
-        vel = cumulative_trapezoid(acc, grid, initial=0.0)
-        vel = sosfiltfilt(sos, vel)
-        sq += vel**2
-    return SampledProfile(np.sqrt(sq), rate)

@@ -50,6 +50,7 @@ ED_THRESHOLD_Q = 2.0  # gamma_th = q * sigma_c^2
 EVENT_CLOSE_HYSTERESIS_S = 1.0
 EC_WINDOW_S = 4.0  # event-classification window
 EC_OVERLAP = 0.5
+EC_TAIL_FRACTION = 0.1  # B_pe leaves this share of a window's power above it
 
 
 class EventClass(Enum):
@@ -93,24 +94,21 @@ class DetectedEvent:
 
 
 def sliding_out_of_band_energy(
-    p: np.ndarray,
-    sample_rate_hz: float,
-    win_s: float = ED_WINDOW_S,
-    hop_s: float = ED_HOP_S,
-    f_lo_hz: float = ED_BAND_HZ,
+    p: np.ndarray, sample_rate_hz: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral energy above f_lo for every sliding rectangular window.
+    """Spectral energy above ED_BAND_HZ for every ED_WINDOW_S rectangular
+    window, at ED_HOP_S hops.
 
     Returns (end_indices, energies): end_indices[i] is the index of the last
     sample in window i. The energy is the two-sided DFT power of the
-    windowed segment minus its bins at f <= f_lo, computed exactly via
+    windowed segment minus its bins at f <= ED_BAND_HZ, computed exactly via
     Parseval and rolling complex sums of p(t)*exp(-j*2*pi*k*t/L) for the few
     low bins, which is O(N) instead of one FFT per window position.
     """
     p = np.asarray(p, dtype=np.float64)
     fs = sample_rate_hz
-    L = int(round(win_s * fs))
-    hop = max(int(round(hop_s * fs)), 1)
+    L = int(round(ED_WINDOW_S * fs))
+    hop = max(int(round(ED_HOP_S * fs)), 1)
     n = p.size
     if n < L:
         return np.empty(0, dtype=np.int64), np.empty(0)
@@ -119,7 +117,7 @@ def sliding_out_of_band_energy(
     csq = np.concatenate([[0.0], np.cumsum(p * p)])
     total = L * (csq[ends + 1] - csq[ends + 1 - L])
 
-    k_lo = int(math.floor(f_lo_hz * L / fs + 1e-9))
+    k_lo = int(math.floor(ED_BAND_HZ * L / fs + 1e-9))
     t_idx = np.arange(n)
     low = np.zeros(ends.size)
     for k in range(0, k_lo + 1):
@@ -181,11 +179,9 @@ def detect_event_intervals(
     return intervals
 
 
-def window_percentile_bandwidth(
-    x: np.ndarray, sample_rate_hz: float, tail_fraction: float = 0.1
-) -> float | None:
+def window_percentile_bandwidth(x: np.ndarray, sample_rate_hz: float) -> float | None:
     """90th-percentile bandwidth: the smallest frequency above which only
-    tail_fraction of the window's non-DC spectral power remains.
+    EC_TAIL_FRACTION of the window's non-DC spectral power remains.
 
     The DC bin is excluded: it is an artifact of windowing a nonzero-mean
     segment. Returns None for a zero-power window.
@@ -198,7 +194,7 @@ def window_percentile_bandwidth(
     if total <= 1e-12 * (total + dc):  # constant window: FFT rounding only
         return None
     frac_above = 1.0 - np.cumsum(power) / total
-    k = int(np.argmax(frac_above <= tail_fraction))
+    k = int(np.argmax(frac_above <= EC_TAIL_FRACTION))
     return k * sample_rate_hz / x.size
 
 
@@ -316,23 +312,19 @@ def run_detection(
     calibration: CalibrationState,
     config: PipelineConfig,
     f_th_hz: float,
-) -> tuple[list[DetectedEvent], list[EventBandwidthProfile | None]]:
+) -> list[DetectedEvent]:
     """Detect and classify every event in p(t).
 
-    Returns the classified events plus, for each, its bandwidth profile
-    (None when the duration gate made bandwidth analysis unnecessary).
+    A closed event shorter than T_min is normal without a bandwidth profile.
     """
     intervals = detect_event_intervals(p, sample_rate_hz, calibration)
     events: list[DetectedEvent] = []
-    profiles: list[EventBandwidthProfile | None] = []
     for interval in intervals:
         if interval.duration_s < config.t_min_s and not interval.open_at_end:
             events.append(
                 DetectedEvent(interval.start_s, interval.end_s, EventClass.NORMAL)
             )
-            profiles.append(None)
             continue
         profile = build_event_profile(p, sample_rate_hz, interval)
         events.append(classify_event(profile, f_th_hz, config.t_min_s))
-        profiles.append(profile)
-    return events, profiles
+    return events

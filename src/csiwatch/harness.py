@@ -31,7 +31,6 @@ from .csi_sim import (
 from .detector import (
     DetectedEvent,
     EventBandwidthProfile,
-    EventClass,
     build_event_profile,
     classify_event,
     detect_event_intervals,
@@ -66,8 +65,6 @@ class PipelineResult:
     """Everything a detection run produces, plus its processing cost."""
 
     events: list[DetectedEvent]
-    profiles: list[EventBandwidthProfile | None]
-    p: np.ndarray
     calibration: CalibrationState
     f_th_hz: float
     processing_s: float
@@ -86,14 +83,10 @@ def run_pipeline(
     f_th = config.resolve_f_th(trace.geometry)
     calibration = calibrate(trace, config, cal_start_s)
     p = extract_pipeline_stream(trace, calibration)
-    events, profiles = run_detection(
-        p, trace.sample_rate_hz, calibration, config, f_th
-    )
+    events = run_detection(p, trace.sample_rate_hz, calibration, config, f_th)
     elapsed = time.perf_counter() - t0
     return PipelineResult(
         events=events,
-        profiles=profiles,
-        p=p,
         calibration=calibration,
         f_th_hz=f_th,
         processing_s=elapsed,
@@ -233,6 +226,11 @@ def _scenario_from(cfg: dict, duration_s: float, seed: int, rate_hz: float) -> S
         phase_rad=float(br.get("phase_rad", 0.0)),
     )
     if "auto_events" in cfg:
+        # build_night_scenario draws the events and starts breathing at phase 0
+        if "events" in cfg:
+            raise ValueError("events cannot be combined with auto_events")
+        if "phase_rad" in br:
+            raise ValueError("breathing.phase_rad cannot be combined with auto_events")
         auto = cfg["auto_events"]
         _check_keys(auto, ("n_seizures", "n_normal_events", "normal_events_per_hour"),
                     "auto_events")

@@ -43,22 +43,6 @@ class RunReport:
     config: dict = field(default_factory=dict)
     trace_checksum: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "sdr_pct": self.sdr_pct,
-            "p_fa": self.p_fa,
-            "rt_list_s": self.rt_list_s,
-            "mrt_s": self.mrt_s,
-            "n_seizures": self.n_seizures,
-            "n_seizures_detected": self.n_seizures_detected,
-            "n_normal_events": self.n_normal_events,
-            "n_normals_detected": self.n_normals_detected,
-            "n_false_alarms": self.n_false_alarms,
-            "events": self.events,
-            "config": self.config,
-            "trace_checksum": self.trace_checksum,
-        }
-
 
 def compute_report(
     detections: list[DetectedEvent],

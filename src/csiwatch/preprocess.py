@@ -40,9 +40,12 @@ __all__ = [
 
 MAD_SCALE = 1.4826  # scaled-MAD factor for a normal distribution
 HAMPEL_WINDOW_S = 0.5
+HAMPEL_N_SIGMAS = 3.0
 # B_br = 2 * f_o,br, twice the adult maximum breathing rate of 0.3 Hz: the
 # in-band part of a stream's calibration SNR
 BREATHING_BAND_HZ = 0.6
+PCA_BLOCK_S = 4.0
+PCA_OVERLAP = 0.5
 
 
 @dataclass(frozen=True, order=True)
@@ -166,11 +169,9 @@ def derive_streams(
     )
 
 
-def hampel_filter(
-    stream: np.ndarray, window_samples: int, n_sigmas: float = 3.0
-) -> np.ndarray:
+def hampel_filter(stream: np.ndarray, window_samples: int) -> np.ndarray:
     """Hampel outlier rejection: replace samples deviating from the local
-    median by more than n_sigmas scaled MADs with that median.
+    median by more than HAMPEL_N_SIGMAS scaled MADs with that median.
 
     The MAD is the classical same-window estimate, median(|x_j - m_i|) over
     the window around its own median m_i. Because that scale varies on the
@@ -200,7 +201,7 @@ def hampel_filter(
     scale = np.repeat(mad_rows, counts)
 
     dev = np.abs(x - med)
-    threshold = n_sigmas * MAD_SCALE * scale
+    threshold = HAMPEL_N_SIGMAS * MAD_SCALE * scale
     return np.where(dev > threshold, med, x)
 
 
@@ -244,29 +245,23 @@ class CalibrationState:
     snr_by_id: dict | None = None
 
 
-def select_streams(
-    streams: StreamSet, k: int, bw_br_hz: float
-) -> tuple[list[StreamId], dict]:
-    """Top-k stream ids by calibration SNR, ties broken by id order."""
+def select_streams(streams: StreamSet, k: int) -> tuple[list[StreamId], dict]:
+    """Top-k stream ids by calibration SNR in BREATHING_BAND_HZ, ties broken
+    by id order."""
     if k > streams.n_streams:
         raise ValueError(f"k = {k} exceeds the {streams.n_streams} available streams")
     snrs = {
-        sid: compute_stream_snr(streams.data[row], streams.sample_rate_hz, bw_br_hz)
+        sid: compute_stream_snr(streams.data[row], streams.sample_rate_hz, BREATHING_BAND_HZ)
         for row, sid in enumerate(streams.ids)
     }
     ranked = sorted(streams.ids, key=lambda sid: (-snrs[sid], sid))
     return ranked[:k], snrs
 
 
-def pca_first_component(
-    data: np.ndarray,
-    sample_rate_hz: float,
-    block_s: float = 4.0,
-    overlap: float = 0.5,
-) -> np.ndarray:
+def pca_first_component(data: np.ndarray, sample_rate_hz: float) -> np.ndarray:
     """Project K streams onto their per-block first principal component.
 
-    Blocks of block_s seconds (hop = block*(1-overlap)) are mean-centered
+    Blocks of PCA_BLOCK_S seconds (hop = block*(1-PCA_OVERLAP)) are mean-centered
     per stream, the top eigenvector of the K x K covariance is extracted,
     and overlapping block outputs are cross-faded with a triangular
     partition of unity. The eigenvector sign is fixed so that each block's
@@ -278,8 +273,8 @@ def pca_first_component(
     if data.ndim != 2 or data.shape[0] < 2:
         raise ValueError("need at least 2 streams for PCA")
     n = data.shape[1]
-    block = min(int(round(block_s * sample_rate_hz)), n)
-    hop = max(int(round(block * (1.0 - overlap))), 1)
+    block = min(int(round(PCA_BLOCK_S * sample_rate_hz)), n)
+    hop = max(int(round(block * (1.0 - PCA_OVERLAP))), 1)
 
     acc = np.zeros(n)
     wsum = np.zeros(n)
@@ -331,8 +326,7 @@ def calibrate(
     The window [cal_start, cal_start + t_cal] must contain breathing only;
     that is the caller's protocol responsibility. sigma_c^2 is the maximum
     out-of-band energy of the PCA-denoised calibration stream over sliding
-    detection windows. Re-running after a pose change re-selects streams
-    (the recalibration hook).
+    detection windows.
     """
     from .detector import sliding_out_of_band_energy
 
@@ -346,7 +340,7 @@ def calibrate(
     streams = derive_streams(trace, start_s=cal_start_s, end_s=cal_end)
     _hampel_rows(streams)
 
-    selected, snrs = select_streams(streams, config.k_streams, BREATHING_BAND_HZ)
+    selected, snrs = select_streams(streams, config.k_streams)
     rows = [streams.ids.index(sid) for sid in selected]
     p_cal = pca_first_component(streams.data[rows], fs)
     _, energies = sliding_out_of_band_energy(p_cal, fs)

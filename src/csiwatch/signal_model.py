@@ -35,7 +35,6 @@ __all__ = [
     "MotionProfile",
     "DEFAULT_WAVELENGTH_M",
     "DEFAULT_MAX_PATH_RATIO",
-    "wavelength_for_carrier",
     "modulation_index",
     "integrate_velocity",
     "synth_baseband",
@@ -51,17 +50,8 @@ __all__ = [
 # is the reference value used for the bandwidth tables in this package.
 DEFAULT_WAVELENGTH_M = 0.057225
 
-SPEED_OF_LIGHT_M_S = 299792458.0
-
 # The small-ratio phase expansion needs alpha_r/alpha_d << 1.
 DEFAULT_MAX_PATH_RATIO = 0.2
-
-
-def wavelength_for_carrier(carrier_hz: float) -> float:
-    """Free-space wavelength in meters for a carrier frequency in Hz."""
-    if carrier_hz <= 0:
-        raise ValueError(f"carrier frequency must be positive, got {carrier_hz}")
-    return SPEED_OF_LIGHT_M_S / carrier_hz
 
 
 @dataclass(frozen=True)

@@ -65,13 +65,11 @@ class LineSpectrum:
     def n_lines(self) -> int:
         return self.frequencies_hz.size
 
-    def power(self, include_dc: bool = False) -> np.ndarray:
-        """Per-line power; n >= 1 lines count both frequency signs."""
-        p = np.abs(self.amplitudes) ** 2
-        p[1:] *= 2.0
-        if not include_dc:
-            p = p.copy()
-            p[0] = 0.0
+    def power(self) -> np.ndarray:
+        """Per-line power of the non-DC lines, counting both frequency signs;
+        the DC entry is 0."""
+        p = 2.0 * np.abs(self.amplitudes) ** 2
+        p[0] = 0.0
         return p
 
 
@@ -200,7 +198,7 @@ def grid_resolved_bandwidth(bandwidth_hz: float, f_o_hz: float) -> float:
 
 def captured_power_fraction(spectrum: LineSpectrum, bandwidth_hz: float) -> float:
     """Fraction of non-DC line power at |f| <= the grid-resolved bandwidth."""
-    p = spectrum.power(include_dc=False)
+    p = spectrum.power()
     total = p.sum()
     if total == 0.0:
         return 1.0

@@ -19,6 +19,7 @@ person_id); detector output in an events CSV; reports as JSON.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import gzip
 import hashlib
 import io
@@ -233,7 +234,7 @@ def read_events_csv(path) -> list[DetectedEvent]:
 
 def write_report(report, path) -> None:
     with _open(path, "w") as f:
-        json.dump(report.to_dict(), f, indent=2)
+        json.dump(dataclasses.asdict(report), f, indent=2)
         f.write("\n")
 
 

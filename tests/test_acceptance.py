@@ -364,7 +364,7 @@ def test_preprocessing_unit_suite():
     removed = total = 0
     for (i, j), idx in by_stream.items():
         s = trace.csi[i, j].real ** 2 + trace.csi[i, j].imag ** 2
-        cleaned = hampel_filter(s, 101, 3.0)
+        cleaned = hampel_filter(s, 101)
         idx = np.array(idx)
         removed += int((cleaned[idx] != s[idx]).sum())
         total += idx.size

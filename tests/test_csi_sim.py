@@ -1,10 +1,14 @@
-"""Trace generation: determinism, labels, noise model, imports, superposition."""
+"""Trace generation: determinism, labels, noise model, superposition."""
 
-import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import csiwatch
 from csiwatch.csi_sim import (
     EventKind,
     LabelInterval,
@@ -14,7 +18,6 @@ from csiwatch.csi_sim import (
     breathing_profile,
     build_night_scenario,
     generate_trace,
-    import_speed_csv,
     limb_jerk_profile,
     posture_shift_profile,
     scratch_profile,
@@ -223,66 +226,7 @@ class TestSuperposePerson:
     def test_duration_mismatch_rejected(self):
         trace = small_trace(duration=20.0)
         with pytest.raises(ValueError, match="same time span"):
-            superpose_person(trace, Scenario.breathing_only(30.0))
-
-
-class TestImportSpeedCsv:
-    def test_zero_acceleration(self, tmp_path):
-        path = tmp_path / "zero.csv"
-        t = np.arange(0, 10, 0.02)
-        rows = "\n".join(f"{ti},0,0,0" for ti in t)
-        path.write_text("t_s,ax,ay,az\n" + rows + "\n")
-        profile = import_speed_csv(path)
-        assert np.max(np.abs(profile.samples_mps)) < 1e-9
-
-    def test_sinusoidal_acceleration_peak_speed(self, tmp_path):
-        # a(t) = 15*sin(2*pi*5*t): after drift removal the peak speed is
-        # a_max/(2*pi*f) = 0.477 m/s. The 0.05 Hz drift filter settles over
-        # tens of seconds, so use a long record and read its middle.
-        path = tmp_path / "sz.csv"
-        t = np.arange(0, 120, 0.005)
-        a = 15.0 * np.sin(2 * math.pi * 5.0 * t)
-        rows = "\n".join(f"{ti},{ai},0,0" for ti, ai in zip(t, a))
-        path.write_text("t_s,ax,ay,az\n" + rows + "\n")
-        profile = import_speed_csv(path)
-        mid = profile.samples_mps[8000:16000]
-        assert np.max(mid) == pytest.approx(15.0 / (2 * math.pi * 5.0), rel=0.02)
-
-    def test_square_wave_gives_triangle_speed(self, tmp_path):
-        path = tmp_path / "sq.csv"
-        t = np.arange(0, 120, 0.01)
-        a = np.where((t * 1.0) % 1.0 < 0.5, 2.0, -2.0)
-        rows = "\n".join(f"{ti},{ai},0,0" for ti, ai in zip(t, a))
-        path.write_text("t_s,ax,ay,az\n" + rows + "\n")
-        profile = import_speed_csv(path)
-        # independent oracle: integrate and mean-remove the exact square wave
-        from scipy.integrate import cumulative_trapezoid
-
-        tri = cumulative_trapezoid(a, t, initial=0.0)
-        tri = np.abs(tri - tri.mean())
-        measured = profile.samples_mps
-        m = min(measured.size, tri.size)
-        sl = slice(m // 3, 2 * m // 3)  # away from the filter's edge transients
-        err = np.sqrt(np.mean((measured[sl] - tri[sl]) ** 2))
-        assert err < 0.02 * np.max(tri)
-
-    def test_speed_column_passthrough(self, tmp_path):
-        path = tmp_path / "speed.csv"
-        t = np.arange(0, 5, 0.01)
-        rows = "\n".join(f"{ti},{0.1 * ti}" for ti in t)
-        path.write_text("t_s,speed\n" + rows + "\n")
-        profile = import_speed_csv(path)
-        assert profile.samples_mps[-1] == pytest.approx(0.1 * t[-1], rel=1e-6)
-
-    def test_non_monotone_timestamps_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text(
-            "t_s,ax,ay,az\n" + "\n".join(
-                f"{ti},0,0,0" for ti in [0.0, 0.1, 0.05] + list(np.arange(0.2, 2, 0.1))
-            ) + "\n"
-        )
-        with pytest.raises(ValueError, match="strictly increasing"):
-            import_speed_csv(path)
+            superpose_person(trace, Scenario(30.0, breathing_profile(30.0)))
 
 
 class TestNightScenarioBuilder:
@@ -294,7 +238,7 @@ class TestNightScenarioBuilder:
         assert min(e.start_s for e in scen.events) >= 20.0
 
     def test_minimum_gaps(self):
-        scen = build_night_scenario(3600.0, 2, 6, seed=4, min_gap_s=8.0)
+        scen = build_night_scenario(3600.0, 2, 6, seed=4)
         evs = sorted(scen.events, key=lambda e: e.start_s)
         for a, b in zip(evs, evs[1:]):
             assert b.start_s - a.end_s >= 8.0
@@ -346,6 +290,22 @@ class TestNightScenarioBuilder:
         got = [(e.kind.value, e.start_s, e.duration_s) for e in scen.events]
         assert got == self.RECORDED[seed]
 
+    def test_trace_content_matches_recorded(self):
+        # content_hash of a seeded night and of a second person superposed on
+        # it, recorded while the gaps and the path-ratio range were still
+        # keyword parameters of build_night_scenario and superpose_person
+        noise = NoiseSpec(awgn_sigma=0.02, outlier_rate_per_s=0.02, outlier_magnitude=8.0,
+                          jitter_std_s=0.0005)
+        night = generate_trace(build_night_scenario(300.0, 1, 3, seed=7), G, noise, seed=7,
+                               n_rx=2, n_sc=4)
+        assert night.content_hash() == (
+            "5fb0e29868aaba48dbd12e1129e9de436d0bca22d425b2b79e61b26fefb15ee3"
+        )
+        merged = superpose_person(night, build_night_scenario(300.0, 0, 2, seed=8), seed=9)
+        assert merged.content_hash() == (
+            "a8b316d65cc3fe4db8f928ac748fa93c41c5caee80ec84dbe363e470b513a6a8"
+        )
+
     def test_normal_profiles_respect_speed_bound(self):
         rng = np.random.default_rng(0)
         for maker in (posture_shift_profile, scratch_profile):
@@ -354,3 +314,16 @@ class TestNightScenarioBuilder:
                     dur, rng=rng
                 )
                 assert np.max(np.abs(profile.samples_mps)) <= 0.33
+
+
+class TestPackageImport:
+    def test_import_leaves_scipy_signal_unloaded(self):
+        # in a fresh interpreter: importing scipy.signal alone costs about
+        # half a second, and no csiwatch module needs it
+        src = str(Path(csiwatch.__file__).resolve().parents[1])
+        code = "import sys, csiwatch; print('scipy.signal' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"

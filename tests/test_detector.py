@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from csiwatch import detector
 from csiwatch.config import PipelineConfig
 from csiwatch.csi_sim import (
     EventKind,
@@ -55,7 +56,7 @@ class TestSlidingEnergy:
         # the O(N) rolling-sum path must agree with a direct FFT per window
         rng = np.random.default_rng(0)
         p = rng.standard_normal(4000) + np.sin(2 * math.pi * 0.3 * np.arange(4000) / FS)
-        ends, fast = sliding_out_of_band_energy(p, FS, 2.0, 0.05, 1.1)
+        ends, fast = sliding_out_of_band_energy(p, FS)
         L = 400
         f = np.fft.fftfreq(L, 1 / FS)
         for pos in range(0, ends.size, 37):
@@ -65,7 +66,7 @@ class TestSlidingEnergy:
             assert fast[pos] == pytest.approx(expected, rel=1e-9)
 
     def test_too_short_input(self):
-        ends, energies = sliding_out_of_band_energy(np.ones(100), FS, 2.0, 0.05, 1.1)
+        ends, energies = sliding_out_of_band_energy(np.ones(100), FS)
         assert ends.size == 0 and energies.size == 0
 
 
@@ -179,19 +180,26 @@ class TestClassification:
         assert det.event_class is EventClass.NORMAL
         assert det.b_pe_hz is None and det.decision_time_s is None
 
-    def test_short_detected_event_skips_profile(self):
+    def test_short_detected_event_skips_profile(self, monkeypatch):
         # a short but strong movement: detected, gated normal, and the
         # pipeline never computes its bandwidth profile
         ev = ScenarioEvent(
             EventKind.POSTURE_SHIFT, 50.0, 1.5, TestDetectEvents._strong_lobe(1.5)
         )
         trace = trace_with([ev])
+        profiled = []
+
+        def spy(p, sample_rate_hz, interval):
+            profiled.append(interval)
+            return build_event_profile(p, sample_rate_hz, interval)
+
+        monkeypatch.setattr(detector, "build_event_profile", spy)
         result = run_pipeline(trace, PipelineConfig())
         assert len(result.events) == 1
-        det, profile = result.events[0], result.profiles[0]
+        det = result.events[0]
         assert det.event_class is EventClass.NORMAL
         assert det.b_pe_hz is None and det.decision_time_s is None
-        assert profile is None  # duration gate: bandwidth never computed
+        assert profiled == []  # duration gate: bandwidth never computed
 
     def test_seizure_decision_between_tmin_and_tmin_plus_2(self):
         ev = ScenarioEvent(
@@ -295,7 +303,9 @@ class TestInvariantsAndMonotonicity:
         r1 = run_pipeline(trace, PipelineConfig())
         r2 = run_pipeline(trace, PipelineConfig())
         assert r1.events == r2.events
-        assert np.array_equal(r1.p, r2.p)
+        p1 = extract_pipeline_stream(trace, r1.calibration)
+        p2 = extract_pipeline_stream(trace, r2.calibration)
+        assert np.array_equal(p1, p2)
 
     def test_amplitude_scale_invariance(self):
         # scaling all path amplitudes by a constant (here: the stored CSI by

@@ -63,6 +63,18 @@ def tiny_trace(duration=5.0, seed=0, dtype=np.complex128):
     )
 
 
+def write_trace_by_hand(path, trace, sample_rate_hz, timestamps_s):
+    """Write a trace file with the JSON header and np.save, for a header or
+    timestamps that CsiTrace itself refuses."""
+    header = {"version": 2, "sample_rate_hz": sample_rate_hz, "n_rx": trace.n_rx,
+              "n_sc": trace.n_sc, "n_records": trace.n_samples, "dtype": str(trace.csi.dtype),
+              "geometry": {"wavelength_m": G.wavelength_m, "psi": G.psi, "phi_rad": G.phi_rad}}
+    with open(path, "wb") as f:
+        f.write(json.dumps(header).encode() + b"\n")
+        np.save(f, timestamps_s)
+        np.save(f, trace.csi)
+
+
 class TestTraceIO:
     @pytest.mark.parametrize("suffix", ["csitrace", "csitrace.gz"])
     @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
@@ -177,19 +189,27 @@ class TestTraceIO:
         # a capture clock that does not start at 0 s; the file is written by
         # hand because CsiTrace refuses such a trace
         trace = tiny_trace()
-        header = {"version": 2, "sample_rate_hz": trace.sample_rate_hz, "n_rx": 2, "n_sc": 3,
-                  "n_records": trace.n_samples, "dtype": "complex128",
-                  "geometry": {"wavelength_m": G.wavelength_m, "psi": G.psi,
-                               "phi_rad": G.phi_rad}}
         path = tmp_path / "epoch.csitrace"
-        with open(path, "wb") as f:
-            f.write(json.dumps(header).encode() + b"\n")
-            np.save(f, trace.timestamps_s + 1.7e9)
-            np.save(f, trace.csi)
+        write_trace_by_hand(path, trace, trace.sample_rate_hz, trace.timestamps_s + 1.7e9)
         with pytest.raises(ValueError, match="first packet"):
             read_trace(path)
         assert main(["detect", "--trace", str(path)]) == 2
         assert "first packet" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", [0.0, -200.0, math.nan, math.inf])
+    def test_bad_sample_rate_rejected(self, tmp_path, rate):
+        trace = tiny_trace()
+        path = tmp_path / "rate.csitrace"
+        write_trace_by_hand(path, trace, rate, trace.timestamps_s)
+        with pytest.raises(ValueError, match="rate.csitrace: sample_rate_hz must be finite"):
+            read_trace(path)
+
+    def test_zero_sample_rate_exit_code(self, tmp_path, capsys):
+        trace = tiny_trace()
+        path = tmp_path / "zero.csitrace"
+        write_trace_by_hand(path, trace, 0, trace.timestamps_s)
+        assert main(["detect", "--trace", str(path)]) == 2
+        assert "sample_rate_hz must be finite and positive, got 0" in capsys.readouterr().err
 
     def test_read_trace_has_no_path_parameters(self, tmp_path):
         path = tmp_path / "t.csitrace"
@@ -282,7 +302,7 @@ class TestMetrics:
         epath = tmp_path / "e.events.csv"
         write_events_csv(dets, epath)
         again = compute_report(read_events_csv(epath), labels)
-        assert again.to_dict() == direct.to_dict()
+        assert dataclasses.asdict(again) == dataclasses.asdict(direct)
 
     def test_combine_reports_exact_counts(self):
         labels = [LabelInterval(10.0, 32.0, EventKind.SEIZURE)]
@@ -352,6 +372,19 @@ class TestScenarioConfig:
     ])
     def test_unknown_key_rejected(self, cfg, match):
         with pytest.raises(ValueError, match=match):
+            simulate_from_config(cfg)
+
+    @pytest.mark.parametrize("extra, key", [
+        ({"breathing": {"phase_rad": 1.0}}, "breathing.phase_rad"),
+        ({"events": [{"kind": "cough", "start_s": 50.0, "duration_s": 1.5}]}, "events"),
+    ])
+    @pytest.mark.parametrize("second", [False, True])
+    def test_auto_events_rejects_what_it_would_ignore(self, extra, key, second):
+        # build_night_scenario draws the events and the breathing phase itself
+        person = {"auto_events": {"n_seizures": 1}, **extra}
+        cfg = {"duration_s": 60.0, "n_rx": 1, "n_sc": 2}
+        cfg.update({"second_person": person} if second else person)
+        with pytest.raises(ValueError, match=f"{key} cannot be combined with auto_events"):
             simulate_from_config(cfg)
 
     def test_second_person_and_pipeline_sections_load(self):
@@ -543,6 +576,15 @@ class TestCli:
                    "--out", str(tmp_path / "x.csitrace")])
         assert rc == 2
         assert "unknown scenario config key 'n_rxx'" in capsys.readouterr().err
+
+    def test_auto_events_with_events_exit_code(self, tmp_path, capsys):
+        scenario = tmp_path / "both.json"
+        scenario.write_text(json.dumps({"duration_s": 60.0, "auto_events": {"n_seizures": 1},
+                                        "breathing": {"phase_rad": 1.0}}))
+        rc = main(["simulate", "--config", str(scenario),
+                   "--out", str(tmp_path / "x.csitrace")])
+        assert rc == 2
+        assert "breathing.phase_rad cannot be combined" in capsys.readouterr().err
 
     def test_invalid_scenario_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -57,7 +57,7 @@ class TestHampel:
     def test_pure_sinusoid_untouched(self):
         t = np.arange(0, 10, 1 / FS)
         x = np.sin(2 * math.pi * 0.25 * t)
-        assert np.array_equal(hampel_filter(x, 101, 3.0), x)
+        assert np.array_equal(hampel_filter(x, 101), x)
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
@@ -73,7 +73,7 @@ class TestHampel:
         removed = total = altered_clean = clean_total = 0
         for (i, j), idx in by_stream.items():
             s = dirty.csi[i, j].real ** 2 + dirty.csi[i, j].imag ** 2
-            cleaned = hampel_filter(s, 101, 3.0)
+            cleaned = hampel_filter(s, 101)
             idx = np.array(idx)
             removed += int((cleaned[idx] != s[idx]).sum())
             total += idx.size
@@ -106,8 +106,8 @@ class TestHampel:
         trace = breathing_trace(duration=30.0, noise=noise, seed=4, n_rx=1, n_sc=3)
         streams = derive_streams(trace)
         for row in range(streams.n_streams):
-            once = hampel_filter(streams.data[row], 101, 3.0)
-            twice = hampel_filter(once, 101, 3.0)
+            once = hampel_filter(streams.data[row], 101)
+            twice = hampel_filter(once, 101)
             assert np.array_equal(once, twice)
 
     @settings(derandomize=True, max_examples=150, deadline=None)
@@ -129,9 +129,9 @@ class TestHampel:
         windows = []
         real = preprocess.hampel_filter
 
-        def spy(stream, window_samples, n_sigmas=3.0):
+        def spy(stream, window_samples):
             windows.append(window_samples)
-            return real(stream, window_samples, n_sigmas)
+            return real(stream, window_samples)
 
         monkeypatch.setattr(preprocess, "hampel_filter", spy)
         trace = generate_trace(
@@ -281,7 +281,7 @@ class TestSelection:
         ids = all_stream_ids(2, 2)
         data = np.tile(np.sin(2 * math.pi * 0.25 * np.arange(2600) / FS), (len(ids), 1))
         streams = StreamSet(tuple(ids), data, FS)
-        selected, _ = select_streams(streams, 3, 0.6)
+        selected, _ = select_streams(streams, 3)
         assert selected == sorted(ids)[:3]
 
     def test_low_noise_streams_win(self):
@@ -327,7 +327,7 @@ class TestSelection:
         ids = all_stream_ids(1, 2)
         data = np.random.default_rng(0).standard_normal((len(ids), 2600))
         with pytest.raises(ValueError, match="exceeds"):
-            select_streams(StreamSet(tuple(ids), data, FS), 5, 0.6)
+            select_streams(StreamSet(tuple(ids), data, FS), 5)
 
     def test_selection_scale_invariant(self):
         # multiplying a stream by a positive constant (power of two: exact
@@ -339,10 +339,10 @@ class TestSelection:
             a * np.sin(2 * math.pi * 0.25 * t) + 0.1 * rng.standard_normal(t.size)
             for a in rng.uniform(0.2, 2.0, len(ids))
         ])
-        base, _ = select_streams(StreamSet(tuple(ids), data, FS), 4, 0.6)
+        base, _ = select_streams(StreamSet(tuple(ids), data, FS), 4)
         scaled = data.copy()
         scaled[3] *= 4.0
-        after, _ = select_streams(StreamSet(tuple(ids), scaled, FS), 4, 0.6)
+        after, _ = select_streams(StreamSet(tuple(ids), scaled, FS), 4)
         assert after == base
 
 
@@ -392,8 +392,8 @@ class TestTimeBase:
     def test_span_is_sample_count_without_gaps(self, duration, rate, jitter_std_s):
         # with every packet present the grid spans exactly n_samples periods
         trace = generate_trace(
-            Scenario.breathing_only(duration), G, NoiseSpec(jitter_std_s=jitter_std_s),
-            seed=1, n_rx=1, n_sc=1, sample_rate_hz=rate,
+            Scenario(duration, breathing_profile(duration)), G,
+            NoiseSpec(jitter_std_s=jitter_std_s), seed=1, n_rx=1, n_sc=1, sample_rate_hz=rate,
         )
         assert trace.duration_s == trace.n_samples / trace.sample_rate_hz
 
