@@ -1,13 +1,13 @@
 """Command-line entry points: simulate, detect, sweep, oracle.
 
-Exit codes: 0 on success, 2 on input errors (bad config, malformed files,
-invalid calibration placement), 3 on internal invariant violations.
+Exit codes: 0 on success, 2 on input errors (any ValueError or OSError: bad
+config, missing or malformed files, invalid calibration placement), 3 on
+internal invariant violations.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -27,52 +27,27 @@ from .spectral_oracle import (
     derive_f_th,
 )
 
-TRACE_SUFFIXES = (".csitrace", ".csitrace.gz")
-
-
-class InputError(Exception):
-    pass
-
 
 def _load_json(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8") as f:
+        try:
             return json.load(f)
-    except FileNotFoundError as e:
-        raise InputError(f"config file not found: {path}") from e
-    except json.JSONDecodeError as e:
-        raise InputError(f"{path}: invalid JSON ({e})") from e
-
-
-def _trace_stem(trace_path: Path) -> str:
-    name = trace_path.name
-    for suffix in TRACE_SUFFIXES:
-        if name.endswith(suffix):
-            return name[: -len(suffix)]
-    return name
-
-
-def _labels_path_for(trace_path: Path) -> Path:
-    return trace_path.with_name(_trace_stem(trace_path) + ".labels.csv")
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}: invalid JSON ({e})") from e
 
 
 def cmd_simulate(args) -> int:
     cfg = _load_json(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    try:
-        trace = harness.simulate_from_config(cfg)
-    except ValueError as e:
-        raise InputError(f"invalid scenario: {e}") from e
+    trace = harness.simulate_from_config(cfg)
     out = Path(args.out)
     traceio.write_trace(trace, out)
-    labels_path = Path(args.labels) if args.labels else _labels_path_for(out)
-    traceio.write_labels(trace.events, labels_path)
     f_th = derive_f_th(trace.geometry)
     n_sz = sum(1 for ev in trace.events if ev.is_seizure)
     print(f"trace written to {out} ({trace.duration_s:.1f} s at "
           f"{trace.sample_rate_hz:g} Hz, {trace.n_rx}x{trace.n_sc} streams)")
-    print(f"labels written to {labels_path} "
+    print(f"labels written to {traceio.sidecar_path(out, 'labels')} "
           f"({len(trace.events)} events: {n_sz} seizure, {len(trace.events) - n_sz} normal)")
     print(f"psi = {trace.geometry.psi:g}, derived f_th = {f_th:.2f} Hz")
     return 0
@@ -83,20 +58,20 @@ def _pipeline_config(args) -> PipelineConfig:
     if args.config:
         file_cfg = _load_json(args.config)
         overrides.update(file_cfg.get("pipeline", file_cfg))
-    if getattr(args, "f_th", None) is not None:
-        overrides["f_th_hz"] = args.f_th
-    if getattr(args, "t_min", None) is not None:
-        overrides["t_min_s"] = args.t_min
+    for flag, key in (("f_th", "f_th_hz"), ("t_min", "t_min_s"), ("cal_len", "t_cal_s")):
+        if getattr(args, flag, None) is not None:
+            overrides[key] = getattr(args, flag)
     try:
         return PipelineConfig(**overrides)
     except (TypeError, ValueError) as e:
-        raise InputError(f"bad pipeline config: {e}") from e
+        raise ValueError(f"bad pipeline config: {e}") from e
 
 
-def _check_calibration_clear(trace_path: Path, labels, cal_start: float, cal_end: float):
-    for label in labels:
+def _check_calibration_clear(trace_path, trace, cal_start: float, config: PipelineConfig):
+    cal_end = cal_start + config.t_cal_s
+    for label in trace.events:
         if min(label.end_s, cal_end) - max(label.start_s, cal_start) > 0:
-            raise InputError(
+            raise ValueError(
                 f"{trace_path}: calibration window [{cal_start:.1f}, {cal_end:.1f}] s overlaps a "
                 f"labeled {label.kind.value} event at {label.start_s:.1f} s; "
                 "calibration must contain breathing only"
@@ -105,32 +80,18 @@ def _check_calibration_clear(trace_path: Path, labels, cal_start: float, cal_end
 
 def cmd_detect(args) -> int:
     trace_path = Path(args.trace)
-    if not trace_path.exists():
-        raise InputError(f"trace file not found: {trace_path}")
     trace = traceio.read_trace(trace_path)
-    labels_path = Path(args.labels) if args.labels else _labels_path_for(trace_path)
-    labels = traceio.read_labels(labels_path) if labels_path.exists() else []
-
     config = _pipeline_config(args)
-    cal_start = args.cal_start
-    cal_len = args.cal_len if args.cal_len is not None else config.t_cal_s
-    config = dataclasses.replace(config, t_cal_s=cal_len)
-    _check_calibration_clear(trace_path, labels, cal_start, cal_start + cal_len)
+    _check_calibration_clear(trace_path, trace, args.cal_start, config)
 
-    try:
-        result = harness.run_pipeline(trace, config, cal_start_s=cal_start)
-    except ValueError as e:
-        raise InputError(str(e)) from e
-
+    result = harness.run_pipeline(trace, config, cal_start_s=args.cal_start)
     report = compute_report(
         result.events,
-        labels,
+        list(trace.events),
         config_snapshot=harness.config_snapshot(config, result.f_th_hz),
         trace_checksum=traceio.file_sha256(trace_path),
     )
-    events_out = Path(args.events_out) if args.events_out else trace_path.with_name(
-        _trace_stem(trace_path) + ".events.csv"
-    )
+    events_out = args.events_out or traceio.sidecar_path(trace_path, "events")
     traceio.write_events_csv(result.events, events_out)
     if args.report_out:
         traceio.write_report(report, args.report_out)
@@ -156,10 +117,10 @@ def cmd_detect(args) -> int:
 def _find_traces(trace_dir: Path):
     files = sorted(
         p for p in trace_dir.iterdir()
-        if any(p.name.endswith(s) for s in TRACE_SUFFIXES)
+        if p.name.endswith(traceio.TRACE_SUFFIXES)
     )
     if not files:
-        raise InputError(f"no *{TRACE_SUFFIXES[0]} files in {trace_dir}")
+        raise ValueError(f"no *{traceio.TRACE_SUFFIXES[0]} files in {trace_dir}")
     return files
 
 
@@ -167,34 +128,26 @@ def _parse_grid(text: str) -> np.ndarray:
     try:
         start, stop, step = (float(v) for v in text.split(":"))
     except ValueError as e:
-        raise InputError(f"bad --grid {text!r}; expected start:stop:step") from e
+        raise ValueError(f"bad --grid {text!r}; expected start:stop:step") from e
     if step <= 0 or stop < start:
-        raise InputError(f"bad --grid {text!r}")
+        raise ValueError(f"bad --grid {text!r}")
     return np.arange(start, stop + step / 2, step)
 
 
 def cmd_sweep(args) -> int:
-    trace_dir = Path(args.trace_dir)
-    if not trace_dir.is_dir():
-        raise InputError(f"not a directory: {trace_dir}")
     config = _pipeline_config(args)
 
     analyses = []
-    for path in _find_traces(trace_dir):
+    for path in _find_traces(Path(args.trace_dir)):
+        if not traceio.sidecar_path(path, "labels").exists():
+            raise ValueError(f"missing labels sidecar for {path}")
         trace = traceio.read_trace(path)
-        labels_path = _labels_path_for(path)
-        if not labels_path.exists():
-            raise InputError(f"missing labels sidecar for {path}")
-        labels = traceio.read_labels(labels_path)
-        _check_calibration_clear(path, labels, args.cal_start, args.cal_start + config.t_cal_s)
-        analysis = harness.analyze_trace(trace, config, cal_start_s=args.cal_start)
-        analysis.labels = labels
-        analyses.append(analysis)
+        _check_calibration_clear(path, trace, args.cal_start, config)
+        analyses.append(harness.analyze_trace(trace, config, cal_start_s=args.cal_start))
 
-    rows = []
     if args.param in ("f_th", "t_min"):
         if not args.grid:
-            raise InputError(f"--grid is required for a {args.param} sweep")
+            raise ValueError(f"--grid is required for a {args.param} sweep")
         values = _parse_grid(args.grid)
         rows = harness.sweep_parameter(analyses, args.param, values, config)
         header = f"{args.param},sdr_pct,p_fa,mrt_s"
@@ -229,13 +182,10 @@ def _fmt(v) -> str:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        spectrum = bessel_line_spectrum(
-            args.beta_prime, args.f_o, args.delta_mu,
-            amplitude=args.amplitude, n_max=args.n_max,
-        )
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    spectrum = bessel_line_spectrum(
+        args.beta_prime, args.f_o, args.delta_mu,
+        amplitude=args.amplitude, n_max=args.n_max,
+    )
     print(f"beta' = {args.beta_prime:g}, f_o = {args.f_o:g} Hz, "
           f"delta_mu = {args.delta_mu:g} rad")
     print(f"{'n':>4} {'f (Hz)':>10} {'|amp|':>12} {'re':>12} {'im':>12}")
@@ -272,13 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a labeled CSI trace")
     p.add_argument("--config", required=True, help="scenario config JSON")
     p.add_argument("--out", required=True, help="output trace path (.csitrace[.gz])")
-    p.add_argument("--labels", help="label sidecar path (default: derived)")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("detect", help="run the detection pipeline on a trace")
     p.add_argument("--trace", required=True)
-    p.add_argument("--labels", help="label sidecar (default: derived from trace name)")
     p.add_argument("--config", help=PIPELINE_CONFIG_HELP)
     p.add_argument("--cal-start", type=float, default=0.0)
     p.add_argument("--cal-len", type=float, help="calibration length (default t_cal)")
@@ -315,9 +263,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

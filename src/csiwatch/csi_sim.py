@@ -162,11 +162,12 @@ class CsiTrace:
 
     csi is stream-major, shape (n_rx, n_sc, n_samples); timestamps_s holds
     the actual (possibly jittered) packet arrival times, one per sample,
-    the first within half a sample period of 0 s. Packets may be missing:
-    the trace spans the uniform grid through its last packet. events are
-    the ground-truth intervals. The alpha/mu arrays hold the per-stream
-    path parameters of person 1 where the trace was simulated, and are None
-    where they are unknown (a trace read from a file).
+    finite and strictly increasing, the first within half a sample period
+    of 0 s. Packets may be missing: the trace spans the uniform grid
+    through its last packet. events are the ground-truth intervals. The
+    alpha/mu arrays hold the per-stream path parameters of person 1 where
+    the trace was simulated, and are None where they are unknown (a trace
+    read from a file).
     """
 
     sample_rate_hz: float
@@ -193,6 +194,13 @@ class CsiTrace:
             )
         if self.n_samples == 0:
             raise ValueError("a trace holds at least one sample")
+        bad = ~np.isfinite(self.timestamps_s)
+        if bad.any():
+            raise ValueError(f"non-finite timestamp at record {int(np.argmax(bad))}")
+        not_increasing = np.diff(self.timestamps_s) <= 0
+        if not_increasing.any():
+            k = int(np.argmax(not_increasing)) + 1
+            raise ValueError(f"timestamps do not strictly increase at record {k}")
         # the span is read off the last timestamp, so the clock must start at 0
         if not abs(self.timestamps_s[0]) <= 0.5 / self.sample_rate_hz:
             raise ValueError(
@@ -647,19 +655,20 @@ def generate_trace(
     )
 
 
-def superpose_person(trace: CsiTrace, scenario2: Scenario, seed: int = 1) -> CsiTrace:
+def superpose_person(trace: CsiTrace, scenario2: Scenario, seed: int = 1,
+                     ratio_range: tuple[float, float] = PATH_RATIO_RANGE) -> CsiTrace:
     """Add a second person's reflected path to every stream of a trace.
 
     The second body, in the trace's geometry, contributes an independent
-    additive reflection per stream (amplitude ratio drawn on
-    PATH_RATIO_RANGE), evaluated on the trace's own (jittered) timestamps;
-    its events join the trace's with person_id 2.
+    additive reflection per stream (amplitude ratio drawn on ratio_range),
+    evaluated on the trace's own (jittered) timestamps; its events join the
+    trace's with person_id 2.
     """
     if abs(scenario2.duration_s - trace.duration_s) > 1.0 / trace.sample_rate_hz:
         raise ValueError("second scenario must cover the same time span as the trace")
     rng = np.random.default_rng(seed)
     mu_r2 = rng.uniform(0.0, 2.0 * math.pi, (trace.n_rx, trace.n_sc))
-    ratio2 = rng.uniform(*PATH_RATIO_RANGE, (trace.n_rx, trace.n_sc))
+    ratio2 = rng.uniform(*ratio_range, (trace.n_rx, trace.n_sc))
 
     d2 = scenario_displacement(scenario2, trace.timestamps_s)
     base2 = np.exp(1j * (trace.geometry.beta_rad_per_m * d2)).astype(trace.csi.dtype)

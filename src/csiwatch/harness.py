@@ -18,6 +18,7 @@ from .config import PipelineConfig
 from .csi_sim import (
     CsiTrace,
     LabelInterval,
+    PATH_RATIO_RANGE,
     NoiseSpec,
     Scenario,
     ScenarioEvent,
@@ -94,14 +95,14 @@ def run_pipeline(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TraceAnalysis:
     """Detection intervals with full bandwidth trajectories, for sweeps."""
 
     profiles: list[EventBandwidthProfile]
     labels: list[LabelInterval]
     geometry: SceneGeometry
-    calibration: CalibrationState | None = None
+    calibration: CalibrationState
 
 
 def analyze_trace(
@@ -287,9 +288,8 @@ def parse_scenario_config(cfg: dict):
         "n_sc": int(cfg.get("n_sc", 30)),
         "sample_rate_hz": rate,
         "dtype": np.dtype(cfg.get("dtype", "complex128")).type,
+        "ratio_range": tuple(cfg.get("ratio_range", PATH_RATIO_RANGE)),
     }
-    if "ratio_range" in cfg:
-        sim_kwargs["ratio_range"] = tuple(cfg["ratio_range"])
     return scenario, geometry, noise, sim_kwargs, second
 
 
@@ -301,7 +301,8 @@ def simulate_from_config(cfg: dict) -> CsiTrace:
         seed2 = int(second.get("seed", sim_kwargs["seed"] + 1))
         scenario2 = _scenario_from(second, scenario.duration_s, seed2,
                                    sim_kwargs["sample_rate_hz"])
-        trace = superpose_person(trace, scenario2, seed=seed2)
+        trace = superpose_person(trace, scenario2, seed=seed2,
+                                 ratio_range=sim_kwargs["ratio_range"])
     return trace
 
 

@@ -7,13 +7,16 @@ two arrays in NumPy ``.npy`` format: ``timestamps_s`` (float64, shape
 ``(n_rx, n_sc, n_records)``). The arrays hold the raw in-memory bytes, so
 write-then-read reproduces the arrays bit for bit. Reading checks the
 arrays against the header, refuses pickled data, truncation and trailing
-bytes, and rejects non-finite samples and timestamps that do not strictly
-increase. A ``.gz`` extension transparently gzip-compresses; written gzip
-members carry no timestamp or file name, so equal content gives equal
-bytes.
+bytes, and rejects non-finite CSI; `CsiTrace` itself rejects bad
+timestamps. A ``.gz`` extension transparently gzip-compresses at level 1;
+written gzip members carry no timestamp or file name, so equal content
+gives equal bytes.
 
-Ground-truth labels live in a CSV sidecar (start_s, end_s, class,
-person_id); detector output in an events CSV; reports as JSON.
+A trace's ground truth travels next to it: ``<stem>.csitrace[.gz]`` has
+its labels in the CSV sidecar ``<stem>.labels.csv`` (start_s, end_s,
+class, person_id), which `write_trace` writes and `read_trace` reads back.
+Detector output goes to an events CSV (by default ``<stem>.events.csv``),
+reports to JSON.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import hashlib
 import io
 import json
 import zlib
+from pathlib import Path
 
 import numpy as np
 
@@ -33,6 +37,8 @@ from .detector import DetectedEvent, EventClass
 
 __all__ = [
     "TRACE_FORMAT_VERSION",
+    "TRACE_SUFFIXES",
+    "sidecar_path",
     "write_trace",
     "read_trace",
     "write_labels",
@@ -44,6 +50,7 @@ __all__ = [
 ]
 
 TRACE_FORMAT_VERSION = 2
+TRACE_SUFFIXES = (".csitrace", ".csitrace.gz")
 
 _MAX_HEADER_BYTES = 1 << 16
 
@@ -52,13 +59,16 @@ _MAX_HEADER_BYTES = 1 << 16
 def _open(path, mode: str):
     """Open ``path`` for reading ("r", "rb") or writing ("w", "wb").
 
-    Modes without "b" give UTF-8 text. A ``.gz`` suffix gzip-compresses;
-    the gzip header gets mtime 0 and an empty file name.
+    Modes without "b" give UTF-8 text. A ``.gz`` suffix gzip-compresses at
+    level 1: on a 60 s complex64 trace level 9 took 1.4x as long and gave a
+    slightly larger file, since float noise barely compresses. The gzip
+    header gets mtime 0 and an empty file name.
     """
     with open(path, mode[0] + "b") as raw:
         f = raw
         if str(path).endswith(".gz"):
-            f = gzip.GzipFile(filename="", fileobj=raw, mode=mode[0] + "b", mtime=0)
+            f = gzip.GzipFile(filename="", fileobj=raw, mode=mode[0] + "b", mtime=0,
+                              compresslevel=1)
         with f:
             if mode.endswith("b"):
                 yield f
@@ -67,8 +77,20 @@ def _open(path, mode: str):
                     yield text
 
 
+def sidecar_path(trace_path, kind: str) -> Path:
+    """``<stem>.<kind>.csv`` next to ``<stem>.csitrace[.gz]``."""
+    trace_path = Path(trace_path)
+    name = trace_path.name
+    for suffix in TRACE_SUFFIXES:
+        if name.endswith(suffix):
+            name = name[: -len(suffix)]
+            break
+    return trace_path.with_name(f"{name}.{kind}.csv")
+
+
 def write_trace(trace: CsiTrace, path) -> None:
-    """Write a trace file (JSON header line + timestamps and CSI arrays)."""
+    """Write a trace file (JSON header line + timestamps and CSI arrays) and
+    its labels sidecar."""
     header = {
         "version": TRACE_FORMAT_VERSION,
         "sample_rate_hz": trace.sample_rate_hz,
@@ -86,6 +108,7 @@ def write_trace(trace: CsiTrace, path) -> None:
         f.write(json.dumps(header).encode("utf-8") + b"\n")
         np.save(f, np.asarray(trace.timestamps_s, dtype=np.float64), allow_pickle=False)
         np.save(f, trace.csi, allow_pickle=False)
+    write_labels(trace.events, sidecar_path(path, "labels"))
 
 
 def _read_header(f, path) -> dict:
@@ -113,33 +136,23 @@ def _load_array(f, path, name: str, shape: tuple, dtype: np.dtype) -> np.ndarray
     return arr
 
 
-def _check_samples(path, timestamps: np.ndarray, csi: np.ndarray) -> None:
-    """Reject non-finite values and timestamps that do not strictly increase.
-
-    CSI is checked one stream row at a time, so no temporary of the full
-    array's size is allocated.
-    """
-    bad = ~np.isfinite(timestamps)
-    if bad.any():
-        raise ValueError(f"{path}: non-finite timestamp at record {int(np.argmax(bad))}")
-    not_increasing = np.diff(timestamps) <= 0
-    if not_increasing.any():
-        k = int(np.argmax(not_increasing)) + 1
-        raise ValueError(f"{path}: timestamps do not strictly increase at record {k}")
+def _check_csi(path, csi: np.ndarray) -> None:
+    """Reject non-finite CSI, one stream row at a time, so no temporary of
+    the full array's size is allocated."""
     for rx, sc in np.ndindex(csi.shape[:2]):
         if not np.isfinite(csi[rx, sc]).all():
             raise ValueError(f"{path}: non-finite CSI on antenna {rx}, subcarrier {sc}")
 
 
 def read_trace(path) -> CsiTrace:
-    """Read a trace file back into a CsiTrace.
+    """Read a trace file and its labels sidecar back into a CsiTrace.
 
     Raises ValueError for a file that is not a well-formed trace of the
-    current format version, or whose samples are non-finite or whose
-    timestamps do not strictly increase, or whose first packet lies more
-    than half a sample period from 0 s. The file format does not carry
-    ground truth, per-stream path parameters or the outlier log: events and
-    the outlier log come back empty, the path parameters None.
+    current format version, or whose CSI is non-finite, or that `CsiTrace`
+    rejects (bad rate or timestamps); those messages start with the path.
+    events come from the labels sidecar, and are empty when there is none.
+    The file format does not carry per-stream path parameters or the
+    outlier log: the outlier log comes back empty, the path parameters None.
     """
     from .signal_model import SceneGeometry
 
@@ -163,11 +176,14 @@ def read_trace(path) -> CsiTrace:
                 raise ValueError(f"{path}: trailing bytes after the csi array")
     except (EOFError, zlib.error, gzip.BadGzipFile) as e:
         raise ValueError(f"{path}: truncated or corrupt trace ({e})") from e
-    _check_samples(path, timestamps, csi)
+    labels_path = sidecar_path(path, "labels")
+    events = tuple(read_labels(labels_path)) if labels_path.exists() else ()
     try:
-        return CsiTrace(sample_rate_hz, csi, timestamps, events=(), geometry=geometry)
+        trace = CsiTrace(sample_rate_hz, csi, timestamps, events=events, geometry=geometry)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from e
+    _check_csi(path, csi)
+    return trace
 
 
 def write_labels(events, path) -> None:

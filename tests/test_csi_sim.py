@@ -223,6 +223,15 @@ class TestSuperposePerson:
         b = window_percentile_bandwidth(s, 200.0)
         assert b > derive_f_th(G)
 
+    def test_config_ratio_range_reaches_second_person(self):
+        from csiwatch.harness import simulate_from_config
+
+        cfg = {"duration_s": 30, "seed": 4, "n_rx": 1, "n_sc": 4, "ratio_range": [0.01, 0.02]}
+        one = simulate_from_config(cfg)
+        two = simulate_from_config({**cfg, "second_person": {"seed": 9}})
+        ratio2 = np.abs(two.csi - one.csi)
+        assert ratio2.min() >= 0.01 - 1e-9 and ratio2.max() <= 0.02 + 1e-9
+
     def test_duration_mismatch_rejected(self):
         trace = small_trace(duration=20.0)
         with pytest.raises(ValueError, match="same time span"):

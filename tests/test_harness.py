@@ -75,6 +75,29 @@ def write_trace_by_hand(path, trace, sample_rate_hz, timestamps_s):
         np.save(f, trace.csi)
 
 
+BAD_TIMESTAMPS = [
+    ("nan_timestamp", "non-finite timestamp"),
+    ("swapped_timestamps", "strictly increase"),
+    ("repeated_timestamp", "strictly increase"),
+]
+
+
+def bad_samples(trace, bad, k=300):
+    """Copies of a trace's timestamps and CSI with one defect at record k."""
+    ts, csi = trace.timestamps_s.copy(), trace.csi.copy()
+    if bad == "nan_timestamp":
+        ts[k] = np.nan
+    elif bad == "swapped_timestamps":
+        ts[[k, k + 1]] = ts[[k + 1, k]]
+    elif bad == "repeated_timestamp":
+        ts[k + 1] = ts[k]
+    elif bad == "nan_sample":
+        csi[1, 2, k] = np.nan
+    else:
+        csi[:, :, k] = np.inf
+    return ts, csi
+
+
 class TestTraceIO:
     @pytest.mark.parametrize("suffix", ["csitrace", "csitrace.gz"])
     @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
@@ -88,6 +111,25 @@ class TestTraceIO:
         assert np.array_equal(back.timestamps_s, trace.timestamps_s)
         assert back.sample_rate_hz == trace.sample_rate_hz
         assert back.geometry == trace.geometry
+
+    @pytest.mark.parametrize("suffix", ["csitrace", "csitrace.gz"])
+    def test_labels_travel_with_the_trace(self, tmp_path, suffix):
+        trace = dataclasses.replace(tiny_trace(), events=(
+            LabelInterval(1.25, 3.1, EventKind.SEIZURE, 1),
+            LabelInterval(0.1, 0.4, EventKind.COUGH, 2),
+        ))
+        path = tmp_path / f"t.{suffix}"
+        write_trace(trace, path)
+        assert (tmp_path / "t.labels.csv").exists()
+        assert read_trace(path).events == trace.events
+        (tmp_path / "t.labels.csv").unlink()
+        assert read_trace(path).events == ()
+
+    def test_gzip_written_at_level_1(self, tmp_path):
+        # XFL, byte 8 of the gzip header: 4 for the fastest level, 2 for level 9
+        path = tmp_path / "t.csitrace.gz"
+        write_trace(tiny_trace(), path)
+        assert path.read_bytes()[8] == 4
 
     def test_header_record_count_enforced(self, tmp_path):
         path = tmp_path / "t.csitrace"
@@ -157,33 +199,27 @@ class TestTraceIO:
         assert main(["detect", "--trace", str(path)]) == 2
         assert "unsupported trace format version" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad, match", [
-        ("nan_timestamp", "non-finite timestamp"),
-        ("swapped_timestamps", "strictly increase"),
-        ("repeated_timestamp", "strictly increase"),
+    @pytest.mark.parametrize("bad, match", BAD_TIMESTAMPS + [
         ("nan_sample", "non-finite CSI"),
         ("inf_all_streams", "non-finite CSI"),
     ])
     def test_bad_samples_rejected(self, tmp_path, capsys, bad, match):
+        # written by hand because CsiTrace refuses the bad timestamps
         trace = tiny_trace()
-        ts, csi = trace.timestamps_s.copy(), trace.csi.copy()
-        k = 300
-        if bad == "nan_timestamp":
-            ts[k] = np.nan
-        elif bad == "swapped_timestamps":
-            ts[[k, k + 1]] = ts[[k + 1, k]]
-        elif bad == "repeated_timestamp":
-            ts[k + 1] = ts[k]
-        elif bad == "nan_sample":
-            csi[1, 2, k] = np.nan
-        else:
-            csi[:, :, k] = np.inf
+        ts, csi = bad_samples(trace, bad)
         path = tmp_path / "bad.csitrace"
-        write_trace(dataclasses.replace(trace, timestamps_s=ts, csi=csi), path)
+        write_trace_by_hand(path, dataclasses.replace(trace, csi=csi), trace.sample_rate_hz, ts)
         with pytest.raises(ValueError, match=match):
             read_trace(path)
         assert main(["detect", "--trace", str(path)]) == 2
         assert match in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad, match", BAD_TIMESTAMPS)
+    def test_bad_timestamps_rejected_in_memory(self, bad, match):
+        trace = tiny_trace()
+        ts, _ = bad_samples(trace, bad)
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(trace, timestamps_s=ts)
 
     def test_epoch_stamped_file_rejected(self, tmp_path, capsys):
         # a capture clock that does not start at 0 s; the file is written by
@@ -527,6 +563,77 @@ class TestCli:
         assert report["p_fa"] == 0.0
         events = read_events_csv(events_path)
         assert any(e.event_class is EventClass.SEIZURE for e in events)
+
+    def test_detect_without_labels_sidecar(self, tmp_path):
+        scenario = self._write_scenario(tmp_path)
+        trace_path = tmp_path / "night.csitrace"
+        assert main(["simulate", "--config", str(scenario), "--out", str(trace_path)]) == 0
+        (tmp_path / "night.labels.csv").unlink()
+        report_path = tmp_path / "report.json"
+        assert main(["detect", "--trace", str(trace_path),
+                     "--report-out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["n_seizures"] == 0 and report["sdr_pct"] is None
+        assert read_events_csv(tmp_path / "night.events.csv")
+
+    def test_sweep_without_labels_sidecar_exit_code(self, tmp_path, capsys):
+        tdir = tmp_path / "traces"
+        tdir.mkdir()
+        write_trace(tiny_trace(), tdir / "t.csitrace")
+        (tdir / "t.labels.csv").unlink()
+        rc = main(["sweep", "--trace-dir", str(tdir), "--param", "psi",
+                   "--out", str(tmp_path / "psi.csv")])
+        assert rc == 2
+        assert "missing labels sidecar" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["detect", "--trace", "t.csitrace"],
+                                         ["simulate", "--config", "s.json",
+                                          "--out", "t.csitrace"]])
+    def test_labels_flag_removed(self, command):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--labels", "x.labels.csv"])
+        assert exc.value.code == 2
+
+    # SHA-256 of what simulate + detect write for two one-minute scenarios
+    # shaped like the benchmark's cli_files op, recorded while the CLI still
+    # read and wrote the labels sidecar itself
+    RECORDED_OUTPUTS = {
+        (3, 0.72, 2.4, 1.0): {
+            "night.csitrace": "9e03c8d23f22551f6a2329bbf7c54313bb5774e69a85f5af5d78319983c2b20d",
+            "night.labels.csv": "42916ae6cdea35f000013ab26eef258066aa332836a9dc1bb6f92add75c761f5",
+            "night.events.csv": "380762b185cfe1fb621dcde9b254e8d9f59dbe227ea5be91a9f98b716bffcf57",
+            "report.json": "724d5502e6af1f36730fc25d3ced55b5a4e0df2acd31c13eb5d5aeddc26f4265",
+        },
+        (17, 0.78, 3.3, 4.5): {
+            "night.csitrace": "82e3fbebf08089d4559b691f3ded33fb038fa88eb5f4a0e8be86bbc5bd6d001e",
+            "night.labels.csv": "42916ae6cdea35f000013ab26eef258066aa332836a9dc1bb6f92add75c761f5",
+            "night.events.csv": "92cc0f4e7d732712f8b461c45cd17014b3d9631862b8ac48a1b0c762eef1ac77",
+            "report.json": "da8d083e1b5db36d4f4007bc91d9dd4627b487eed5c024de96c31d38a8fb8130",
+        },
+    }
+
+    @pytest.mark.parametrize("case", sorted(RECORDED_OUTPUTS))
+    def test_outputs_match_recorded(self, tmp_path, case):
+        seed, v, f, phase = case
+        cfg = {"duration_s": 60.0, "seed": seed, "dtype": "complex64",
+               "noise": {"awgn_sigma": 0.02, "outlier_rate_per_s": 0.02,
+                         "outlier_magnitude": 8.0, "jitter_std_s": 0.0005},
+               "events": [
+                   {"kind": "posture_shift", "start_s": 14.0, "duration_s": 6.0},
+                   {"kind": "seizure", "start_s": 24.0, "duration_s": 22.0,
+                    "v_max_mps": v, "f_o_hz": f, "phase_rad": phase},
+                   {"kind": "scratch", "start_s": 50.0, "duration_s": 4.0},
+                   {"kind": "cough", "start_s": 56.5, "duration_s": 1.5},
+               ]}
+        (tmp_path / "s.json").write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(tmp_path / "s.json"),
+                     "--out", str(tmp_path / "night.csitrace")]) == 0
+        assert main(["detect", "--trace", str(tmp_path / "night.csitrace"),
+                     "--report-out", str(tmp_path / "report.json")]) == 0
+        from csiwatch.traceio import file_sha256
+
+        got = {name: file_sha256(tmp_path / name) for name in self.RECORDED_OUTPUTS[case]}
+        assert got == self.RECORDED_OUTPUTS[case]
 
     @pytest.mark.parametrize("suffix", ["csitrace", "csitrace.gz"])
     def test_simulate_deterministic_checksums(self, tmp_path, suffix):
