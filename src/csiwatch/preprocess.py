@@ -99,13 +99,15 @@ class StreamSet:
 
 def resample_uniform(
     timestamps_s: np.ndarray, values: np.ndarray, grid_s: np.ndarray
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Linear interpolation of complex samples at (possibly jittered) packet
     times onto a uniform grid, component-wise.
 
-    Only the packets that bracket the grid are interpolated, so resampling
-    a short window costs the same on an hour-long series as on a short one.
-    Grid points outside the timestamp span clamp to the edge values.
+    Returns the real and the imaginary part on the grid as two float64
+    arrays; no complex series is formed. Only the packets that bracket the
+    grid are interpolated, so resampling a short window costs the same on an
+    hour-long series as on a short one. Grid points outside the timestamp
+    span clamp to the edge values.
     """
     if grid_s.size:
         lo, hi = np.searchsorted(timestamps_s, (grid_s[0], grid_s[-1]))
@@ -113,7 +115,7 @@ def resample_uniform(
         timestamps_s, values = timestamps_s[bracket], values[bracket]
     re = np.interp(grid_s, timestamps_s, values.real)
     im = np.interp(grid_s, timestamps_s, values.imag)
-    return re + 1j * im
+    return re, im
 
 
 def _uniform_grid(trace: CsiTrace, start_s: float, end_s: float) -> np.ndarray:
@@ -131,12 +133,14 @@ def derive_streams(
 ) -> StreamSet:
     """Form the requested derived streams on the uniform grid.
 
-    Each stream resamples the raw complex series it reads from the trace's
-    packet timestamps onto the nominal uniform grid; a phase difference
-    also reads antenna 0's series. No raw series outlives its stream, so
-    extracting a few streams from an hour-long trace stays cheap. A NaN or
-    Inf sample in a series a requested stream reads raises ValueError
-    naming the stream and the time.
+    Each stream resamples the raw series it reads from the trace's packet
+    timestamps onto the nominal uniform grid, as real and imaginary parts.
+    A magnitude row is re*re + im*im, written straight into its row. A phase
+    difference also reads antenna 0's series and is the unwrapped angle of
+    c * conj(c_0), multiplied in that operand order at every length. No raw
+    series outlives its stream, so extracting a few streams from an
+    hour-long trace stays cheap. A NaN or Inf sample in a series a requested
+    stream reads raises ValueError naming the stream and the time.
     """
     if end_s is None:
         end_s = trace.duration_s
@@ -144,29 +148,65 @@ def derive_streams(
         ids = all_stream_ids(trace.n_rx, trace.n_sc)
     grid = _uniform_grid(trace, start_s, end_s)
 
-    def raw(rx: int, sc: int, sid: StreamId) -> np.ndarray:
-        c = resample_uniform(trace.timestamps_s, trace.csi[rx, sc], grid)
-        # NaN and Inf carry into the sum, so one reduction checks a series
-        if not np.isfinite(c.sum()):
-            k = int(np.argmin(np.isfinite(c)))
+    def raw(rx: int, sc: int, sid: StreamId) -> tuple[np.ndarray, np.ndarray]:
+        re, im = resample_uniform(trace.timestamps_s, trace.csi[rx, sc], grid)
+        # NaN and Inf carry into the sum, so one reduction checks a part
+        if not (np.isfinite(re.sum()) and np.isfinite(im.sum())):
+            k = int(np.argmin(np.isfinite(re) & np.isfinite(im)))
             raise ValueError(f"stream {sid}: non-finite CSI sample at {grid[k]:.3f} s")
+        return re, im
+
+    def complex_raw(rx: int, sc: int, sid: StreamId) -> np.ndarray:
+        # read first: np.interp's buffers are freed before c is allocated
+        re, im = raw(rx, sc, sid)
+        c = np.empty(grid.size, dtype=np.complex128)
+        c.real, c.imag = re, im
         return c
 
-    def form(sid: StreamId) -> np.ndarray:
-        c = raw(sid.rx, sid.sc, sid)
-        if sid.kind == "mag":
-            return c.real**2 + c.imag**2
-        # c is named, so numpy cannot reuse its buffer for the product: the
-        # in-place complex multiply rounds differently. The product is freed
-        # before the unwrap.
-        return np.unwrap(np.angle(c * np.conj(raw(0, sid.sc, sid))))
+    def magnitude(sid: StreamId, out: np.ndarray) -> None:
+        re, im = raw(sid.rx, sid.sc, sid)
+        np.multiply(re, re, out=out)
+        out += np.multiply(im, im, out=im)
+
+    def phase_difference(sid: StreamId, out: np.ndarray) -> None:
+        c = complex_raw(sid.rx, sid.sc, sid)
+        conj_c0 = complex_raw(0, sid.sc, sid)
+        np.conjugate(conj_c0, out=conj_c0)
+        # one operand order at every length: an unnamed product of 16 384
+        # or more samples would be computed in place as conj_c0 *= c, which
+        # rounds differently
+        np.multiply(c, conj_c0, out=conj_c0)
+        np.arctan2(conj_c0.imag, conj_c0.real, out=out)
 
     data = np.empty((len(ids), grid.size), dtype=np.float64)
-    for row, sid in enumerate(ids):
-        data[row] = form(sid)
+    for row, sid in zip(data, ids):
+        if sid.kind == "mag":
+            magnitude(sid, row)
+        else:
+            phase_difference(sid, row)
+            _unwrap_in_place(row)
     return StreamSet(
         tuple(ids), data, trace.sample_rate_hz, start_s=grid[0] if grid.size else start_s
     )
+
+
+def _unwrap_in_place(phase: np.ndarray) -> None:
+    """np.unwrap(phase), bit for bit, written into ``phase``.
+
+    np.unwrap wraps every step into [-pi, pi) and then zeroes the correction
+    of every step smaller than pi; here the correction is computed only for
+    the steps of pi or more, and a single cumulative sum spreads it. phase
+    must be finite.
+    """
+    steps = np.diff(phase)
+    jumps = np.flatnonzero(np.abs(steps) >= np.pi)
+    step = steps[jumps]
+    wrapped = np.mod(step + np.pi, 2 * np.pi) - np.pi
+    # a step of exactly +pi keeps its sign, as in np.unwrap
+    wrapped[(wrapped == -np.pi) & (step > 0)] = np.pi
+    correction = np.zeros_like(steps)
+    correction[jumps] = wrapped - step
+    phase[1:] += np.cumsum(correction, out=correction)
 
 
 def hampel_filter(stream: np.ndarray, window_samples: int) -> np.ndarray:
@@ -177,32 +217,40 @@ def hampel_filter(stream: np.ndarray, window_samples: int) -> np.ndarray:
     the window around its own median m_i. Because that scale varies on the
     window timescale, it is evaluated at half-window hops and held between
     evaluation points, which keeps the filter O(n). window_samples must be
-    odd and >= 3; ends use nearest-edge padding.
+    odd and >= 3; ends use nearest-edge padding. The stream must be finite
+    (a NaN or Inf sample raises ValueError); returns a new float64 array.
     """
     if window_samples < 3 or window_samples % 2 == 0:
         raise ValueError(f"window_samples must be odd and >= 3, got {window_samples}")
     x = np.asarray(stream, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError("hampel_filter needs a finite stream")
     n = x.size
     w = min(window_samples, n if n % 2 == 1 else n - 1)
     if w < 3:
         return x.copy()
     med = median_filter(x, size=w, mode="nearest")
 
-    # each evaluated window's median is the median filter's output at its centre
+    # each evaluated window's median is the median filter's output at its
+    # centre; w is odd, so a window's median is its middle order statistic
     hop = (w + 1) // 2
     windows = np.lib.stride_tricks.sliding_window_view(x, w)[::hop]
     centers = w // 2 + hop * np.arange(windows.shape[0])
-    mad_rows = np.median(np.abs(windows - med[centers, None]), axis=1)
+    abs_dev = windows - med[centers, None]
+    np.abs(abs_dev, out=abs_dev)
+    abs_dev.partition(w // 2, axis=1)
+    mad_rows = abs_dev[:, w // 2]
 
     # nearest evaluated window center supplies each sample's scale (ties left)
     counts = np.full(mad_rows.size, hop)
     counts[0] = w // 2 + hop // 2 + 1
     counts[-1] = n - counts[:-1].sum()
-    scale = np.repeat(mad_rows, counts)
+    threshold = np.repeat(HAMPEL_N_SIGMAS * MAD_SCALE * mad_rows, counts)
 
-    dev = np.abs(x - med)
-    threshold = HAMPEL_N_SIGMAS * MAD_SCALE * scale
-    return np.where(dev > threshold, med, x)
+    dev = x - med
+    np.abs(dev, out=dev)
+    np.copyto(med, x, where=dev <= threshold)
+    return med
 
 
 def _hampel_rows(streams: StreamSet) -> None:

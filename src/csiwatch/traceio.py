@@ -27,6 +27,7 @@ import gzip
 import hashlib
 import io
 import json
+import math
 import zlib
 from pathlib import Path
 
@@ -197,20 +198,38 @@ def write_labels(events, path) -> None:
 
 
 def read_labels(path) -> list[LabelInterval]:
+    """Read a labels CSV (start_s, end_s, class, person_id).
+
+    A row without four fields, with a time that is not a finite number, an
+    end before its start, an unknown class or a non-integer person id
+    raises ValueError naming ``<path>:<line>``.
+    """
     labels = []
     with _open(path, "r") as f:
         header = f.readline().strip()
         if header != "start_s,end_s,class,person_id":
             raise ValueError(f"{path}: unexpected label header {header!r}")
-        for line in f:
+        for lineno, line in enumerate(f, start=2):
             line = line.strip()
             if not line:
                 continue
-            start, end, kind, person = line.split(",")
-            labels.append(
-                LabelInterval(float(start), float(end), EventKind(kind), int(person))
-            )
+            try:
+                labels.append(_label_row(line))
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from e
     return labels
+
+
+def _label_row(line: str) -> LabelInterval:
+    fields = line.split(",")
+    if len(fields) != 4:
+        raise ValueError(f"expected 4 fields, got {len(fields)}")
+    start, end = float(fields[0]), float(fields[1])
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise ValueError(f"non-finite label time in {line!r}")
+    if end < start:
+        raise ValueError(f"label ends at {end} s, before its start at {start} s")
+    return LabelInterval(start, end, EventKind(fields[2]), int(fields[3]))
 
 
 def write_events_csv(events: list[DetectedEvent], path) -> None:

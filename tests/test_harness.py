@@ -5,6 +5,7 @@ import gzip
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -261,6 +262,30 @@ class TestTraceIO:
         path = tmp_path / "x.labels.csv"
         write_labels(labels, path)
         assert read_labels(path) == labels
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("30.0,25.0,seizure,1", "label ends at 25.0 s, before its start at 30.0 s"),
+            ("nan,25.0,seizure,1", "non-finite label time"),
+            ("10.0,inf,seizure,1", "non-finite label time"),
+            ("10.0,25.0", "expected 4 fields, got 2"),
+            ("10.0,25.0,seizur,1", "'seizur' is not a valid EventKind"),
+        ],
+        ids=["reversed", "nan", "inf", "two-fields", "unknown-class"],
+    )
+    def test_bad_label_row_named_by_line(self, tmp_path, row, message):
+        path = tmp_path / "x.labels.csv"
+        path.write_text(f"start_s,end_s,class,person_id\n1.0,2.0,cough,1\n{row}\n")
+        with pytest.raises(ValueError, match=rf"x\.labels\.csv:3: .*{re.escape(message)}"):
+            read_labels(path)
+
+    def test_bad_label_row_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "t.csitrace"
+        write_trace(tiny_trace(), path)
+        (tmp_path / "t.labels.csv").write_text("start_s,end_s,class,person_id\n3.0,2.0,seizure,1\n")
+        assert main(["detect", "--trace", str(path)]) == 2
+        assert "t.labels.csv:2: label ends at 2.0 s" in capsys.readouterr().err
 
     def test_events_round_trip(self, tmp_path):
         events = [

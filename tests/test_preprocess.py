@@ -1,13 +1,14 @@
 """Hampel filtering, SNR stream selection, and PCA denoising."""
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csiwatch import preprocess
@@ -64,6 +65,14 @@ class TestHampel:
             hampel_filter(np.ones(10), 4)
         with pytest.raises(ValueError):
             hampel_filter(np.ones(10), 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("n", [2, 500])
+    def test_non_finite_stream_rejected(self, bad, n):
+        x = np.ones(n)
+        x[n // 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            hampel_filter(x, 101)
 
     def _removal_stats(self, noise, seed=2):
         dirty = breathing_trace(duration=60.0, noise=noise, seed=seed, n_rx=2, n_sc=5)
@@ -196,17 +205,40 @@ class TestDeriveStreams:
             with pytest.raises(ValueError, match=rf"stream {sid}: non-finite CSI sample at 2\.000 s"):
                 derive_streams(trace, ids=[sid])
 
-    @pytest.mark.parametrize("window", [(2.0012, 5.0037), (0.0, 1.0), (9.0, 10.0)])
-    def test_window_equals_full_length_columns(self, window):
+    @pytest.mark.parametrize(
+        "duration, window",
+        [(10.0, (2.0012, 5.0037)), (10.0, (0.0, 1.0)), (10.0, (9.0, 10.0)),
+         (100.0, (2.0012, 5.0037))],
+        ids=["window0", "window1", "window2", "100s-window0"],
+    )
+    def test_window_equals_full_length_columns(self, duration, window):
         # window ends between packets: only the packets around the window are
-        # interpolated, and the result is bit for bit the full-length one
-        trace = breathing_trace(duration=10.0, noise=JITTER, n_rx=2, n_sc=3, dtype=np.complex64)
+        # interpolated, and the result is bit for bit the full-length one. At
+        # 100 s the full-length phase-difference product has 20 000 samples,
+        # past the size where numpy would compute an unnamed product in place.
+        trace = breathing_trace(duration=duration, noise=JITTER, n_rx=2, n_sc=3, dtype=np.complex64)
         full = derive_streams(trace)
         part = derive_streams(trace, start_s=window[0], end_s=window[1])
         i0 = int(round(window[0] * FS))
         assert part.start_s == full.start_s + i0 / FS
         assert np.array_equal(part.data, full.data[:, i0 : i0 + part.data.shape[1]])
         assert i0 + part.data.shape[1] == int(round(window[1] * FS))
+
+    def test_magnitude_rows_and_hampel_output_pinned(self):
+        # SHA-256 of the magnitude rows of a 120 s jittered complex64 trace
+        # with outliers, and of their Hampel output (659 samples replaced),
+        # as computed when rows were formed from complex series
+        noise = NoiseSpec(awgn_sigma=0.01, jitter_std_s=0.0005,
+                          outlier_rate_per_s=0.5, outlier_magnitude=8.0)
+        trace = breathing_trace(duration=120.0, noise=noise, n_rx=2, n_sc=3, dtype=np.complex64)
+        ids = [sid for sid in all_stream_ids(2, 3) if sid.kind == "mag"]
+        mag = derive_streams(trace, ids=ids).data
+        cleaned = np.stack([hampel_filter(row, 101) for row in mag])
+        assert np.count_nonzero(cleaned != mag) == 659
+        assert hashlib.sha256(mag.tobytes()).hexdigest() == (
+            "37bcf62b8f03c55719f71e321fd0ad7b3704e906be7032b729053fbb20b9d082")
+        assert hashlib.sha256(cleaned.tobytes()).hexdigest() == (
+            "e15d05053636072c25c7971645aa56cd1987dcb99dc2d3eff08261612ef07bdb")
 
     def test_jitter_free_rows_equal_closed_form(self):
         trace = breathing_trace(duration=10.0, noise=NoiseSpec(awgn_sigma=0.01), n_rx=2, n_sc=2)
@@ -233,6 +265,42 @@ class TestDeriveStreams:
             tracemalloc.stop()
         series_bytes = trace.n_samples * np.dtype(np.complex128).itemsize
         assert peak < streams.data.nbytes + 8 * series_bytes
+
+    def test_phase_difference_peak_memory(self):
+        # a phase difference holds its own complex series while it reads
+        # antenna 0's parts, and forms antenna 0's complex series only after
+        # that read has freed np.interp's buffers
+        trace = breathing_trace(duration=60.0, noise=JITTER, dtype=np.complex64)
+        ids = [sid for sid in all_stream_ids(3, 10) if sid.kind == "pd"][:15]
+        tracemalloc.start()
+        try:
+            streams = derive_streams(trace, ids=ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        series_bytes = trace.n_samples * np.dtype(np.complex128).itemsize
+        assert peak < streams.data.nbytes + 4 * series_bytes
+
+
+PHASE_SAMPLES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 3 * math.pi]),
+    st.floats(-20.0, 20.0, allow_nan=False),
+)
+
+
+class TestUnwrap:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(PHASE_SAMPLES, max_size=40))
+    @example([])
+    @example([1.5])
+    @example([-0.0, 0.0])
+    @example([0.0, math.pi, 0.0, -math.pi, -0.0])
+    @example([0.0, math.pi + 1e-12, -math.pi - 1e-12, 2 * math.pi, -2.0])
+    def test_equals_numpy_unwrap_bit_for_bit(self, values):
+        phase = np.array(values, dtype=np.float64)
+        expected = np.unwrap(phase)
+        preprocess._unwrap_in_place(phase)
+        assert phase.tobytes() == expected.tobytes()
 
 
 class TestStreamSnr:
