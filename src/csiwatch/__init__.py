@@ -37,7 +37,6 @@ from .signal_model import (
 from .spectral_oracle import (
     LineSpectrum,
     MotionClass,
-    MotionClassParams,
     bessel_line_spectrum,
     carson_bandwidth,
     class_bandwidth_bound,
@@ -84,7 +83,6 @@ __all__ = [
     "synth_baseband",
     "LineSpectrum",
     "MotionClass",
-    "MotionClassParams",
     "bessel_line_spectrum",
     "carson_bandwidth",
     "class_bandwidth_bound",

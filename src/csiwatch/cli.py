@@ -20,7 +20,7 @@ from .detector import ED_THRESHOLD_Q, EventClass
 from .metrics import combine_reports, compute_report
 from .signal_model import SceneGeometry
 from .spectral_oracle import (
-    MotionClassParams,
+    MotionClass,
     bessel_line_spectrum,
     carson_bandwidth,
     class_bandwidth_bound,
@@ -155,14 +155,14 @@ def cmd_sweep(args) -> int:
             f"{r['value']:g},{_fmt(r['sdr_pct'])},{_fmt(r['p_fa'])},{_fmt(r['mrt_s'])}"
             for r in rows
         ]
-    else:  # psi: per-trace f_th derived from each trace's own geometry
+    else:  # psi: f_th from --config, else derived from each group's geometry
         by_psi: dict[float, list] = {}
         for analysis in analyses:
             by_psi.setdefault(analysis.geometry.psi, []).append(analysis)
         lines = ["psi,f_th_hz,sdr_pct,p_fa,mrt_s"]
         for psi in sorted(by_psi):
             group = by_psi[psi]
-            f_th = derive_f_th(group[0].geometry)
+            f_th = config.resolve_f_th(group[0].geometry)
             combined = combine_reports(
                 [harness.report_for(a, f_th, config.t_min_s) for a in group]
             )
@@ -198,8 +198,8 @@ def cmd_oracle(args) -> int:
           f"({'(beta+1)*f_o' if args.beta_prime >= 1 else '2*f_o'})")
     if args.psi is not None:
         geometry = SceneGeometry(wavelength_m=args.wavelength, psi=args.psi)
-        bw_sz = class_bandwidth_bound(MotionClassParams.seizure_lower_bound(), geometry)
-        bw_nm = class_bandwidth_bound(MotionClassParams.normal_upper_bound(), geometry)
+        bw_sz = class_bandwidth_bound(MotionClass.SEIZURE, geometry)
+        bw_nm = class_bandwidth_bound(MotionClass.NORMAL_EVENT, geometry)
         print(f"geometry psi = {args.psi:g}: BW_sz >= {bw_sz:.2f} Hz, "
               f"BW_nm <= {bw_nm:.2f} Hz, f_th = {derive_f_th(geometry):.2f} Hz")
     return 0

@@ -25,7 +25,8 @@ from enum import Enum
 import numpy as np
 
 from .config import PipelineConfig
-from .preprocess import BREATHING_BAND_HZ, CalibrationState
+from .preprocess import CalibrationState
+from .spectral_oracle import BREATHING_BAND_HZ
 
 __all__ = [
     "EventClass",
@@ -269,37 +270,20 @@ def classify_event(
     trace without a verdict stays ongoing.
     """
     interval = profile.interval
-    if interval.duration_s < t_min_s:
-        if interval.open_at_end:
-            return DetectedEvent(
-                interval.start_s, interval.end_s, EventClass.ONGOING
-            )
-        return DetectedEvent(interval.start_s, interval.end_s, EventClass.NORMAL)
-
-    gate = interval.start_s + t_min_s
     bs: list[float] = []
-    pending = sorted(zip(profile.completion_times_s, profile.window_bs))
-    i = 0
-    while i < len(pending) and pending[i][0] <= gate:
-        bs.append(pending[i][1])
-        i += 1
-    if bs:
-        med = float(statistics.median(bs))
-        if med > f_th_hz:
-            return DetectedEvent(
-                interval.start_s, interval.end_s, EventClass.SEIZURE,
-                b_pe_hz=med, decision_time_s=gate,
-            )
-    while i < len(pending):
-        t, b = pending[i]
-        bs.append(b)
-        med = float(statistics.median(bs))
-        if med > f_th_hz:
-            return DetectedEvent(
-                interval.start_s, interval.end_s, EventClass.SEIZURE,
-                b_pe_hz=med, decision_time_s=max(t, gate),
-            )
-        i += 1
+    if interval.duration_s >= t_min_s:
+        gate = interval.start_s + t_min_s
+        pending = sorted(zip(profile.completion_times_s, profile.window_bs))
+        for k, (t, b) in enumerate(pending):
+            bs.append(b)
+            if k + 1 < len(pending) and pending[k + 1][0] <= gate:
+                continue
+            med = float(statistics.median(bs))
+            if med > f_th_hz:
+                return DetectedEvent(
+                    interval.start_s, interval.end_s, EventClass.SEIZURE,
+                    b_pe_hz=med, decision_time_s=max(t, gate),
+                )
 
     b_pe = float(statistics.median(bs)) if bs else None
     cls = EventClass.ONGOING if interval.open_at_end else EventClass.NORMAL

@@ -22,6 +22,7 @@ from scipy.ndimage import median_filter
 
 from .config import PipelineConfig
 from .csi_sim import CsiTrace
+from .spectral_oracle import BREATHING_BAND_HZ
 
 __all__ = [
     "StreamId",
@@ -41,9 +42,6 @@ __all__ = [
 MAD_SCALE = 1.4826  # scaled-MAD factor for a normal distribution
 HAMPEL_WINDOW_S = 0.5
 HAMPEL_N_SIGMAS = 3.0
-# B_br = 2 * f_o,br, twice the adult maximum breathing rate of 0.3 Hz: the
-# in-band part of a stream's calibration SNR
-BREATHING_BAND_HZ = 0.6
 PCA_BLOCK_S = 4.0
 PCA_OVERLAP = 0.5
 

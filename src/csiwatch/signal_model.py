@@ -264,7 +264,10 @@ def phase_difference(
                 "no motion information (A_p = 0)",
                 stacklevel=2,
             )
-    return np.unwrap(np.angle(ci * np.conj(cj)))
+    # one operand order at every length: as an operator, a product of 16 384
+    # or more samples would be computed in place as conj(cj) *= ci, which
+    # rounds differently
+    return np.unwrap(np.angle(np.multiply(ci, np.conj(cj))))
 
 
 def phase_difference_params(paths_i: PathParams, paths_j: PathParams) -> tuple[float, float]:

@@ -32,7 +32,8 @@ from .signal_model import SceneGeometry
 __all__ = [
     "LineSpectrum",
     "MotionClass",
-    "MotionClassParams",
+    "CLASS_EXTREMA",
+    "BREATHING_BAND_HZ",
     "default_n_max",
     "line_mass",
     "bessel_line_spectrum",
@@ -79,49 +80,21 @@ class MotionClass(Enum):
     NORMAL_EVENT = "normal_event"
 
 
-# Motion parameter extrema per class: breathing rate 0.2-0.3 Hz with chest
-# speed <= 0.01 m/s; clonic jerking 1.5-5 Hz with peak speed >= 0.48 m/s
-# (a_max >= 15 m/s^2 at 5 Hz); normal sleep movements bandlimited to 2 Hz
-# with 99th-percentile speed 0.33 m/s.
-_CLASS_DEFAULTS = {
+# Bound-forming motion extrema per class, (f_o in Hz, v_max in m/s): the
+# seizure bound takes the class minima (slowest credible seizure), the
+# normal-event bound the class maxima (fastest credible normal movement).
+# Breathing rate 0.2-0.3 Hz with chest speed <= 0.01 m/s; clonic jerking
+# 1.5-5 Hz with peak speed >= 0.48 m/s (a_max >= 15 m/s^2 at 5 Hz); normal
+# sleep movements bandlimited to 2 Hz with 99th-percentile speed 0.33 m/s.
+CLASS_EXTREMA = {
     MotionClass.BREATHING: (0.3, 0.01),
     MotionClass.SEIZURE: (1.5, 0.48),
     MotionClass.NORMAL_EVENT: (2.0, 0.33),
 }
 
-
-@dataclass(frozen=True)
-class MotionClassParams:
-    """Motion-class parameters feeding the bandwidth bound.
-
-    Defaults are the bound-forming extrema: the seizure bound uses the class
-    minima (slowest credible seizure), the normal-event bound the class
-    maxima (fastest credible normal movement).
-    """
-
-    motion_class: MotionClass
-    f_o_hz: float | None = None
-    v_max_mps: float | None = None
-
-    def resolved(self) -> tuple[float, float]:
-        f_def, v_def = _CLASS_DEFAULTS[self.motion_class]
-        f_o = self.f_o_hz if self.f_o_hz is not None else f_def
-        v = self.v_max_mps if self.v_max_mps is not None else v_def
-        if f_o <= 0 or v < 0:
-            raise ValueError(f"invalid motion parameters f_o={f_o}, v_max={v}")
-        return f_o, v
-
-    @classmethod
-    def breathing(cls, f_o_hz: float = 0.3, v_max_mps: float = 0.01):
-        return cls(MotionClass.BREATHING, f_o_hz, v_max_mps)
-
-    @classmethod
-    def seizure_lower_bound(cls):
-        return cls(MotionClass.SEIZURE)
-
-    @classmethod
-    def normal_upper_bound(cls):
-        return cls(MotionClass.NORMAL_EVENT)
+# B_br = 2 * f_o,br: the band that event detection treats as stillness and
+# that calibration SNR counts as in-band
+BREATHING_BAND_HZ = 2.0 * CLASS_EXTREMA[MotionClass.BREATHING][0]
 
 
 def default_n_max(beta_prime: float) -> int:
@@ -207,22 +180,22 @@ def captured_power_fraction(spectrum: LineSpectrum, bandwidth_hz: float) -> floa
     return float(p[in_band].sum() / total)
 
 
-def class_bandwidth_bound(params: MotionClassParams, geometry: SceneGeometry) -> float:
-    """Bandwidth bound for a motion class at the given geometry.
+def class_bandwidth_bound(motion_class: MotionClass, geometry: SceneGeometry) -> float:
+    """Bandwidth bound for a motion class at the given geometry, from its
+    CLASS_EXTREMA.
 
     Breathing: 2*f_o (its modulation index stays below 1 for any pose).
-    Seizure / normal event: psi*v_max/lambda + f_o, a lower bound when
-    evaluated at the seizure minima and an upper bound at the normal-event
-    maxima.
+    Seizure / normal event: psi*v_max/lambda + f_o, a lower bound at the
+    seizure minima and an upper bound at the normal-event maxima.
     """
-    f_o, v_max = params.resolved()
-    if params.motion_class is MotionClass.BREATHING:
-        return 2.0 * f_o
+    if motion_class is MotionClass.BREATHING:
+        return BREATHING_BAND_HZ
+    f_o, v_max = CLASS_EXTREMA[motion_class]
     return geometry.psi * v_max / geometry.wavelength_m + f_o
 
 
 def derive_f_th(geometry: SceneGeometry) -> float:
     """Classification threshold: midpoint of the seizure and normal bounds."""
-    bw_sz = class_bandwidth_bound(MotionClassParams.seizure_lower_bound(), geometry)
-    bw_nm = class_bandwidth_bound(MotionClassParams.normal_upper_bound(), geometry)
+    bw_sz = class_bandwidth_bound(MotionClass.SEIZURE, geometry)
+    bw_nm = class_bandwidth_bound(MotionClass.NORMAL_EVENT, geometry)
     return 0.5 * (bw_sz + bw_nm)

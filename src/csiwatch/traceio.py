@@ -116,10 +116,13 @@ def _read_header(f, path) -> dict:
     line = f.readline(_MAX_HEADER_BYTES)
     if not line.endswith(b"\n"):
         raise ValueError(f"{path}: missing or oversized trace header line")
-    header = json.loads(line)
+    try:
+        header = json.loads(line)
+    except ValueError as e:  # not JSON, or not UTF-8 (a gzip file without .gz)
+        raise ValueError(f"{path}: trace header is not a JSON line ({e})") from e
     version = header.get("version") if isinstance(header, dict) else None
     if version != TRACE_FORMAT_VERSION:
-        raise ValueError(f"unsupported trace format version {version}")
+        raise ValueError(f"{path}: unsupported trace format version {version}")
     return header
 
 

@@ -49,7 +49,7 @@ from csiwatch.signal_model import (
     synth_baseband,
 )
 from csiwatch.spectral_oracle import (
-    MotionClassParams,
+    MotionClass,
     bessel_line_spectrum,
     carson_bandwidth,
     class_bandwidth_bound,
@@ -166,8 +166,8 @@ def test_theorem2_energy_capture(theorem_cases):
 
 def test_table1_reproduction():
     """Class bandwidth bounds and thresholds match the reference values."""
-    bw_sz = class_bandwidth_bound(MotionClassParams.seizure_lower_bound(), GEOMETRY)
-    bw_nm = class_bandwidth_bound(MotionClassParams.normal_upper_bound(), GEOMETRY)
+    bw_sz = class_bandwidth_bound(MotionClass.SEIZURE, GEOMETRY)
+    bw_nm = class_bandwidth_bound(MotionClass.NORMAL_EVENT, GEOMETRY)
     f_th = derive_f_th(GEOMETRY)
     assert 9.8 <= bw_sz <= 10.0, bw_sz
     assert 7.7 <= bw_nm <= 7.9, bw_nm

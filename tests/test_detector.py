@@ -1,9 +1,12 @@
 """Event detection, bandwidth estimation, and classification."""
 
 import math
+import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csiwatch import detector
 from csiwatch.config import PipelineConfig
@@ -19,6 +22,7 @@ from csiwatch.csi_sim import (
     seizure_profile,
 )
 from csiwatch.detector import (
+    DetectedEvent,
     DetectedInterval,
     EventBandwidthProfile,
     EventClass,
@@ -240,6 +244,77 @@ class TestClassification:
         profile = EventBandwidthProfile(interval, (4.0, 4.2, 4.1), (14.0, 16.0, 18.0))
         det = classify_event(profile, 8.85, 5.0)
         assert det.event_class is EventClass.ONGOING
+
+
+def _classify_by_docstring(profile, f_th_hz, t_min_s):
+    """classify_event's docstring rule, written out check by check."""
+    iv = profile.interval
+    undecided = EventClass.ONGOING if iv.open_at_end else EventClass.NORMAL
+    if iv.duration_s < t_min_s:
+        return DetectedEvent(iv.start_s, iv.end_s, undecided)
+    gate = iv.start_s + t_min_s
+    windows = list(zip(profile.completion_times_s, profile.window_bs))
+    checks = [gate] + [t for t, _ in windows if t > gate]
+    for check in checks:
+        done = [b for t, b in windows if t <= check]
+        if done and statistics.median(done) > f_th_hz:
+            return DetectedEvent(
+                iv.start_s, iv.end_s, EventClass.SEIZURE,
+                b_pe_hz=float(statistics.median(done)), decision_time_s=check,
+            )
+    b_pe = float(statistics.median(profile.window_bs)) if profile.window_bs else None
+    return DetectedEvent(iv.start_s, iv.end_s, undecided, b_pe_hz=b_pe)
+
+
+def seconds(lo, hi):
+    """Times in [lo, hi]; quarter seconds add up exactly, so a window can
+    complete right at start + T_min and a duration can equal T_min."""
+    return st.one_of(
+        st.integers(math.ceil(4 * lo), 4 * hi).map(lambda k: k / 4), st.floats(lo, hi)
+    )
+
+
+@st.composite
+def bandwidth_profiles(draw):
+    """An event's bandwidth profile with strictly increasing completion times."""
+    start = draw(seconds(0, 100))
+    duration = draw(seconds(0, 30))
+    interval = DetectedInterval(start, start + duration, draw(st.booleans()))
+    first = start + draw(seconds(0, 8))
+    steps = draw(st.lists(seconds(0.01, 6), max_size=8))
+    times = tuple(float(t) for t in first + np.cumsum([0.0] + steps))
+    times = times if draw(st.booleans()) else ()
+    bs = draw(st.lists(st.floats(0.0, 40.0), min_size=len(times), max_size=len(times)))
+    return EventBandwidthProfile(interval, tuple(bs), times)
+
+
+class TestClassifyEventRule:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(
+        profile=bandwidth_profiles(),
+        f_th=st.floats(1.2, 30.0),
+        t_min=seconds(0.1, 12),
+    )
+    def test_equals_docstring_rule(self, profile, f_th, t_min):
+        assert classify_event(profile, f_th, t_min) == _classify_by_docstring(
+            profile, f_th, t_min
+        )
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(
+        profile=bandwidth_profiles(),
+        f_th_pair=st.lists(st.floats(1.2, 30.0), min_size=2, max_size=2),
+        t_min=seconds(0.1, 12),
+    )
+    def test_monotone_in_f_th(self, profile, f_th_pair, t_min):
+        # a higher f_th gives no seizure the lower one missed, and no
+        # earlier decision
+        low, high = sorted(f_th_pair)
+        at_low = classify_event(profile, low, t_min)
+        at_high = classify_event(profile, high, t_min)
+        if at_high.event_class is EventClass.SEIZURE:
+            assert at_low.event_class is EventClass.SEIZURE
+            assert at_high.decision_time_s >= at_low.decision_time_s
 
 
 class TestInvariantsAndMonotonicity:

@@ -200,6 +200,25 @@ class TestTraceIO:
         assert main(["detect", "--trace", str(path)]) == 2
         assert "unsupported trace format version" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, message", [
+        (b'{"version": 1}\n', "unsupported trace format version 1"),
+        (b"[2]\n", "unsupported trace format version None"),
+        (b"not a header\n", "trace header is not a JSON line"),
+        ("gzip", "trace header is not a JSON line"),
+    ])
+    def test_bad_header_named_by_path(self, tmp_path, capsys, content, message):
+        path = tmp_path / "bad.csitrace"
+        if content == "gzip":  # a compressed trace without its .gz suffix
+            write_trace(tiny_trace(), tmp_path / "bad.csitrace.gz")
+            (tmp_path / "bad.csitrace.gz").rename(path)
+        else:
+            path.write_bytes(content)
+        with pytest.raises(ValueError) as exc:
+            read_trace(path)
+        assert str(exc.value).startswith(f"{path}: {message}")
+        assert main(["detect", "--trace", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
     @pytest.mark.parametrize("bad, match", BAD_TIMESTAMPS + [
         ("nan_sample", "non-finite CSI"),
         ("inf_all_streams", "non-finite CSI"),
@@ -819,6 +838,21 @@ class TestCli:
         f_ths = [float(line.split(",")[1]) for line in lines[1:]]
         assert f_ths[0] == pytest.approx(8.83, abs=0.1)
         assert f_ths[1] == pytest.approx(11.64, abs=0.15)
+
+    def test_psi_sweep_honours_config_f_th(self, tmp_path):
+        tdir = tmp_path / "traces"
+        tdir.mkdir()
+        scenario = self._write_scenario(tmp_path)
+        assert main(["simulate", "--config", str(scenario),
+                     "--out", str(tdir / "n1.csitrace")]) == 0
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({"f_th_hz": 30.0}))
+        out_csv = tmp_path / "psi.csv"
+        assert main(["sweep", "--trace-dir", str(tdir), "--param", "psi",
+                     "--config", str(config), "--out", str(out_csv)]) == 0
+        row = out_csv.read_text().strip().splitlines()[1].split(",")
+        assert float(row[1]) == 30.0  # the config's f_th, not the derived 8.83
+        assert float(row[2]) == 0.0  # no seizure bandwidth reaches 30 Hz
 
 
 class TestPipelineEndToEnd:

@@ -383,8 +383,8 @@ class TestSelection:
         config = PipelineConfig()
         assert config.t_cal_s == 13.0
         assert config.k_streams == 15
-        assert preprocess.BREATHING_BAND_HZ == pytest.approx(0.6)
-        assert ED_BAND_HZ == pytest.approx(1.1)
+        assert preprocess.BREATHING_BAND_HZ == 0.6
+        assert ED_BAND_HZ == 1.1
 
     def test_trace_shorter_than_calibration_rejected(self):
         trace = breathing_trace(duration=10.0, n_rx=2, n_sc=3)

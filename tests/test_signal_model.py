@@ -245,3 +245,12 @@ class TestPhaseDifference:
     def test_mismatched_grids_rejected(self):
         with pytest.raises(ValueError):
             phase_difference(np.ones(5, complex), np.ones(6, complex))
+
+    def test_prefix_is_bit_equal(self):
+        # the rounding of the per-sample product does not depend on the
+        # series length
+        rng = np.random.default_rng(0)
+        ci, cj = rng.standard_normal((2, 20_000)) + 1j * rng.standard_normal((2, 20_000))
+        full = phase_difference(ci, cj)
+        head = phase_difference(ci[:1000], cj[:1000])
+        assert np.array_equal(full[:1000].view(np.int64), head.view(np.int64))

@@ -16,7 +16,6 @@ from csiwatch.signal_model import (
 )
 from csiwatch.spectral_oracle import (
     MotionClass,
-    MotionClassParams,
     bessel_line_spectrum,
     captured_power_fraction,
     carson_bandwidth,
@@ -116,34 +115,23 @@ class TestCarsonBandwidth:
 class TestClassBounds:
     def test_table_at_psi_1(self):
         g = SceneGeometry()  # wavelength 5.7225 cm, psi 1
-        bw_sz = class_bandwidth_bound(MotionClassParams.seizure_lower_bound(), g)
-        bw_nm = class_bandwidth_bound(MotionClassParams.normal_upper_bound(), g)
+        bw_sz = class_bandwidth_bound(MotionClass.SEIZURE, g)
+        bw_nm = class_bandwidth_bound(MotionClass.NORMAL_EVENT, g)
         assert 9.8 <= bw_sz <= 10.0
         assert 7.7 <= bw_nm <= 7.9
-        assert class_bandwidth_bound(MotionClassParams.breathing(), g) == pytest.approx(0.6)
+        assert class_bandwidth_bound(MotionClass.BREATHING, g) == pytest.approx(0.6)
 
     def test_config_c2_psi_1p4(self):
         g = SceneGeometry(psi=1.4)
-        assert class_bandwidth_bound(
-            MotionClassParams.seizure_lower_bound(), g
-        ) == pytest.approx(13.23, abs=0.05)
-        assert class_bandwidth_bound(
-            MotionClassParams.normal_upper_bound(), g
-        ) == pytest.approx(10.06, abs=0.05)
+        assert class_bandwidth_bound(MotionClass.SEIZURE, g) == pytest.approx(13.23, abs=0.05)
+        assert class_bandwidth_bound(MotionClass.NORMAL_EVENT, g) == pytest.approx(
+            10.06, abs=0.05
+        )
 
     def test_psi_zero_reduces_to_f_o(self):
         g = SceneGeometry(psi=0.0)
-        assert class_bandwidth_bound(
-            MotionClassParams.seizure_lower_bound(), g
-        ) == pytest.approx(1.5)
-        assert class_bandwidth_bound(
-            MotionClassParams.normal_upper_bound(), g
-        ) == pytest.approx(2.0)
-
-    def test_explicit_params_override_defaults(self):
-        g = SceneGeometry()
-        p = MotionClassParams(MotionClass.SEIZURE, f_o_hz=3.0, v_max_mps=0.6)
-        assert class_bandwidth_bound(p, g) == pytest.approx(0.6 / g.wavelength_m + 3.0)
+        assert class_bandwidth_bound(MotionClass.SEIZURE, g) == pytest.approx(1.5)
+        assert class_bandwidth_bound(MotionClass.NORMAL_EVENT, g) == pytest.approx(2.0)
 
 
 class TestDeriveFth:
@@ -160,13 +148,27 @@ class TestDeriveFth:
     def test_reference_thresholds(self, psi, expected, tol):
         assert derive_f_th(SceneGeometry(psi=psi)) == pytest.approx(expected, abs=tol)
 
+    @pytest.mark.parametrize(
+        "psi,f_th",
+        [
+            (1.0, 8.82732634338139),
+            (1.4, 11.658256880733944),
+            (0.7, 6.704128440366972),
+            (1.44, 11.941349934469201),
+            (1.61, 13.144495412844037),
+        ],
+    )
+    def test_thresholds_bit_exact(self, psi, f_th):
+        # the values derive_f_th gave before the class extrema became one table
+        assert derive_f_th(SceneGeometry(psi=psi)) == f_th
+
     def test_threshold_separates_bounds(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             g = SceneGeometry(wavelength_m=rng.uniform(0.02, 0.12),
                               psi=rng.uniform(0.0, 2.0))
-            bw_sz = class_bandwidth_bound(MotionClassParams.seizure_lower_bound(), g)
-            bw_nm = class_bandwidth_bound(MotionClassParams.normal_upper_bound(), g)
+            bw_sz = class_bandwidth_bound(MotionClass.SEIZURE, g)
+            bw_nm = class_bandwidth_bound(MotionClass.NORMAL_EVENT, g)
             f_th = derive_f_th(g)
             if bw_sz > bw_nm:
                 assert bw_nm < f_th < bw_sz
