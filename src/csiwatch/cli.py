@@ -155,19 +155,20 @@ def cmd_sweep(args) -> int:
             f"{r['value']:g},{_fmt(r['sdr_pct'])},{_fmt(r['p_fa'])},{_fmt(r['mrt_s'])}"
             for r in rows
         ]
-    else:  # psi: f_th from --config, else derived from each group's geometry
-        by_psi: dict[float, list] = {}
+    else:  # psi: one row per (psi, wavelength); f_th from --config, else derived
+        groups: dict[tuple[float, float], list] = {}
         for analysis in analyses:
-            by_psi.setdefault(analysis.geometry.psi, []).append(analysis)
-        lines = ["psi,f_th_hz,sdr_pct,p_fa,mrt_s"]
-        for psi in sorted(by_psi):
-            group = by_psi[psi]
+            g = analysis.geometry
+            groups.setdefault((g.psi, g.wavelength_m), []).append(analysis)
+        lines = ["psi,wavelength_m,f_th_hz,sdr_pct,p_fa,mrt_s"]
+        for psi, wavelength in sorted(groups):
+            group = groups[psi, wavelength]
             f_th = config.resolve_f_th(group[0].geometry)
             combined = combine_reports(
                 [harness.report_for(a, f_th, config.t_min_s) for a in group]
             )
             lines.append(
-                f"{psi:g},{f_th:.4f},{_fmt(combined.sdr_pct)},"
+                f"{psi:g},{wavelength:g},{f_th:.4f},{_fmt(combined.sdr_pct)},"
                 f"{_fmt(combined.p_fa)},{_fmt(combined.mrt_s)}"
             )
 

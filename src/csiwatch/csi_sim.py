@@ -20,7 +20,6 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .signal_model import (
     MotionProfile,
@@ -28,6 +27,7 @@ from .signal_model import (
     SampledProfile,
     SceneGeometry,
     SinusoidProfile,
+    cumulative_trapezoid,
 )
 
 __all__ = [
@@ -518,7 +518,7 @@ def _event_displacement(event: ScenarioEvent, t: np.ndarray) -> np.ndarray:
         final = float(event.motion.displacement_at(np.array([event.duration_s]))[0])
     else:
         v = event.motion.velocity_at(local)
-        seg = cumulative_trapezoid(v, t[lo:hi], initial=0.0)
+        seg = cumulative_trapezoid(v, t[lo:hi])
         final = float(seg[-1]) if seg.size else 0.0
     d[lo:hi] = seg
     d[hi:] = final

@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 __all__ = [
     "SceneGeometry",
@@ -201,6 +200,14 @@ def _time_grid(duration_s: float, sample_rate_hz: float) -> np.ndarray:
     return np.arange(n + 1) / sample_rate_hz
 
 
+def cumulative_trapezoid(v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Running trapezoid-rule integral of v over t, starting at 0: the
+    expression of scipy.integrate.cumulative_trapezoid(v, t, initial=0),
+    so equal to it bit for bit, without importing scipy.integrate."""
+    steps = np.diff(t) * (v[1:] + v[:-1]) / 2.0
+    return np.concatenate(([0.0], np.cumsum(steps)))[: v.size]
+
+
 def integrate_velocity(profile: MotionProfile, sample_rate_hz: float) -> np.ndarray:
     """Displacement series d(t) = integral of v(t), sampled at sample_rate_hz.
 
@@ -215,7 +222,7 @@ def integrate_velocity(profile: MotionProfile, sample_rate_hz: float) -> np.ndar
     if isinstance(profile, SinusoidProfile):
         return profile.displacement_at(t)
     v = profile.velocity_at(t)
-    return cumulative_trapezoid(v, t, initial=0.0)
+    return cumulative_trapezoid(v, t)
 
 
 def synth_baseband(

@@ -336,3 +336,15 @@ class TestPackageImport:
             capture_output=True, text=True, check=True,
         )
         assert out.stdout.strip() == "False"
+
+    def test_import_leaves_scipy_integrate_and_ndimage_unloaded(self):
+        # the trapezoid integral and the Hampel median are numpy code, so
+        # scipy.special (the Bessel functions) is the only scipy part needed
+        src = str(Path(csiwatch.__file__).resolve().parents[1])
+        code = ("import sys, csiwatch; "
+                "print([m for m in ('scipy.integrate', 'scipy.ndimage') if m in sys.modules])")
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"

@@ -834,8 +834,8 @@ class TestCli:
         assert main(["sweep", "--trace-dir", str(tdir), "--param", "psi",
                      "--out", str(out_csv)]) == 0
         lines = out_csv.read_text().strip().splitlines()
-        assert lines[0] == "psi,f_th_hz,sdr_pct,p_fa,mrt_s"
-        f_ths = [float(line.split(",")[1]) for line in lines[1:]]
+        assert lines[0] == "psi,wavelength_m,f_th_hz,sdr_pct,p_fa,mrt_s"
+        f_ths = [float(line.split(",")[2]) for line in lines[1:]]
         assert f_ths[0] == pytest.approx(8.83, abs=0.1)
         assert f_ths[1] == pytest.approx(11.64, abs=0.15)
 
@@ -851,8 +851,30 @@ class TestCli:
         assert main(["sweep", "--trace-dir", str(tdir), "--param", "psi",
                      "--config", str(config), "--out", str(out_csv)]) == 0
         row = out_csv.read_text().strip().splitlines()[1].split(",")
-        assert float(row[1]) == 30.0  # the config's f_th, not the derived 8.83
-        assert float(row[2]) == 0.0  # no seizure bandwidth reaches 30 Hz
+        assert float(row[2]) == 30.0  # the config's f_th, not the derived 8.83
+        assert float(row[3]) == 0.0  # no seizure bandwidth reaches 30 Hz
+
+    def test_psi_sweep_groups_by_wavelength(self, tmp_path):
+        # equal psi, different wavelengths: each group derives its own f_th
+        tdir = tmp_path / "traces"
+        tdir.mkdir()
+        for name, wavelength in [("short", 0.057225), ("long", 0.12)]:
+            scenario = self._write_scenario(
+                tmp_path, duration_s=60.0,
+                geometry={"wavelength_m": wavelength, "psi": 1.0},
+                events=[{"kind": "seizure", "start_s": 25.0, "duration_s": 22.0,
+                         "v_max_mps": 0.75, "f_o_hz": 3.0}],
+            )
+            assert main(["simulate", "--config", str(scenario),
+                         "--out", str(tdir / f"{name}.csitrace")]) == 0
+        out_csv = tmp_path / "psi.csv"
+        assert main(["sweep", "--trace-dir", str(tdir), "--param", "psi",
+                     "--out", str(out_csv)]) == 0
+        rows = [line.split(",") for line in out_csv.read_text().strip().splitlines()[1:]]
+        assert [(r[0], r[1]) for r in rows] == [("1", "0.057225"), ("1", "0.12")]
+        assert float(rows[0][2]) == pytest.approx(8.83, abs=0.01)
+        assert float(rows[1][2]) == pytest.approx(5.12, abs=0.01)
+        assert [float(r[3]) for r in rows] == [100.0, 100.0]
 
 
 class TestPipelineEndToEnd:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import median_filter
 
 from csiwatch import preprocess
 from csiwatch.config import PipelineConfig
@@ -22,6 +23,8 @@ from csiwatch.csi_sim import (
 )
 from csiwatch.detector import ED_BAND_HZ
 from csiwatch.preprocess import (
+    HAMPEL_N_SIGMAS,
+    MAD_SCALE,
     StreamId,
     StreamSet,
     all_stream_ids,
@@ -150,6 +153,107 @@ class TestHampel:
         extract_pipeline_stream(trace, calibrate(trace, PipelineConfig(k_streams=3)))
         assert len(windows) == trace.n_streams + 3
         assert set(windows) == {51}
+
+    @pytest.mark.parametrize("window", [3, 5, 21, 101, 201])
+    def test_long_stream_bit_equal_to_median_filter(self, window):
+        x = mixed_stream(24_000, seed=window)
+        out = hampel_filter(x, window)
+        assert out.tobytes() == median_filter_hampel(x, window).tobytes()
+        assert np.count_nonzero(out != x) > 0
+
+    def test_threshold_ties_bit_equal_to_median_filter(self):
+        # integers -2..2 give a zero median and a MAD of 1 in most windows, so
+        # a sample at +-HAMPEL_N_SIGMAS*MAD_SCALE sits exactly on the threshold;
+        # runs of one value give zero MADs, where the threshold is 0
+        rng = np.random.default_rng(7)
+        x = rng.integers(-2, 3, 30_000).astype(np.float64)
+        t = HAMPEL_N_SIGMAS * MAD_SCALE
+        spikes = rng.choice(x.size, 600, replace=False)
+        x[spikes] = rng.choice([t, -t, np.nextafter(t, 10.0), 2.0 + t, -2.0 - t], 600)
+        for start in range(1000, 30_000, 3000):
+            x[start : start + 200] = x[start]
+        med, threshold = _median_and_threshold(x, 101)
+        dev = np.abs(x - med)
+        assert np.count_nonzero((dev == threshold) & (threshold > 0)) > 100
+        assert np.count_nonzero((dev == threshold) & (threshold == 0)) > 1000
+        out = hampel_filter(x, 101)
+        assert out.tobytes() == median_filter_hampel(x, 101).tobytes()
+
+    @pytest.mark.parametrize("window", [3, 5, 101])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, "2w"])
+    def test_short_stream_bit_equal_to_median_filter(self, window, extra):
+        n = 2 * window if extra == "2w" else window + extra
+        x = mixed_stream(n, seed=n)
+        assert hampel_filter(x, window).tobytes() == median_filter_hampel(x, window).tobytes()
+
+    def test_input_not_modified(self):
+        x = mixed_stream(20_000, seed=3)
+        before = x.copy()
+        out = hampel_filter(x, 101)
+        assert np.count_nonzero(out != x) > 0
+        assert x.tobytes() == before.tobytes()
+
+    def test_peak_memory_on_hour_row(self):
+        # one 720 000-sample row (an hour at 200 Hz): no more than the 29.6 MB
+        # that the median-filter version added
+        x = mixed_stream(720_000, seed=11)
+        tracemalloc.start()
+        try:
+            hampel_filter(x, 101)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 29.6e6
+
+
+def mixed_stream(n, seed):
+    """Drift, noise, two steps, constant runs, a quantized stretch (tied
+    values) and spikes. Quantizing can give -0.0, which is made +0.0: where a
+    window holds both zeros, either is its median."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n)
+    x = 0.3 * np.sin(2 * math.pi * t / 700) + 1e-4 * t + rng.normal(0.0, 0.05, n)
+    x += 2.0 * (t >= n // 3) - 1.5 * (t >= 2 * n // 3)
+    for start in rng.integers(0, n, 8):
+        x[start : start + int(rng.integers(20, 300))] = x[start]
+    quantized = slice(n // 2, n // 2 + n // 6 + 1)
+    x[quantized] = np.round(x[quantized] * 8) / 8
+    spikes = rng.random(n) < 0.01
+    x[spikes] += rng.choice([-1.0, 1.0], spikes.sum()) * rng.uniform(0.5, 10.0, spikes.sum())
+    return x + 0.0
+
+
+def _median_and_threshold(x, w):
+    """Full running median (nearest-edge padding) and per-sample threshold
+    as the median-filter version of hampel_filter formed them."""
+    n = x.size
+    med = median_filter(x, size=w, mode="nearest")
+    hop = (w + 1) // 2
+    windows = np.lib.stride_tricks.sliding_window_view(x, w)[::hop]
+    centers = w // 2 + hop * np.arange(windows.shape[0])
+    abs_dev = windows - med[centers, None]
+    np.abs(abs_dev, out=abs_dev)
+    abs_dev.partition(w // 2, axis=1)
+    mad_rows = abs_dev[:, w // 2]
+    counts = np.full(mad_rows.size, hop)
+    counts[0] = w // 2 + hop // 2 + 1
+    counts[-1] = n - counts[:-1].sum()
+    return med, np.repeat(HAMPEL_N_SIGMAS * MAD_SCALE * mad_rows, counts)
+
+
+def median_filter_hampel(stream, window_samples):
+    """hampel_filter as it was built on scipy.ndimage.median_filter: the
+    oracle for bit-equality."""
+    x = np.asarray(stream, dtype=np.float64)
+    n = x.size
+    w = min(window_samples, n if n % 2 == 1 else n - 1)
+    if w < 3:
+        return x.copy()
+    med, threshold = _median_and_threshold(x, w)
+    dev = x - med
+    np.abs(dev, out=dev)
+    np.copyto(med, x, where=dev <= threshold)
+    return med
 
 
 def reference_hampel(x, window, n_sigmas=3.0):
