@@ -17,7 +17,7 @@ import numpy as np
 from . import harness, traceio
 from .config import PipelineConfig
 from .detector import ED_THRESHOLD_Q, EventClass
-from .metrics import combine_reports, compute_report
+from .metrics import compute_report
 from .signal_model import SceneGeometry
 from .spectral_oracle import (
     MotionClass,
@@ -136,6 +136,11 @@ def _parse_grid(text: str) -> np.ndarray:
 
 def cmd_sweep(args) -> int:
     config = _pipeline_config(args)
+    values = ()
+    if args.param != "psi":
+        if not args.grid:
+            raise ValueError(f"--grid is required for a {args.param} sweep")
+        values = _parse_grid(args.grid)
 
     analyses = []
     for path in _find_traces(Path(args.trace_dir)):
@@ -145,36 +150,14 @@ def cmd_sweep(args) -> int:
         _check_calibration_clear(path, trace, args.cal_start, config)
         analyses.append(harness.analyze_trace(trace, config, cal_start_s=args.cal_start))
 
-    if args.param in ("f_th", "t_min"):
-        if not args.grid:
-            raise ValueError(f"--grid is required for a {args.param} sweep")
-        values = _parse_grid(args.grid)
-        rows = harness.sweep_parameter(analyses, args.param, values, config)
-        header = f"{args.param},sdr_pct,p_fa,mrt_s"
-        lines = [header] + [
-            f"{r['value']:g},{_fmt(r['sdr_pct'])},{_fmt(r['p_fa'])},{_fmt(r['mrt_s'])}"
-            for r in rows
-        ]
-    else:  # psi: one row per (psi, wavelength); f_th from --config, else derived
-        groups: dict[tuple[float, float], list] = {}
-        for analysis in analyses:
-            g = analysis.geometry
-            groups.setdefault((g.psi, g.wavelength_m), []).append(analysis)
-        lines = ["psi,wavelength_m,f_th_hz,sdr_pct,p_fa,mrt_s"]
-        for psi, wavelength in sorted(groups):
-            group = groups[psi, wavelength]
-            f_th = config.resolve_f_th(group[0].geometry)
-            combined = combine_reports(
-                [harness.report_for(a, f_th, config.t_min_s) for a in group]
-            )
-            lines.append(
-                f"{psi:g},{wavelength:g},{f_th:.4f},{_fmt(combined.sdr_pct)},"
-                f"{_fmt(combined.p_fa)},{_fmt(combined.mrt_s)}"
-            )
-
+    rows = harness.sweep_parameter(analyses, args.param, values, config)
+    lines = [",".join(rows[0])] + [
+        ",".join(f"{v:.4f}" if k == "f_th_hz" else _fmt(v) for k, v in row.items())
+        for row in rows
+    ]
     out = Path(args.out)
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"sweep written to {out} ({len(lines) - 1} rows)")
+    print(f"sweep written to {out} ({len(rows)} rows)")
     return 0
 
 
@@ -240,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="metric curves over f_th, t_min, or psi")
     p.add_argument("--trace-dir", required=True)
     p.add_argument("--param", required=True, choices=["f_th", "t_min", "psi"])
-    p.add_argument("--grid", help="start:stop:step (f_th and t_min sweeps)")
+    p.add_argument("--grid", help="start:stop:step, required for f_th and t_min sweeps; "
+                   "a psi sweep ignores it and gives one row per (psi, wavelength)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--config", help=PIPELINE_CONFIG_HELP)
     p.add_argument("--cal-start", type=float, default=0.0)

@@ -2,8 +2,10 @@
 
 `run_pipeline` is the production path: calibrate, denoise, detect, classify.
 `analyze_trace` additionally keeps every event's bandwidth trajectory so that
-sweeps over f_th or T_min re-classify without recomputing spectra, which
-makes the sweep curves exact functions of the fixed underlying data.
+sweeps re-classify without recomputing spectra, which makes the sweep curves
+exact functions of the fixed underlying data. `sweep_parameter` builds all
+three sweeps: over f_th, over T_min, and per (psi, wavelength) group at each
+group's f_th. Its rows are keyed by the CSV columns `csiwatch sweep` writes.
 """
 
 from __future__ import annotations
@@ -140,34 +142,42 @@ def sweep_parameter(
     values,
     config: PipelineConfig,
 ) -> list[dict]:
-    """Metric rows (param value, SDR, P_FA, MRT) over a fixed trace corpus.
+    """Metric rows over a fixed trace corpus, keyed by their CSV columns.
 
     param "f_th" varies the classification threshold at the configured
-    T_min; "t_min" varies the duration gate at each trace's derived (or
-    configured) f_th.
+    T_min; each row is {"f_th", "sdr_pct", "p_fa", "mrt_s"}. "t_min" varies
+    the duration gate at each trace's resolved f_th; each row is {"t_min",
+    "sdr_pct", "p_fa", "mrt_s"}. "psi" ignores values and gives one row per
+    (psi, wavelength) group of traces, at the group's resolved f_th and the
+    configured T_min, sorted by psi then wavelength; each row is {"psi",
+    "wavelength_m", "f_th_hz", "sdr_pct", "p_fa", "mrt_s"}. A metric whose
+    denominator is empty is None.
     """
-    if param not in ("f_th", "t_min"):
-        raise ValueError(f"sweep parameter must be f_th or t_min, got {param!r}")
-    rows = []
-    for value in values:
-        reports = []
+    # (row keys, (trace, f_th) pairs, T_min) per row
+    if param == "f_th":
+        cells = [({"f_th": float(v)}, [(a, float(v)) for a in analyses], config.t_min_s)
+                 for v in values]
+    elif param == "t_min":
+        own = [(a, config.resolve_f_th(a.geometry)) for a in analyses]
+        cells = [({"t_min": float(v)}, own, float(v)) for v in values]
+    elif param == "psi":
+        groups: dict[tuple[float, float], list[TraceAnalysis]] = {}
         for analysis in analyses:
-            if param == "f_th":
-                f_th, t_min = float(value), config.t_min_s
-            else:
-                f_th = config.resolve_f_th(analysis.geometry)
-                t_min = float(value)
-            reports.append(report_for(analysis, f_th, t_min))
-        combined = combine_reports(reports)
-        rows.append(
-            {
-                "param": param,
-                "value": float(value),
-                "sdr_pct": combined.sdr_pct,
-                "p_fa": combined.p_fa,
-                "mrt_s": combined.mrt_s,
-            }
-        )
+            g = analysis.geometry
+            groups.setdefault((g.psi, g.wavelength_m), []).append(analysis)
+        cells = []
+        for psi, wavelength in sorted(groups):
+            group = groups[psi, wavelength]
+            f_th = config.resolve_f_th(group[0].geometry)
+            keys = {"psi": psi, "wavelength_m": wavelength, "f_th_hz": f_th}
+            cells.append((keys, [(a, f_th) for a in group], config.t_min_s))
+    else:
+        raise ValueError(f"sweep parameter must be f_th, t_min or psi, got {param!r}")
+    rows = []
+    for keys, runs, t_min in cells:
+        combined = combine_reports([report_for(a, f_th, t_min) for a, f_th in runs])
+        rows.append({**keys, "sdr_pct": combined.sdr_pct, "p_fa": combined.p_fa,
+                     "mrt_s": combined.mrt_s})
     return rows
 
 

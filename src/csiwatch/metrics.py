@@ -52,104 +52,80 @@ def compute_report(
 ) -> RunReport:
     """Join detections with ground truth and compute SDR / P_FA / RT.
 
-    Pure function of (detections, labels): re-running it on an events file
-    read back from disk reproduces the report exactly.
+    Each detection is matched to the labels it overlaps once; every count
+    and event row reads those matches. Pure function of (detections,
+    labels): re-running it on an events file read back from disk
+    reproduces the report exactly.
     """
-    seizure_labels = [l for l in labels if l.is_seizure]
-    normal_labels = [l for l in labels if not l.is_seizure]
-
-    def dets_overlapping(label: LabelInterval) -> list[DetectedEvent]:
-        return [
-            d for d in detections
-            if _overlaps(d.start_s, d.end_s, label.start_s, label.end_s)
-        ]
-
-    rt_list: list[float] = []
-    n_detected_seizures = 0
-    for label in seizure_labels:
-        verdicts = [
-            d for d in dets_overlapping(label)
-            if d.event_class is EventClass.SEIZURE and d.decision_time_s is not None
-        ]
-        if verdicts:
-            n_detected_seizures += 1
-            rt_list.append(min(d.decision_time_s for d in verdicts) - label.start_s)
-
-    def det_hits_seizure(det: DetectedEvent) -> bool:
-        return any(
-            _overlaps(det.start_s, det.end_s, l.start_s, l.end_s)
-            for l in seizure_labels
-        )
-
-    n_normals_detected = 0
-    n_false_alarms = 0
-    for label in normal_labels:
-        dets = dets_overlapping(label)
-        if not dets:
+    matches = [
+        [i for i, l in enumerate(labels) if _overlaps(d.start_s, d.end_s, l.start_s, l.end_s)]
+        for d in detections
+    ]
+    verdict_times: dict[int, list[float]] = {}  # seizure label -> its verdict times
+    detected: set[int] = set()
+    false_alarms: set[int] = set()
+    for d, matched in zip(detections, matches):
+        detected.update(matched)
+        if d.event_class is not EventClass.SEIZURE:
             continue
-        n_normals_detected += 1
-        if any(
-            d.event_class is EventClass.SEIZURE and not det_hits_seizure(d)
-            for d in dets
-        ):
-            n_false_alarms += 1
+        seizures = [i for i in matched if labels[i].is_seizure]
+        if not seizures:
+            false_alarms.update(matched)
+        elif d.decision_time_s is not None:
+            for i in seizures:
+                verdict_times.setdefault(i, []).append(d.decision_time_s)
 
-    sdr = 100.0 * n_detected_seizures / len(seizure_labels) if seizure_labels else None
-    p_fa = n_false_alarms / n_normals_detected if n_normals_detected else None
-    mrt = sum(rt_list) / len(rt_list) if rt_list else None
-
-    event_rows = []
-    for d in detections:
-        matched = [
-            l for l in labels if _overlaps(d.start_s, d.end_s, l.start_s, l.end_s)
-        ]
-        event_rows.append(
-            {
-                "start_s": d.start_s,
-                "end_s": d.end_s,
-                "class": d.event_class.value,
-                "b_pe_hz": d.b_pe_hz,
-                "decision_time_s": d.decision_time_s,
-                "matched_labels": [
-                    {"start_s": l.start_s, "end_s": l.end_s,
-                     "kind": l.kind.value, "person_id": l.person_id}
-                    for l in matched
-                ],
-            }
-        )
-
-    return RunReport(
-        sdr_pct=sdr,
-        p_fa=p_fa,
-        rt_list_s=rt_list,
-        mrt_s=mrt,
-        n_seizures=len(seizure_labels),
-        n_seizures_detected=n_detected_seizures,
-        n_normal_events=len(normal_labels),
-        n_normals_detected=n_normals_detected,
-        n_false_alarms=n_false_alarms,
+    seizure_ids = [i for i, l in enumerate(labels) if l.is_seizure]
+    event_rows = [
+        {
+            "start_s": d.start_s,
+            "end_s": d.end_s,
+            "class": d.event_class.value,
+            "b_pe_hz": d.b_pe_hz,
+            "decision_time_s": d.decision_time_s,
+            "matched_labels": [
+                {"start_s": labels[i].start_s, "end_s": labels[i].end_s,
+                 "kind": labels[i].kind.value, "person_id": labels[i].person_id}
+                for i in matched
+            ],
+        }
+        for d, matched in zip(detections, matches)
+    ]
+    return _scored(
+        n_seizures=len(seizure_ids),
+        n_seizures_detected=len(verdict_times),
+        n_normal_events=len(labels) - len(seizure_ids),
+        n_normals_detected=sum(not labels[i].is_seizure for i in detected),
+        n_false_alarms=len(false_alarms),
+        rt_list_s=[
+            min(verdict_times[i]) - labels[i].start_s for i in seizure_ids if i in verdict_times
+        ],
         events=event_rows,
         config=config_snapshot or {},
         trace_checksum=trace_checksum,
     )
 
 
+_COUNTS = ("n_seizures", "n_seizures_detected", "n_normal_events", "n_normals_detected",
+           "n_false_alarms")
+
+
 def combine_reports(reports: list[RunReport]) -> RunReport:
     """Aggregate per-trace reports into corpus-level metrics (exact counts)."""
-    n_sz = sum(r.n_seizures for r in reports)
-    n_sz_det = sum(r.n_seizures_detected for r in reports)
-    n_nm = sum(r.n_normal_events for r in reports)
-    n_nm_det = sum(r.n_normals_detected for r in reports)
-    n_fa = sum(r.n_false_alarms for r in reports)
-    rt = [t for r in reports for t in r.rt_list_s]
+    return _scored(
+        **{name: sum(getattr(r, name) for r in reports) for name in _COUNTS},
+        rt_list_s=[t for r in reports for t in r.rt_list_s],
+    )
+
+
+def _scored(rt_list_s: list[float], **fields) -> RunReport:
+    """The RunReport of these counts and response times. SDR, P_FA and MRT
+    are computed here, and are None where their denominator is zero."""
+    n_sz, n_nm_det = fields["n_seizures"], fields["n_normals_detected"]
     return RunReport(
-        sdr_pct=100.0 * n_sz_det / n_sz if n_sz else None,
-        p_fa=n_fa / n_nm_det if n_nm_det else None,
-        rt_list_s=rt,
-        mrt_s=sum(rt) / len(rt) if rt else None,
-        n_seizures=n_sz,
-        n_seizures_detected=n_sz_det,
-        n_normal_events=n_nm,
-        n_normals_detected=n_nm_det,
-        n_false_alarms=n_fa,
+        sdr_pct=100.0 * fields["n_seizures_detected"] / n_sz if n_sz else None,
+        p_fa=fields["n_false_alarms"] / n_nm_det if n_nm_det else None,
+        rt_list_s=rt_list_s,
+        mrt_s=sum(rt_list_s) / len(rt_list_s) if rt_list_s else None,
+        **fields,
     )

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import jv
 
 from .signal_model import SceneGeometry
 
@@ -104,6 +103,8 @@ def default_n_max(beta_prime: float) -> int:
 
 def line_mass(beta_prime: float, n_max: int) -> float:
     """Two-sided Bessel mass J_0^2 + 2*sum_{n=1..n_max} J_n^2 (total is 1)."""
+    from scipy.special import jv  # here, so that `import csiwatch` loads no scipy
+
     n = np.arange(n_max + 1)
     j = jv(n, beta_prime)
     return float(j[0] ** 2 + 2.0 * np.sum(j[1:] ** 2))
@@ -132,6 +133,8 @@ def bessel_line_spectrum(
             f"n_max = {n_max} captures less than {MIN_LINE_MASS:.1%} of the line "
             f"mass for beta' = {beta_prime}; need n_max >= {default_n_max(beta_prime)}"
         )
+    from scipy.special import jv
+
     n = np.arange(n_max + 1)
     j = jv(n, beta_prime)
     amps = np.where(

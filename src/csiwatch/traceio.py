@@ -54,6 +54,8 @@ TRACE_FORMAT_VERSION = 2
 TRACE_SUFFIXES = (".csitrace", ".csitrace.gz")
 
 _MAX_HEADER_BYTES = 1 << 16
+_LABELS_HEADER = "start_s,end_s,class,person_id"
+_EVENTS_HEADER = "start_s,end_s,class,b_pe_hz,decision_time_s"
 
 
 @contextlib.contextmanager
@@ -192,7 +194,7 @@ def read_trace(path) -> CsiTrace:
 
 def write_labels(events, path) -> None:
     with _open(path, "w") as f:
-        f.write("start_s,end_s,class,person_id\n")
+        f.write(_LABELS_HEADER + "\n")
         for ev in events:
             f.write(
                 f"{float(ev.start_s)!r},{float(ev.end_s)!r},"
@@ -207,37 +209,52 @@ def read_labels(path) -> list[LabelInterval]:
     end before its start, an unknown class or a non-integer person id
     raises ValueError naming ``<path>:<line>``.
     """
-    labels = []
+    return _read_csv(path, _LABELS_HEADER, _label_row)
+
+
+def _read_csv(path, header: str, parse_row) -> list:
+    """``parse_row(fields)`` of each non-blank line after ``header``.
+
+    A different header raises ValueError naming the path; a row with the
+    wrong number of fields, or one that ``parse_row`` refuses, raises
+    ValueError naming ``<path>:<line>``.
+    """
+    n_fields = header.count(",") + 1
+    rows = []
     with _open(path, "r") as f:
-        header = f.readline().strip()
-        if header != "start_s,end_s,class,person_id":
-            raise ValueError(f"{path}: unexpected label header {header!r}")
+        got = f.readline().strip()
+        if got != header:
+            raise ValueError(f"{path}: unexpected header {got!r}, expected {header!r}")
         for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
+            fields = line.strip().split(",")
+            if fields == [""]:
                 continue
             try:
-                labels.append(_label_row(line))
+                if len(fields) != n_fields:
+                    raise ValueError(f"expected {n_fields} fields, got {len(fields)}")
+                rows.append(parse_row(fields))
             except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: {e}") from e
-    return labels
+    return rows
 
 
-def _label_row(line: str) -> LabelInterval:
-    fields = line.split(",")
-    if len(fields) != 4:
-        raise ValueError(f"expected 4 fields, got {len(fields)}")
+def _interval(fields: list[str], what: str) -> tuple[float, float]:
+    """The finite (start_s, end_s) of a row's first two fields, end >= start."""
     start, end = float(fields[0]), float(fields[1])
     if not (math.isfinite(start) and math.isfinite(end)):
-        raise ValueError(f"non-finite label time in {line!r}")
+        raise ValueError(f"non-finite {what} time in {','.join(fields)!r}")
     if end < start:
-        raise ValueError(f"label ends at {end} s, before its start at {start} s")
-    return LabelInterval(start, end, EventKind(fields[2]), int(fields[3]))
+        raise ValueError(f"{what} ends at {end} s, before its start at {start} s")
+    return start, end
+
+
+def _label_row(fields: list[str]) -> LabelInterval:
+    return LabelInterval(*_interval(fields, "label"), EventKind(fields[2]), int(fields[3]))
 
 
 def write_events_csv(events: list[DetectedEvent], path) -> None:
     with _open(path, "w") as f:
-        f.write("start_s,end_s,class,b_pe_hz,decision_time_s\n")
+        f.write(_EVENTS_HEADER + "\n")
         for ev in events:
             b = "" if ev.b_pe_hz is None else repr(float(ev.b_pe_hz))
             d = "" if ev.decision_time_s is None else repr(float(ev.decision_time_s))
@@ -248,26 +265,22 @@ def write_events_csv(events: list[DetectedEvent], path) -> None:
 
 
 def read_events_csv(path) -> list[DetectedEvent]:
-    events = []
-    with _open(path, "r") as f:
-        header = f.readline().strip()
-        if header != "start_s,end_s,class,b_pe_hz,decision_time_s":
-            raise ValueError(f"{path}: unexpected events header {header!r}")
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            start, end, cls, b, d = line.split(",")
-            events.append(
-                DetectedEvent(
-                    start_s=float(start),
-                    end_s=float(end),
-                    event_class=EventClass(cls),
-                    b_pe_hz=float(b) if b else None,
-                    decision_time_s=float(d) if d else None,
-                )
-            )
-    return events
+    """Read an events CSV (start_s, end_s, class, b_pe_hz, decision_time_s).
+
+    A row without five fields, with a time or bandwidth that is not a
+    finite number, an end before its start or an unknown class raises
+    ValueError naming ``<path>:<line>``. An empty b_pe_hz or
+    decision_time_s is None.
+    """
+    return _read_csv(path, _EVENTS_HEADER, _event_row)
+
+
+def _event_row(fields: list[str]) -> DetectedEvent:
+    start, end = _interval(fields, "event")
+    b, d = (float(x) if x else None for x in fields[3:])
+    if not all(math.isfinite(x) for x in (b, d) if x is not None):
+        raise ValueError(f"non-finite b_pe_hz or decision_time_s in {','.join(fields)!r}")
+    return DetectedEvent(start, end, EventClass(fields[2]), b, d)
 
 
 def write_report(report, path) -> None:

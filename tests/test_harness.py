@@ -9,6 +9,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from csiwatch.cli import main
 from csiwatch.config import PipelineConfig
@@ -34,7 +36,7 @@ from csiwatch.harness import (
     simulate_from_config,
     sweep_parameter,
 )
-from csiwatch.metrics import combine_reports, compute_report
+from csiwatch.metrics import RunReport, combine_reports, compute_report
 from csiwatch.signal_model import SceneGeometry
 from csiwatch.traceio import (
     read_events_csv,
@@ -315,6 +317,35 @@ class TestTraceIO:
         write_events_csv(events, path)
         assert read_events_csv(path) == events
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("30.0,25.0,seizure,12.0,35.0", "event ends at 25.0 s, before its start at 30.0 s"),
+            ("nan,25.0,seizure,12.0,35.0", "non-finite event time"),
+            ("10.0,inf,normal,,", "non-finite event time"),
+            ("10.0,25.0,seizure", "expected 5 fields, got 3"),
+            ("10.0,25.0,seizur,12.0,15.0", "'seizur' is not a valid EventClass"),
+            ("10.0,25.0,seizure,wide,15.0", "could not convert string to float: 'wide'"),
+            ("10.0,25.0,seizure,12.0,nan", "non-finite b_pe_hz or decision_time_s"),
+        ],
+        ids=["reversed", "nan", "inf", "three-fields", "unknown-class", "bad-bandwidth",
+             "nan-decision"],
+    )
+    def test_bad_event_row_named_by_line(self, tmp_path, row, message):
+        path = tmp_path / "x.events.csv"
+        path.write_text("start_s,end_s,class,b_pe_hz,decision_time_s\n"
+                        f"1.0,2.0,normal,,\n\n{row}\n")
+        with pytest.raises(ValueError, match=rf"x\.events\.csv:4: .*{re.escape(message)}"):
+            read_events_csv(path)
+
+    @pytest.mark.parametrize("reader, name", [(read_labels, "x.labels.csv"),
+                                              (read_events_csv, "x.events.csv")])
+    def test_unexpected_csv_header_named_by_path(self, tmp_path, reader, name):
+        path = tmp_path / name
+        path.write_text("start,end\n1.0,2.0\n")
+        with pytest.raises(ValueError, match=rf"{re.escape(name)}: unexpected header 'start,end'"):
+            reader(path)
+
 
 class TestMetrics:
     def _labels(self):
@@ -393,6 +424,166 @@ class TestMetrics:
         assert combined.n_seizures == 1 and combined.n_seizures_detected == 1
         assert combined.sdr_pct == 100.0
         assert combined.p_fa is None  # the cough was never detected
+
+
+def _overlaps(a0, a1, b0, b1):
+    return min(a1, b1) - max(a0, b0) > 0.0
+
+
+def reference_compute_report(detections, labels):
+    """compute_report as it was when it tested each detection against the
+    labels three times: the oracle for the one-pass matching."""
+    seizure_labels = [l for l in labels if l.is_seizure]
+    normal_labels = [l for l in labels if not l.is_seizure]
+
+    def dets_overlapping(label):
+        return [
+            d for d in detections
+            if _overlaps(d.start_s, d.end_s, label.start_s, label.end_s)
+        ]
+
+    rt_list = []
+    n_detected_seizures = 0
+    for label in seizure_labels:
+        verdicts = [
+            d for d in dets_overlapping(label)
+            if d.event_class is EventClass.SEIZURE and d.decision_time_s is not None
+        ]
+        if verdicts:
+            n_detected_seizures += 1
+            rt_list.append(min(d.decision_time_s for d in verdicts) - label.start_s)
+
+    def det_hits_seizure(det):
+        return any(
+            _overlaps(det.start_s, det.end_s, l.start_s, l.end_s)
+            for l in seizure_labels
+        )
+
+    n_normals_detected = 0
+    n_false_alarms = 0
+    for label in normal_labels:
+        dets = dets_overlapping(label)
+        if not dets:
+            continue
+        n_normals_detected += 1
+        if any(
+            d.event_class is EventClass.SEIZURE and not det_hits_seizure(d)
+            for d in dets
+        ):
+            n_false_alarms += 1
+
+    sdr = 100.0 * n_detected_seizures / len(seizure_labels) if seizure_labels else None
+    p_fa = n_false_alarms / n_normals_detected if n_normals_detected else None
+    mrt = sum(rt_list) / len(rt_list) if rt_list else None
+
+    event_rows = []
+    for d in detections:
+        matched = [
+            l for l in labels if _overlaps(d.start_s, d.end_s, l.start_s, l.end_s)
+        ]
+        event_rows.append(
+            {
+                "start_s": d.start_s,
+                "end_s": d.end_s,
+                "class": d.event_class.value,
+                "b_pe_hz": d.b_pe_hz,
+                "decision_time_s": d.decision_time_s,
+                "matched_labels": [
+                    {"start_s": l.start_s, "end_s": l.end_s,
+                     "kind": l.kind.value, "person_id": l.person_id}
+                    for l in matched
+                ],
+            }
+        )
+
+    return RunReport(
+        sdr_pct=sdr,
+        p_fa=p_fa,
+        rt_list_s=rt_list,
+        mrt_s=mrt,
+        n_seizures=len(seizure_labels),
+        n_seizures_detected=n_detected_seizures,
+        n_normal_events=len(normal_labels),
+        n_normals_detected=n_normals_detected,
+        n_false_alarms=n_false_alarms,
+        events=event_rows,
+    )
+
+
+def reference_combine_reports(reports):
+    """combine_reports as it was before it shared compute_report's scoring."""
+    n_sz = sum(r.n_seizures for r in reports)
+    n_sz_det = sum(r.n_seizures_detected for r in reports)
+    n_nm = sum(r.n_normal_events for r in reports)
+    n_nm_det = sum(r.n_normals_detected for r in reports)
+    n_fa = sum(r.n_false_alarms for r in reports)
+    rt = [t for r in reports for t in r.rt_list_s]
+    return RunReport(
+        sdr_pct=100.0 * n_sz_det / n_sz if n_sz else None,
+        p_fa=n_fa / n_nm_det if n_nm_det else None,
+        rt_list_s=rt,
+        mrt_s=sum(rt) / len(rt) if rt else None,
+        n_seizures=n_sz,
+        n_seizures_detected=n_sz_det,
+        n_normal_events=n_nm,
+        n_normals_detected=n_nm_det,
+        n_false_alarms=n_fa,
+    )
+
+
+# times on a half-second grid, so intervals often touch or coincide and
+# labels are often zero-length, mixed with arbitrary times
+_times = st.one_of(st.integers(0, 24).map(lambda k: k / 2.0),
+                   st.floats(0.0, 12.0, allow_nan=False))
+
+
+@st.composite
+def _labels(draw):
+    start, length = draw(_times), draw(_times)
+    return LabelInterval(start, start + length, draw(st.sampled_from(EventKind)),
+                         draw(st.sampled_from([1, 2])))
+
+
+@st.composite
+def _detections(draw):
+    start, length = draw(_times), draw(_times)
+    return DetectedEvent(start, start + length, draw(st.sampled_from(EventClass)),
+                         draw(st.none() | _times), draw(st.none() | _times))
+
+
+_scored_night = st.tuples(st.lists(_detections(), max_size=6),
+                          st.lists(_labels(), max_size=6))
+
+
+# a detection touching a seizure label's end, a zero-length label, a seizure
+# verdict without a decision time, an ONGOING event and both persons
+_EDGE_NIGHT = (
+    [DetectedEvent(15.0, 20.0, EventClass.SEIZURE, 9.0, None),
+     DetectedEvent(20.0, 26.0, EventClass.SEIZURE, 9.5, 25.0),
+     DetectedEvent(28.0, 32.0, EventClass.ONGOING, None, None)],
+    [LabelInterval(10.0, 20.0, EventKind.SEIZURE, 1),
+     LabelInterval(20.0, 25.0, EventKind.POSTURE_SHIFT, 2),
+     LabelInterval(30.0, 30.0, EventKind.COUGH, 1)],
+)
+
+
+class TestReportOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(night=_scored_night)
+    @example(night=_EDGE_NIGHT)
+    def test_compute_report_equals_reference(self, night):
+        detections, labels = night
+        got = compute_report(detections, labels)
+        assert dataclasses.asdict(got) == dataclasses.asdict(
+            reference_compute_report(detections, labels))
+
+    @settings(max_examples=100, deadline=None)
+    @given(nights=st.lists(_scored_night, max_size=4))
+    @example(nights=[_EDGE_NIGHT, ([], [])])
+    def test_combine_reports_equals_reference(self, nights):
+        got = combine_reports([compute_report(d, l) for d, l in nights])
+        want = reference_combine_reports([reference_compute_report(d, l) for d, l in nights])
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
 
 class TestScenarioConfig:
@@ -569,6 +760,28 @@ class TestSweeps:
             sweep_parameter([], "q", [1.0], PipelineConfig())
 
 
+@pytest.fixture(scope="module")
+def two_wavelength_traces(tmp_path_factory):
+    """Three one-minute traces, each with a seizure and two normal events:
+    psi 1 and 1.4 at 5.72 cm, and psi 1 at 12 cm."""
+    tdir = tmp_path_factory.mktemp("sweep_traces")
+    for seed, wavelength, psi in [(1, 0.057225, 1.0), (2, 0.057225, 1.4), (3, 0.12, 1.0)]:
+        cfg = {"duration_s": 60.0, "seed": seed, "n_rx": 3, "n_sc": 6, "dtype": "complex64",
+               "noise": {"awgn_sigma": 0.02, "jitter_std_s": 0.0005},
+               "geometry": {"wavelength_m": wavelength, "psi": psi},
+               "events": [
+                   {"kind": "seizure", "start_s": 16.0, "duration_s": 22.0,
+                    "v_max_mps": 0.75, "f_o_hz": 3.0},
+                   {"kind": "posture_shift", "start_s": 42.0, "duration_s": 8.0},
+                   {"kind": "scratch", "start_s": 53.0, "duration_s": 4.0},
+               ]}
+        scenario = tdir / f"s{seed}.json"
+        scenario.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(scenario),
+                     "--out", str(tdir / f"n{seed}.csitrace")]) == 0
+    return tdir
+
+
 class TestCli:
     def _write_scenario(self, tmp_path, **overrides):
         cfg = {
@@ -678,6 +891,24 @@ class TestCli:
 
         got = {name: file_sha256(tmp_path / name) for name in self.RECORDED_OUTPUTS[case]}
         assert got == self.RECORDED_OUTPUTS[case]
+
+    # SHA-256 of the sweep CSVs over two_wavelength_traces, recorded while
+    # cmd_sweep still grouped the psi sweep and combined its reports itself
+    RECORDED_SWEEPS = {
+        ("f_th", "3:11:2"): "8ece988874000607e822e01637cc4ecd3095e9e0a67f896988452abb456e9a7f",
+        ("t_min", "2:26:8"): "33f9ab8d8e168012d93247b00c1adf85c5855ebeb89b98e967fec8eaba8f0200",
+        ("psi", None): "2d4759efffcb765ce323627407bbbeca440c54d3ed1f0db6bfbbb70539cd468c",
+    }
+
+    @pytest.mark.parametrize("param, grid", list(RECORDED_SWEEPS))
+    def test_sweep_csv_matches_recorded(self, tmp_path, two_wavelength_traces, param, grid):
+        out_csv = tmp_path / f"{param}.csv"
+        argv = ["sweep", "--trace-dir", str(two_wavelength_traces), "--param", param,
+                "--out", str(out_csv)]
+        assert main(argv + (["--grid", grid] if grid else [])) == 0
+        from csiwatch.traceio import file_sha256
+
+        assert file_sha256(out_csv) == self.RECORDED_SWEEPS[param, grid]
 
     @pytest.mark.parametrize("suffix", ["csitrace", "csitrace.gz"])
     def test_simulate_deterministic_checksums(self, tmp_path, suffix):
