@@ -337,3 +337,25 @@ class TestPackageImport:
             capture_output=True, text=True, check=True,
         )
         assert out.stdout.strip() == "[]"
+
+    def test_import_leaves_scipy_signal_unloaded(self):
+        # in a fresh interpreter: importing scipy.signal alone costs about
+        # half a second, and no csiwatch module needs it
+        src = str(Path(csiwatch.__file__).resolve().parents[1])
+        code = "import sys, csiwatch; print('scipy.signal' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"
+
+    def test_import_leaves_scipy_integrate_and_ndimage_unloaded(self):
+        # the trapezoid integral and the Hampel median are numpy code
+        src = str(Path(csiwatch.__file__).resolve().parents[1])
+        code = ("import sys, csiwatch; "
+                "print([m for m in ('scipy.integrate', 'scipy.ndimage') if m in sys.modules])")
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"
