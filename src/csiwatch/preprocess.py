@@ -12,13 +12,17 @@ Per-stream filtering and SNR are independent per stream; CalibrationState is
 immutable once computed. Hampel outlier rejection takes a sample's exact
 running median only where that median could flip its keep-or-replace
 decision: every other sample is cleared against order-statistic bounds from
-the nearest MAD window (see hampel_filter). This module needs numpy only.
+the nearest MAD window (see hampel_filter). Streams are derived in chunks of
+DERIVE_CHUNK grid samples: each chunk's packet search and slope denominators
+are shared by every raw series it resamples (see derive_streams). This module
+needs numpy only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +49,7 @@ MAD_SCALE = 1.4826  # scaled-MAD factor for a normal distribution
 HAMPEL_WINDOW_S = 0.5
 HAMPEL_N_SIGMAS = 3.0
 HAMPEL_CHUNK = 1024  # windows partitioned per batch
+DERIVE_CHUNK = 4096  # grid samples resampled per batch
 PCA_BLOCK_S = 4.0
 PCA_OVERLAP = 0.5
 
@@ -98,32 +103,153 @@ class StreamSet:
         return len(self.ids)
 
 
-def resample_uniform(
-    timestamps_s: np.ndarray, values: np.ndarray, grid_s: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Linear interpolation of complex samples at (possibly jittered) packet
-    times onto a uniform grid, component-wise.
+class _InterpPlan(NamedTuple):
+    """np.interp's work on one chunk of grid points, done once for every
+    raw series the chunk resamples.
 
-    Returns the real and the imaginary part on the grid as two float64
-    arrays; no complex series is formed. Only the packets that bracket the
-    grid are interpolated, so resampling a short window costs the same on an
-    hour-long series as on a short one. Grid points outside the timestamp
-    span clamp to the edge values.
+    A point g strictly between packets j and j+1 is interpolated from
+    dx = ts[j+1] - ts[j] and off = g - ts[j]. Every other point takes one
+    packet's value as it is: the first packet's before it, the last
+    packet's from it on, packet j's on an exact hit.
     """
-    if grid_s.size:
-        lo, hi = np.searchsorted(timestamps_s, (grid_s[0], grid_s[-1]))
-        bracket = slice(max(lo - 1, 0), hi + 1)
-        timestamps_s, values = timestamps_s[bracket], values[bracket]
-    re = np.interp(grid_s, timestamps_s, values.real)
-    im = np.interp(grid_s, timestamps_s, values.imag)
-    return re, im
+
+    grid_s: np.ndarray  # the chunk's grid times
+    left: np.ndarray  # packet j of each interpolated point
+    right: np.ndarray  # j + 1
+    dx: np.ndarray  # per interpolated point, twice: real and imaginary part
+    off: np.ndarray  # likewise
+    inner: np.ndarray | None  # positions of the interpolated points; None: all
+    take: np.ndarray  # positions of the other points
+    take_j: np.ndarray  # the packet each of them takes
 
 
-def _uniform_grid(trace: CsiTrace, start_s: float, end_s: float) -> np.ndarray:
-    fs = trace.sample_rate_hz
-    i0 = int(round(start_s * fs))
-    i1 = int(round(end_s * fs))
-    return np.arange(i0, i1) / fs
+def _last_packets(ts: np.ndarray, fs: float, i0: int, i1: int) -> np.ndarray:
+    """np.searchsorted(ts, grid, "right") - 1 on the grid i / fs, i in
+    [i0, i1): the last packet at or before each point, -1 before the first.
+
+    Each packet between the chunk's ends is counted from the first grid
+    index whose time is at or after the packet's. fl(i / fs) rises with i,
+    so stepping from ceil(t * fs) settles on that index exactly.
+    """
+    a, b = np.searchsorted(ts, (i0 / fs, (i1 - 1) / fs), side="right")
+    t = ts[a:b]
+    first = np.ceil(t * fs)
+    while (late := (first - 1) / fs >= t).any():
+        first -= late
+    while (early := first / fs < t).any():
+        first += early
+    n_new = np.bincount((first - i0).astype(np.intp), minlength=i1 - i0)
+    return np.cumsum(n_new) + (a - 1)
+
+
+def _interp_plan(trace: CsiTrace, i0: int, i_end: int) -> _InterpPlan:
+    """The plan of the DERIVE_CHUNK grid indices from i0 on, or of those
+    before i_end if fewer; grid point i lies at i / fs."""
+    ts, fs = trace.timestamps_s, trace.sample_rate_hz
+    i1 = min(i0 + DERIVE_CHUNK, i_end)
+    grid = np.arange(i0, i1, dtype=np.float64) / fs
+    j = _last_packets(ts, fs, i0, i1)
+    t0 = ts[np.maximum(j, 0)]
+    take = (j < 0) | (j == ts.size - 1) | (t0 == grid)
+    inner, g = None, grid
+    if take.any():
+        inner = np.flatnonzero(~take)
+        take = np.flatnonzero(take)
+        take_j = np.maximum(j[take], 0)
+        j, t0, g = j[inner], t0[inner], grid[inner]
+    else:
+        take = take_j = j[:0]
+    dx = np.repeat(ts[j + 1] - t0, 2)
+    off = np.repeat(g - t0, 2)
+    return _InterpPlan(grid, j, j + 1, dx, off, inner, take, take_j)
+
+
+def _pairs(samples: np.ndarray) -> np.ndarray:
+    """Complex samples as one real array of (real, imaginary) pairs."""
+    if samples.dtype.kind != "c":
+        samples = samples + 0j
+    return samples.view(samples.real.dtype)
+
+
+def _first_non_finite_s(values: np.ndarray, plan: _InterpPlan) -> float:
+    """The plan's first grid time whose np.interp value reads a non-finite
+    sample of ``values`` (and so is non-finite itself)."""
+    bad = np.zeros(plan.grid_s.size, dtype=bool)
+    read = ~(np.isfinite(values[plan.left]) & np.isfinite(values[plan.right]))
+    bad[slice(None) if plan.inner is None else plan.inner] = read
+    bad[plan.take] = ~np.isfinite(values[plan.take_j])
+    return float(plan.grid_s[np.argmax(bad)])
+
+
+def resample_uniform(
+    values: np.ndarray, plan: _InterpPlan, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Linear interpolation of one series of complex samples at (possibly
+    jittered) packet times onto one chunk's grid points, component-wise.
+
+    ``plan`` holds the packets that bracket each grid point and the slope
+    denominators, so that work is done once per chunk, not once per series.
+    Returns the real and the imaginary part on the chunk, bit for bit
+    np.interp's on the whole series: (y[j+1] - y[j]) / dx, times off, plus
+    y[j], each step rounded to float64. The two are the float64 views of
+    ``out``, a complex128 array of the chunk's length (a new one if None).
+    Grid points outside the timestamp span clamp to the edge values. Only
+    the packets the plan names are read, each checked before use: a NaN or
+    Inf among them raises ValueError naming the first grid time whose value
+    it would make non-finite.
+    """
+    y0, y1 = _pairs(values[plan.left]), _pairs(values[plan.right])
+    finite = np.isfinite(y0).all() and np.isfinite(y1).all()
+    if plan.inner is not None:
+        kept = values[plan.take_j]
+        finite = finite and np.isfinite(kept).all()
+    if not finite:
+        raise ValueError(f"non-finite CSI sample at {_first_non_finite_s(values, plan):.3f} s")
+    if out is None:
+        out = np.empty(plan.grid_s.size, dtype=np.complex128)
+    d = out.view(np.float64) if plan.inner is None else np.empty(y0.size)
+    y0 = y0.astype(np.float64, copy=False)
+    np.copyto(d, y1)
+    d -= y0
+    d /= plan.dx
+    d *= plan.off
+    d += y0
+    if plan.inner is not None:
+        out[plan.inner] = d.view(np.complex128)
+        # an exact hit, a signed zero included, keeps its packet's value
+        out[plan.take] = kept
+    return out.real, out.imag
+
+
+def _raise_non_finite(trace: CsiTrace, ids, i0: int, i1: int) -> None:
+    """Raise the ValueError of the first stream in ``ids`` order whose raw
+    series resample to a non-finite value on the grid indices [i0, i1),
+    naming the first such time of the first such series it reads."""
+    for sid in ids:
+        for rx in (sid.rx,) if sid.kind == "mag" else (sid.rx, 0):
+            for i in range(i0, i1, DERIVE_CHUNK):
+                try:
+                    resample_uniform(trace.csi[rx, sid.sc], _interp_plan(trace, i, i1))
+                except ValueError as err:
+                    raise ValueError(f"stream {sid}: {err}") from None
+
+
+def _derive_chunk(trace: CsiTrace, ids, plan: _InterpPlan, cols: np.ndarray) -> None:
+    """Write the plan's chunk of every stream in ``ids`` into ``cols``."""
+    for row, sid in zip(cols, ids):
+        values = trace.csi[sid.rx, sid.sc]
+        if sid.kind == "mag":
+            re, im = resample_uniform(values, plan)
+            np.multiply(re, re, out=row)
+            row += np.multiply(im, im, out=im)
+        else:
+            c, conj_c0 = np.empty((2, row.size), dtype=np.complex128)
+            resample_uniform(values, plan, c)
+            resample_uniform(trace.csi[0, sid.sc], plan, conj_c0)
+            np.conjugate(conj_c0, out=conj_c0)
+            # one operand order everywhere: conj_c0 * c rounds differently
+            np.multiply(c, conj_c0, out=conj_c0)
+            np.arctan2(conj_c0.imag, conj_c0.real, out=row)
 
 
 def derive_streams(
@@ -134,61 +260,41 @@ def derive_streams(
 ) -> StreamSet:
     """Form the requested derived streams on the uniform grid.
 
-    Each stream resamples the raw series it reads from the trace's packet
-    timestamps onto the nominal uniform grid, as real and imaginary parts.
-    A magnitude row is re*re + im*im, written straight into its row. A phase
-    difference also reads antenna 0's series and is the unwrapped angle of
-    c * conj(c_0), multiplied in that operand order at every length. No raw
-    series outlives its stream, so extracting a few streams from an
-    hour-long trace stays cheap. A NaN or Inf sample in a series a requested
-    stream reads raises ValueError naming the stream and the time.
+    The grid is walked in chunks of DERIVE_CHUNK samples. A chunk's
+    interpolation plan (the packets around each grid point) is made once,
+    and every raw series a requested stream reads is resampled on the chunk
+    from it, as real and imaginary parts, into the stream's columns. A
+    magnitude is re*re + im*im. A phase difference also reads antenna 0's
+    series and is the angle of c * conj(c_0), multiplied in that operand
+    order; its row is unwrapped whole once every chunk is in. A raw series
+    is read again by every stream that needs it and held for one chunk
+    only, so resampling needs a few chunks' memory however long the trace
+    is. Every row is bit for bit the one np.interp gives on whole series.
+
+    A NaN or Inf sample that a requested stream resamples raises ValueError
+    naming the first such stream in ``ids`` order and its first such grid
+    time, as if each stream were formed whole in turn.
     """
     if end_s is None:
         end_s = trace.duration_s
     if ids is None:
         ids = all_stream_ids(trace.n_rx, trace.n_sc)
-    grid = _uniform_grid(trace, start_s, end_s)
-
-    def raw(rx: int, sc: int, sid: StreamId) -> tuple[np.ndarray, np.ndarray]:
-        re, im = resample_uniform(trace.timestamps_s, trace.csi[rx, sc], grid)
-        # NaN and Inf carry into the sum, so one reduction checks a part
-        if not (np.isfinite(re.sum()) and np.isfinite(im.sum())):
-            k = int(np.argmin(np.isfinite(re) & np.isfinite(im)))
-            raise ValueError(f"stream {sid}: non-finite CSI sample at {grid[k]:.3f} s")
-        return re, im
-
-    def complex_raw(rx: int, sc: int, sid: StreamId) -> np.ndarray:
-        # read first: np.interp's buffers are freed before c is allocated
-        re, im = raw(rx, sc, sid)
-        c = np.empty(grid.size, dtype=np.complex128)
-        c.real, c.imag = re, im
-        return c
-
-    def magnitude(sid: StreamId, out: np.ndarray) -> None:
-        re, im = raw(sid.rx, sid.sc, sid)
-        np.multiply(re, re, out=out)
-        out += np.multiply(im, im, out=im)
-
-    def phase_difference(sid: StreamId, out: np.ndarray) -> None:
-        c = complex_raw(sid.rx, sid.sc, sid)
-        conj_c0 = complex_raw(0, sid.sc, sid)
-        np.conjugate(conj_c0, out=conj_c0)
-        # one operand order at every length: an unnamed product of 16 384
-        # or more samples would be computed in place as conj_c0 *= c, which
-        # rounds differently
-        np.multiply(c, conj_c0, out=conj_c0)
-        np.arctan2(conj_c0.imag, conj_c0.real, out=out)
-
-    data = np.empty((len(ids), grid.size), dtype=np.float64)
+    fs = trace.sample_rate_hz
+    i0, i1 = int(round(start_s * fs)), int(round(end_s * fs))
+    data = np.empty((len(ids), max(i1 - i0, 0)), dtype=np.float64)
+    try:
+        for i in range(i0, i1, DERIVE_CHUNK):
+            # the plan is dropped before the next one is made
+            cols = data[:, i - i0 : i - i0 + DERIVE_CHUNK]
+            _derive_chunk(trace, ids, _interp_plan(trace, i, i1), cols)
+    except ValueError:
+        # name the stream that forming each stream whole, in ids order, would
+        _raise_non_finite(trace, ids, i, i1)
+        raise
     for row, sid in zip(data, ids):
-        if sid.kind == "mag":
-            magnitude(sid, row)
-        else:
-            phase_difference(sid, row)
+        if sid.kind == "pd":
             _unwrap_in_place(row)
-    return StreamSet(
-        tuple(ids), data, trace.sample_rate_hz, start_s=grid[0] if grid.size else start_s
-    )
+    return StreamSet(tuple(ids), data, fs, start_s=i0 / fs if i1 > i0 else start_s)
 
 
 def _unwrap_in_place(phase: np.ndarray) -> None:

@@ -15,6 +15,7 @@ from scipy.ndimage import median_filter
 from csiwatch import preprocess
 from csiwatch.config import PipelineConfig
 from csiwatch.csi_sim import (
+    CsiTrace,
     NoiseSpec,
     Scenario,
     breathing_profile,
@@ -23,6 +24,7 @@ from csiwatch.csi_sim import (
 )
 from csiwatch.detector import ED_BAND_HZ
 from csiwatch.preprocess import (
+    DERIVE_CHUNK,
     HAMPEL_N_SIGMAS,
     MAD_SCALE,
     StreamId,
@@ -279,6 +281,83 @@ def reference_hampel(x, window, n_sigmas=3.0):
     return out
 
 
+def reference_derive_streams(trace, ids=None, start_s=0.0, end_s=None):
+    """derive_streams written with whole-series np.interp: each stream in
+    ids order resamples every raw series it reads with two np.interp calls
+    on the packets around the window, and fails on the first non-finite
+    value. Returns the rows and the window's start."""
+    if end_s is None:
+        end_s = trace.duration_s
+    if ids is None:
+        ids = all_stream_ids(trace.n_rx, trace.n_sc)
+    fs = trace.sample_rate_hz
+    grid = np.arange(int(round(start_s * fs)), int(round(end_s * fs))) / fs
+
+    def complex_raw(rx, sc, sid):
+        ts, values = trace.timestamps_s, trace.csi[rx, sc]
+        if grid.size:
+            lo, hi = np.searchsorted(ts, (grid[0], grid[-1]))
+            ts, values = ts[max(lo - 1, 0) : hi + 1], values[max(lo - 1, 0) : hi + 1]
+        c = np.empty(grid.size, dtype=np.complex128)
+        c.real = np.interp(grid, ts, values.real)
+        c.imag = np.interp(grid, ts, values.imag)
+        bad = ~np.isfinite(c)
+        if bad.any():
+            raise ValueError(f"stream {sid}: non-finite CSI sample at {grid[np.argmax(bad)]:.3f} s")
+        return c
+
+    data = np.empty((len(ids), grid.size))
+    for row, sid in zip(data, ids):
+        c = complex_raw(sid.rx, sid.sc, sid)
+        if sid.kind == "mag":
+            np.multiply(c.real, c.real, out=row)
+            row += c.imag * c.imag
+        else:
+            conj_c0 = np.conjugate(complex_raw(0, sid.sc, sid))
+            np.multiply(c, conj_c0, out=conj_c0)
+            row[:] = np.unwrap(np.arctan2(conj_c0.imag, conj_c0.real))
+    return data, grid[0] if grid.size else start_s
+
+
+@st.composite
+def irregular_traces(draw, n_rx=2, n_sc=2):
+    """A trace with packet gaps of several periods, jitter that can put two
+    packets or none between grid points, exact grid hits, repeated samples
+    and +-0.0 parts; and a window that may start before the first packet,
+    end after the last, or cross chunk edges."""
+    n = draw(st.one_of(
+        st.sampled_from([DERIVE_CHUNK - 1, DERIVE_CHUNK, DERIVE_CHUNK + 1, 2 * DERIVE_CHUNK + 1]),
+        st.integers(1, 300),
+    ))
+    fs = draw(st.sampled_from([200.0, 100.0, 1000.0 / 7]))
+    # a trace file may also hold real samples
+    dtype = draw(st.sampled_from([np.complex64, np.complex128, np.float32]))
+    gap_rate, jitter, hit_rate, zero_rate = draw(st.tuples(
+        st.sampled_from([0.0, 0.01, 0.3]), st.sampled_from([0.0, 0.001, 0.45]),
+        st.sampled_from([0.0, 0.3, 1.0]), st.sampled_from([0.0, 0.05, 0.5]),
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gaps = np.where(rng.random(n) < gap_rate, rng.integers(1, 6, n), 0)
+    gaps[0] = 0
+    offsets = rng.uniform(-jitter, jitter, n)
+    offsets[rng.random(n) < hit_rate] = 0.0
+    timestamps = (np.arange(n) + np.cumsum(gaps) + offsets) / fs
+    csi = rng.normal(size=(n_rx, n_sc, n)).astype(dtype)
+    if csi.dtype.kind == "c":
+        csi.imag = rng.normal(size=csi.shape)
+    repeat = np.flatnonzero(rng.random(n - 1) < 0.1)
+    csi[..., repeat + 1] = csi[..., repeat]
+    for part in (csi.real, csi.imag) if csi.dtype.kind == "c" else (csi,):
+        zero = rng.random(part.shape) < zero_rate
+        part[zero] = np.copysign(0.0, rng.normal(size=int(zero.sum())))
+    trace = CsiTrace(fs, csi, timestamps, events=(), geometry=G)
+    if draw(st.booleans()):
+        return trace, 0.0, None
+    start_s = draw(st.floats(-0.05, 0.9)) * trace.duration_s
+    end_s = start_s + draw(st.floats(0.0, 1.1)) * trace.duration_s
+    return trace, start_s, end_s
+
+
 class TestDeriveStreams:
     def test_nan_sample_named(self):
         trace = breathing_trace(duration=10.0, n_rx=2, n_sc=2)
@@ -384,6 +463,87 @@ class TestDeriveStreams:
             tracemalloc.stop()
         series_bytes = trace.n_samples * np.dtype(np.complex128).itemsize
         assert peak < streams.data.nbytes + 4 * series_bytes
+
+    @pytest.mark.parametrize("duration", [60.0, 600.0])
+    def test_peak_memory_bounded_by_chunk(self, duration):
+        # raw series are resampled one chunk at a time, so what is held
+        # beside the output does not grow with the trace
+        trace = breathing_trace(duration=duration, noise=JITTER, dtype=np.complex64)
+        ids = all_stream_ids(3, 10)[:15]
+        tracemalloc.start()
+        try:
+            streams = derive_streams(trace, ids=ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk_bytes = DERIVE_CHUNK * np.dtype(np.complex128).itemsize
+        assert peak < streams.data.nbytes + 12 * chunk_bytes
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(irregular_traces())
+    def test_rows_equal_np_interp_oracle(self, case):
+        trace, start_s, end_s = case
+        streams = derive_streams(trace, start_s=start_s, end_s=end_s)
+        expected, expected_start_s = reference_derive_streams(trace, start_s=start_s, end_s=end_s)
+        assert streams.data.shape == expected.shape
+        assert streams.data.tobytes() == expected.tobytes()
+        assert streams.start_s == expected_start_s
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        irregular_traces(),
+        st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1), st.floats(0.0, 1.0),
+                           st.sampled_from([math.nan, math.inf, -math.inf]), st.booleans()),
+                 min_size=1, max_size=3),
+        st.permutations(all_stream_ids(2, 2)),
+        st.integers(1, 6),
+    )
+    def test_non_finite_outcome_equals_oracle(self, case, bad, ids, n_ids):
+        # the same rows, or the same stream and time named in the error
+        trace, start_s, end_s = case
+        for rx, sc, where, value, imaginary in bad:
+            part = trace.csi.imag if imaginary and trace.csi.dtype.kind == "c" else trace.csi.real
+            part[rx, sc, min(int(where * trace.n_samples), trace.n_samples - 1)] = value
+        ids = ids[:n_ids]
+
+        def outcome(derive):
+            try:
+                return derive().tobytes()
+            except ValueError as err:
+                return str(err)
+
+        assert outcome(lambda: derive_streams(trace, ids, start_s, end_s).data) == outcome(
+            lambda: reference_derive_streams(trace, ids, start_s, end_s)[0])
+
+    @pytest.mark.parametrize(
+        "ids, named",
+        [(["mag:0:1", "mag:1:1"], "mag:0:1: non-finite CSI sample at 50.000 s"),
+         (["mag:1:1", "mag:0:1"], "mag:1:1: non-finite CSI sample at 2.000 s"),
+         (["mag:1:0", "pd:1:1"], "mag:1:0: non-finite CSI sample at 45.000 s"),
+         (["pd:1:0", "mag:0:0"], "pd:1:0: non-finite CSI sample at 45.000 s")],
+    )
+    def test_error_names_first_stream_in_ids_order(self, ids, named):
+        # chunks reach the sample at 2 s (or 10 s) first; the error names the
+        # first stream in ids order that reads a non-finite sample anywhere,
+        # and a phase difference its own series' (45 s) before antenna 0's
+        trace = breathing_trace(duration=60.0, noise=NoiseSpec(awgn_sigma=0.01), n_rx=2, n_sc=2)
+        trace.csi[0, 1, 10000] = math.nan
+        trace.csi[1, 1, 400] = complex(math.inf, 0.0)
+        trace.csi[1, 0, 9000] = math.nan
+        trace.csi[0, 0, 2000] = complex(0.0, -math.inf)
+        ids = [StreamId(kind, int(rx), int(sc)) for kind, rx, sc in (i.split(":") for i in ids)]
+        for derive in (reference_derive_streams, derive_streams):
+            with pytest.raises(ValueError) as err:
+                derive(trace, ids)
+            assert str(err.value) == f"stream {named}"
+
+    def test_unread_packet_past_window_not_checked(self):
+        # without jitter the window's last grid point hits packet 399 and
+        # reads nothing after it
+        trace = breathing_trace(duration=10.0, noise=NoiseSpec(awgn_sigma=0.01), n_rx=2, n_sc=2)
+        trace.csi[:, :, 400] = math.inf
+        streams = derive_streams(trace, end_s=2.0)
+        assert streams.data.tobytes() == reference_derive_streams(trace, end_s=2.0)[0].tobytes()
 
 
 PHASE_SAMPLES = st.one_of(
