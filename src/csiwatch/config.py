@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .detector import ED_BAND_HZ
 from .signal_model import SceneGeometry
 from .spectral_oracle import derive_f_th
 
@@ -26,8 +27,6 @@ class PipelineConfig:
     f_th_hz: float | None = None
 
     def __post_init__(self):
-        from .detector import ED_BAND_HZ
-
         for name in ("t_cal_s", "t_min_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

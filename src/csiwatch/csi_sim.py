@@ -49,8 +49,8 @@ __all__ = [
     "superpose_person",
 ]
 
-SEIZURE_MIN_DURATION_S = 20.0
-LIMB_JERK_MAX_DURATION_S = 0.4
+# the packet rate of a trace, and of the sampled motion profiles, unless set
+SAMPLE_RATE_HZ = 200.0
 # reflected-to-direct path amplitude ratio, drawn per stream and per person
 PATH_RATIO_RANGE = (0.05, 0.15)
 # build_night_scenario: an event-free lead-in for calibration, and the
@@ -79,15 +79,7 @@ class ScenarioEvent:
     def __post_init__(self):
         if self.start_s < 0 or self.duration_s <= 0:
             raise ValueError("event must have start_s >= 0 and duration_s > 0")
-        if self.kind is EventKind.SEIZURE and self.duration_s < SEIZURE_MIN_DURATION_S:
-            raise ValueError(
-                f"seizure events last at least {SEIZURE_MIN_DURATION_S} s, "
-                f"got {self.duration_s}"
-            )
-        if self.kind is EventKind.LIMB_JERK and self.duration_s > LIMB_JERK_MAX_DURATION_S:
-            raise ValueError(
-                f"limb jerks last at most {LIMB_JERK_MAX_DURATION_S} s, got {self.duration_s}"
-            )
+        _check_duration(self.kind, self.duration_s)
 
     @property
     def end_s(self) -> float:
@@ -283,7 +275,7 @@ def seizure_profile(
     f_o_hz: float,
     phase_rad: float = 0.0,
     tonic_s: float = 0.0,
-    rate_hz: float = 200.0,
+    rate_hz: float = SAMPLE_RATE_HZ,
 ) -> MotionProfile:
     """Clonic-phase jerking: sinusoid at 1.5-5 Hz, optionally preceded by a
     low-motion tonic stiffening segment."""
@@ -307,7 +299,7 @@ def posture_shift_profile(
     duration_s: float,
     v_max_mps: float = 0.3,
     rng: np.random.Generator | None = None,
-    rate_hz: float = 200.0,
+    rate_hz: float = SAMPLE_RATE_HZ,
 ) -> SampledProfile:
     """Posture adjustment: a few smooth pushes separated by short pauses."""
     rng = rng or np.random.default_rng(0)
@@ -333,7 +325,7 @@ def posture_shift_profile(
 def scratch_profile(
     duration_s: float,
     rng: np.random.Generator | None = None,
-    rate_hz: float = 200.0,
+    rate_hz: float = SAMPLE_RATE_HZ,
 ) -> SampledProfile:
     """Scratching: slow arm repositioning with a faint 3-6 Hz tremor on top.
 
@@ -358,7 +350,7 @@ def scratch_profile(
 def cough_profile(
     duration_s: float,
     rng: np.random.Generator | None = None,
-    rate_hz: float = 200.0,
+    rate_hz: float = SAMPLE_RATE_HZ,
 ) -> SampledProfile:
     """Coughing: two to four short chest heaves."""
     rng = rng or np.random.default_rng(0)
@@ -381,12 +373,11 @@ def cough_profile(
 def limb_jerk_profile(
     duration_s: float = 0.3,
     v_max_mps: float = 0.5,
-    rate_hz: float = 200.0,
+    rate_hz: float = SAMPLE_RATE_HZ,
 ) -> SampledProfile:
-    """Quick limb jerk: a single fast lobe, under 400 ms. Jerks may exceed
-    the normal-event speed bound; the duration gate handles them."""
-    if duration_s > LIMB_JERK_MAX_DURATION_S:
-        raise ValueError(f"limb jerks last at most {LIMB_JERK_MAX_DURATION_S} s")
+    """Quick limb jerk: a single fast lobe, within its kind's duration_range_s.
+    Jerks may exceed the normal-event speed bound; the duration gate handles them."""
+    _check_duration(EventKind.LIMB_JERK, duration_s)
     return SampledProfile(_smooth_lobe(duration_s, v_max_mps, rate_hz), rate_hz)
 
 
@@ -397,20 +388,33 @@ class _MotionKind(NamedTuple):
     defaults: dict[str, float]  # the parameters a scenario may set
     night_duration_s: tuple[float, float]  # build_night_scenario's duration draw
     takes_rng: bool = False
+    duration_range_s: tuple[float, float] = (0.0, math.inf)  # what any event may last
 
 
+# build_night_scenario cycles through the normal kinds in this order
 _MOTION_KINDS = {
     EventKind.SEIZURE: _MotionKind(
         seizure_profile, {"v_max_mps": 0.75, "f_o_hz": 3.0, "phase_rad": 0.0, "tonic_s": 0.0},
-        (20.0, 26.0),
+        (20.0, 26.0), duration_range_s=(20.0, math.inf),
     ),
     EventKind.POSTURE_SHIFT: _MotionKind(
         posture_shift_profile, {"v_max_mps": 0.3}, (6.0, 10.0), takes_rng=True
     ),
     EventKind.SCRATCH: _MotionKind(scratch_profile, {}, (3.0, 6.0), takes_rng=True),
     EventKind.COUGH: _MotionKind(cough_profile, {}, (1.2, 2.0), takes_rng=True),
-    EventKind.LIMB_JERK: _MotionKind(limb_jerk_profile, {"v_max_mps": 0.5}, (0.2, 0.35)),
+    EventKind.LIMB_JERK: _MotionKind(
+        limb_jerk_profile, {"v_max_mps": 0.5}, (0.2, 0.35), duration_range_s=(0.0, 0.4)
+    ),
 }
+
+
+def _check_duration(kind: EventKind, duration_s: float) -> None:
+    """Refuse a duration outside the kind's duration_range_s."""
+    lo, hi = _MOTION_KINDS[kind].duration_range_s
+    if duration_s < lo:
+        raise ValueError(f"{kind.value} events last at least {lo} s, got {duration_s}")
+    if duration_s > hi:
+        raise ValueError(f"{kind.value} events last at most {hi} s, got {duration_s}")
 
 
 def event_motion(
@@ -439,11 +443,10 @@ def build_night_scenario(
     n_seizures: int,
     n_normal_events: int,
     seed: int,
-    breathing_f_o_hz: float = 0.25,
-    breathing_displacement_m: float = 0.005,
+    breathing: SinusoidProfile | None = None,
     seizure_v_range: tuple[float, float] = (0.7, 0.8),
     seizure_f_range: tuple[float, float] = (2.0, 3.5),
-    rate_hz: float = 200.0,
+    rate_hz: float = SAMPLE_RATE_HZ,
 ) -> Scenario:
     """Compose a night: breathing throughout, randomized non-overlapping events.
 
@@ -452,11 +455,16 @@ def build_night_scenario(
     default seizure draw ranges sit inside the clonic-phase parameter ranges
     but away from the detectability boundary, so every generated seizure's
     spectral signature clears the classification threshold regardless of the
-    per-deployment phase offsets.
+    per-deployment phase offsets. The night breathes with `breathing`, or
+    with breathing_profile(duration_s) when it is None; no event draw reads it.
     """
+    for name, count in (("n_seizures", n_seizures), ("n_normal_events", n_normal_events)):
+        if count < 0:
+            raise ValueError(f"{name} must be non-negative, got {count}")
+    if breathing is None:
+        breathing = breathing_profile(duration_s)
     rng = np.random.default_rng(seed)
-    normal_kinds = [EventKind.POSTURE_SHIFT, EventKind.SCRATCH, EventKind.COUGH,
-                    EventKind.LIMB_JERK]
+    normal_kinds = [kind for kind in _MOTION_KINDS if kind is not EventKind.SEIZURE]
     kinds = [EventKind.SEIZURE] * n_seizures + [
         normal_kinds[i % len(normal_kinds)] for i in range(n_normal_events)
     ]
@@ -488,13 +496,7 @@ def build_night_scenario(
         motion = event_motion(kind, dur, rng, rate_hz, **params)
         events.append(ScenarioEvent(kind, start, dur, motion))
 
-    return Scenario(
-        duration_s=duration_s,
-        breathing=breathing_profile(
-            duration_s, breathing_f_o_hz, breathing_displacement_m
-        ),
-        events=tuple(events),
-    )
+    return Scenario(duration_s=duration_s, breathing=breathing, events=tuple(events))
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +559,7 @@ def generate_trace(
     seed: int = 0,
     n_rx: int = 3,
     n_sc: int = 30,
-    sample_rate_hz: float = 200.0,
+    sample_rate_hz: float = SAMPLE_RATE_HZ,
     ratio_range: tuple[float, float] = PATH_RATIO_RANGE,
     dtype=np.complex128,
 ) -> CsiTrace:
@@ -576,6 +578,8 @@ def generate_trace(
     noise = noise or NoiseSpec()
     if n_rx < 1 or n_sc < 1:
         raise ValueError("n_rx and n_sc must be >= 1")
+    if np.dtype(dtype) not in (np.complex64, np.complex128):
+        raise ValueError(f"dtype must be complex64 or complex128, got {np.dtype(dtype)}")
     rng = np.random.default_rng(seed)
     n = int(round(scenario.duration_s * sample_rate_hz))
     if n < 2:

@@ -21,12 +21,15 @@ import math
 import statistics
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import PipelineConfig
-from .preprocess import CalibrationState
 from .spectral_oracle import BREATHING_BAND_HZ
+
+if TYPE_CHECKING:
+    from .config import PipelineConfig
+    from .preprocess import CalibrationState
 
 __all__ = [
     "EventClass",

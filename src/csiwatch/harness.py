@@ -20,8 +20,8 @@ from .config import PipelineConfig
 from .csi_sim import (
     CsiTrace,
     LabelInterval,
-    PATH_RATIO_RANGE,
     NoiseSpec,
+    SAMPLE_RATE_HZ,
     Scenario,
     ScenarioEvent,
     EventKind,
@@ -209,55 +209,59 @@ def _check_keys(section: dict, allowed: tuple[str, ...], where: str) -> None:
         raise ValueError(f"unknown {where} key {unknown[0]!r} (allowed: {', '.join(allowed)})")
 
 
+def _given(section: dict, where: str, **settings) -> dict:
+    """Each setting section gives, converted; an omitted one keeps the callee's default."""
+    given = {}
+    for key, convert in settings.items():
+        if key in section:
+            try:
+                given[key] = convert(section[key])
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"{where} key {key!r}: {e}") from e
+    return given
+
+
+def _section(cfg: dict, name: str, **settings) -> dict:
+    section = cfg.get(name, {})
+    _check_keys(section, tuple(settings), name)
+    return _given(section, name, **settings)
+
+
 def _geometry_from(cfg: dict) -> SceneGeometry:
-    g = cfg.get("geometry", {})
-    _check_keys(g, ("wavelength_m", "psi", "phi_rad"), "geometry")
-    wavelength = g.get("wavelength_m", SceneGeometry().wavelength_m)
+    g = _section(cfg, "geometry", wavelength_m=float, psi=float, phi_rad=float)
     if "phi_rad" in g and "psi" not in g:
-        return SceneGeometry.from_phi(g["phi_rad"], wavelength_m=wavelength)
-    return SceneGeometry(wavelength_m=wavelength, psi=g.get("psi", 1.0))
+        return SceneGeometry.from_phi(**g)
+    g.pop("phi_rad", None)  # when both are given, psi wins
+    return SceneGeometry(**g)
 
 
 def _event_from(spec: dict, index: int, base_seed: int, rate_hz: float) -> ScenarioEvent:
-    kind = EventKind(spec["kind"])
-    dur = float(spec["duration_s"])
+    params = dict(spec)  # the motion's parameters, once the three below are taken
+    try:
+        kind, start, dur = params.pop("kind"), params.pop("start_s"), params.pop("duration_s")
+    except KeyError as e:
+        raise ValueError(f"event {index} has no {e} key") from None
+    kind, dur = EventKind(kind), float(dur)
     rng = np.random.default_rng(base_seed + 7919 * (index + 1))
-    params = {k: v for k, v in spec.items() if k not in ("kind", "start_s", "duration_s")}
     motion = event_motion(kind, dur, rng, rate_hz, **params)
-    return ScenarioEvent(kind, float(spec["start_s"]), dur, motion)
+    return ScenarioEvent(kind, float(start), dur, motion)
 
 
 def _scenario_from(cfg: dict, duration_s: float, seed: int, rate_hz: float) -> Scenario:
-    br = cfg.get("breathing", {})
-    _check_keys(br, ("f_o_hz", "displacement_m", "phase_rad"), "breathing")
-    breathing = breathing_profile(
-        duration_s,
-        f_o_hz=float(br.get("f_o_hz", 0.25)),
-        displacement_m=float(br.get("displacement_m", 0.005)),
-        phase_rad=float(br.get("phase_rad", 0.0)),
-    )
+    breathing = breathing_profile(duration_s, **_section(
+        cfg, "breathing", f_o_hz=float, displacement_m=float, phase_rad=float))
     if "auto_events" in cfg:
-        # build_night_scenario draws the events and starts breathing at phase 0
+        # build_night_scenario draws the events
         if "events" in cfg:
             raise ValueError("events cannot be combined with auto_events")
-        if "phase_rad" in br:
-            raise ValueError("breathing.phase_rad cannot be combined with auto_events")
-        auto = cfg["auto_events"]
-        _check_keys(auto, ("n_seizures", "n_normal_events", "normal_events_per_hour"),
-                    "auto_events")
+        auto = _section(cfg, "auto_events", n_seizures=int, n_normal_events=int,
+                        normal_events_per_hour=float)
         if "normal_events_per_hour" in auto:
             n_normal = int(round(auto["normal_events_per_hour"] * duration_s / 3600.0))
         else:
-            n_normal = int(auto.get("n_normal_events", 0))
-        return build_night_scenario(
-            duration_s,
-            n_seizures=int(auto.get("n_seizures", 0)),
-            n_normal_events=n_normal,
-            seed=seed,
-            breathing_f_o_hz=float(br.get("f_o_hz", 0.25)),
-            breathing_displacement_m=float(br.get("displacement_m", 0.005)),
-            rate_hz=rate_hz,
-        )
+            n_normal = auto.get("n_normal_events", 0)
+        return build_night_scenario(duration_s, auto.get("n_seizures", 0), n_normal,
+                                    seed, breathing, rate_hz=rate_hz)
     events = tuple(
         _event_from(spec, i, seed, rate_hz) for i, spec in enumerate(cfg.get("events", []))
     )
@@ -268,6 +272,8 @@ def parse_scenario_config(cfg: dict):
     """Decode a scenario config dict.
 
     Returns (scenario, geometry, noise, sim_kwargs, second_person_cfg).
+    sim_kwargs holds the seed and only the generate_trace settings the
+    config gives; generate_trace's defaults hold for the others.
     """
     if "duration_s" not in cfg:
         raise ValueError("scenario config needs duration_s")
@@ -279,27 +285,15 @@ def parse_scenario_config(cfg: dict):
     if second is not None:
         _check_keys(second, ("seed", "breathing", "events", "auto_events"), "second_person")
     duration = float(cfg["duration_s"])
-    seed = int(cfg.get("seed", 0))
-    rate = float(cfg.get("sample_rate_hz", 200.0))
-    scenario = _scenario_from(cfg, duration, seed, rate)
+    sim_kwargs = {"seed": int(cfg.get("seed", 0)), **_given(
+        cfg, "scenario config", sample_rate_hz=float, n_rx=int, n_sc=int,
+        dtype=lambda v: np.dtype(v).type, ratio_range=tuple)}
+    scenario = _scenario_from(cfg, duration, sim_kwargs["seed"],
+                              sim_kwargs.get("sample_rate_hz", SAMPLE_RATE_HZ))
     geometry = _geometry_from(cfg)
-    nz = cfg.get("noise", {})
-    _check_keys(nz, ("awgn_sigma", "outlier_rate_per_s", "outlier_magnitude", "jitter_std_s"),
-                "noise")
-    noise = NoiseSpec(
-        awgn_sigma=nz.get("awgn_sigma", 0.0),
-        outlier_rate_per_s=nz.get("outlier_rate_per_s", 0.0),
-        outlier_magnitude=nz.get("outlier_magnitude", 8.0),
-        jitter_std_s=nz.get("jitter_std_s", 0.0),
-    )
-    sim_kwargs = {
-        "seed": seed,
-        "n_rx": int(cfg.get("n_rx", 3)),
-        "n_sc": int(cfg.get("n_sc", 30)),
-        "sample_rate_hz": rate,
-        "dtype": np.dtype(cfg.get("dtype", "complex128")).type,
-        "ratio_range": tuple(cfg.get("ratio_range", PATH_RATIO_RANGE)),
-    }
+    noise = NoiseSpec(**_section(
+        cfg, "noise", awgn_sigma=lambda v: v,  # a number, or nested lists per stream
+        outlier_rate_per_s=float, outlier_magnitude=float, jitter_std_s=float))
     return scenario, geometry, noise, sim_kwargs, second
 
 
@@ -309,10 +303,10 @@ def simulate_from_config(cfg: dict) -> CsiTrace:
     trace = generate_trace(scenario, geometry, noise, **sim_kwargs)
     if second is not None:
         seed2 = int(second.get("seed", sim_kwargs["seed"] + 1))
-        scenario2 = _scenario_from(second, scenario.duration_s, seed2,
-                                   sim_kwargs["sample_rate_hz"])
-        trace = superpose_person(trace, scenario2, seed=seed2,
-                                 ratio_range=sim_kwargs["ratio_range"])
+        scenario2 = _scenario_from(second, scenario.duration_s, seed2, trace.sample_rate_hz)
+        # the first person's path-ratio range, where the config sets one
+        shared = {k: v for k, v in sim_kwargs.items() if k == "ratio_range"}
+        trace = superpose_person(trace, scenario2, seed=seed2, **shared)
     return trace
 
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .csi_sim import CsiTrace
+from .detector import sliding_out_of_band_energy
 from .spectral_oracle import BREATHING_BAND_HZ
 
 __all__ = [
@@ -545,8 +546,6 @@ def calibrate(
     out-of-band energy of the PCA-denoised calibration stream over sliding
     detection windows.
     """
-    from .detector import sliding_out_of_band_energy
-
     fs = trace.sample_rate_hz
     cal_end = cal_start_s + config.t_cal_s
     if cal_end > trace.duration_s + 0.5 / fs:

@@ -35,6 +35,7 @@ import numpy as np
 
 from .csi_sim import CsiTrace, EventKind, LabelInterval
 from .detector import DetectedEvent, EventClass
+from .signal_model import SceneGeometry
 
 __all__ = [
     "TRACE_FORMAT_VERSION",
@@ -160,8 +161,6 @@ def read_trace(path) -> CsiTrace:
     The file format does not carry per-stream path parameters or the
     outlier log: the outlier log comes back empty, the path parameters None.
     """
-    from .signal_model import SceneGeometry
-
     try:
         with _open(path, "rb") as f:
             header = _read_header(f, path)

@@ -205,14 +205,14 @@ def night_corpus():
                                         seed=seed)
         trace = generate_trace(scenario, GEOMETRY, CORPUS_NOISE, seed=seed,
                                dtype=np.complex64)
+        t_analysis = time.perf_counter()
         analysis = analyze_trace(trace, config)
         analyses.append(analysis)
         if i == 0:
+            perf_ms_per_s = (time.perf_counter() - t_analysis) / trace.duration_s * 1e3
             seizure = next(ev for ev in trace.events if ev.is_seizure)
             snr = selected_stream_event_snr(trace, analysis.calibration, seizure)
             premise_snr_db = 10.0 * math.log10(snr)
-            result = run_pipeline(trace, config)
-            perf_ms_per_s = result.processing_per_trace_second * 1e3
         del trace
     elapsed = time.perf_counter() - t0
     return {
@@ -406,7 +406,7 @@ def test_preprocessing_unit_suite():
 
 def test_performance_target(night_corpus):
     """Detect pipeline processes 150-stream 200 Hz data at <= 50 ms per
-    trace-second on this machine."""
+    trace-second on this machine, timed on night 0's analyze_trace."""
     ms = night_corpus["perf_ms_per_s"]
     assert ms <= 50.0, ms
     print(f"\nPASS performance target: {ms:.1f} ms per trace-second (ceiling 50 ms)")

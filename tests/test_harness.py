@@ -21,16 +21,19 @@ from csiwatch.csi_sim import (
     Scenario,
     ScenarioEvent,
     breathing_profile,
+    build_night_scenario,
     cough_profile,
     generate_trace,
     limb_jerk_profile,
     posture_shift_profile,
     scratch_profile,
     seizure_profile,
+    superpose_person,
 )
 from csiwatch.detector import DetectedEvent, EventClass
 from csiwatch.harness import (
     analyze_trace,
+    classify_analysis,
     parse_scenario_config,
     run_pipeline,
     simulate_from_config,
@@ -48,6 +51,35 @@ from csiwatch.traceio import (
 )
 
 G = SceneGeometry()
+
+# scenario configs the CLI must refuse as input errors (exit 2): an unknown
+# key, a missing event key or a bad value, each message naming the key, or the
+# event's index and the key
+BAD_SCENARIO_CONFIGS = [
+    ({"duration_s": 10, "sample_rate": 100, "noise": {"awgn": 0.5}, "n_rxx": 1},
+     "unknown scenario config key 'n_rxx'"),
+    ({"duration_s": 10, "noise": {"awgn": 0.5}}, "unknown noise key 'awgn'"),
+    ({"duration_s": 10, "geometry": {"phi": 0.5}}, "unknown geometry key 'phi'"),
+    ({"duration_s": 10, "breathing": {"f_o": 0.3}}, "unknown breathing key 'f_o'"),
+    ({"duration_s": 10, "auto_events": {"n_seizure": 1}},
+     "unknown auto_events key 'n_seizure'"),
+    ({"duration_s": 10, "second_person": {"sead": 3}}, "unknown second_person key 'sead'"),
+    ({"duration_s": 10, "second_person": {"breathing": {"f_o": 0.3}}},
+     "unknown breathing key 'f_o'"),
+    ({"duration_s": 60.0, "events": [{"start_s": 30.0, "duration_s": 1.5}]},
+     "event 0 has no 'kind' key"),
+    ({"duration_s": 60.0, "events": [{"kind": "cough", "start_s": 30.0, "duration_s": 1.5},
+                                     {"kind": "cough", "duration_s": 1.5}]},
+     "event 1 has no 'start_s' key"),
+    ({"duration_s": 60.0, "dtype": "complex65"},
+     "scenario config key 'dtype': data type 'complex65' not understood"),
+    ({"duration_s": 60.0, "auto_events": {"n_seizures": -3, "n_normal_events": -2}},
+     "n_seizures must be non-negative, got -3"),
+    ({"duration_s": 60.0, "auto_events": {"n_normal_events": -2}},
+     "n_normal_events must be non-negative, got -2"),
+    ({"duration_s": 60.0, "dtype": "float64"},
+     "dtype must be complex64 or complex128, got float64"),
+]
 
 
 def edit_trace_file(path, edit):
@@ -629,34 +661,40 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="duration_s"):
             parse_scenario_config({})
 
-    @pytest.mark.parametrize("cfg, match", [
-        ({"duration_s": 10, "sample_rate": 100, "noise": {"awgn": 0.5}, "n_rxx": 1},
-         "unknown scenario config key 'n_rxx'"),
-        ({"duration_s": 10, "noise": {"awgn": 0.5}}, "unknown noise key 'awgn'"),
-        ({"duration_s": 10, "geometry": {"phi": 0.5}}, "unknown geometry key 'phi'"),
-        ({"duration_s": 10, "breathing": {"f_o": 0.3}}, "unknown breathing key 'f_o'"),
-        ({"duration_s": 10, "auto_events": {"n_seizure": 1}},
-         "unknown auto_events key 'n_seizure'"),
-        ({"duration_s": 10, "second_person": {"sead": 3}}, "unknown second_person key 'sead'"),
-        ({"duration_s": 10, "second_person": {"breathing": {"f_o": 0.3}}},
-         "unknown breathing key 'f_o'"),
-    ])
+    @pytest.mark.parametrize("cfg, match", BAD_SCENARIO_CONFIGS)
     def test_unknown_key_rejected(self, cfg, match):
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=re.escape(match)):
             simulate_from_config(cfg)
 
-    @pytest.mark.parametrize("extra, key", [
-        ({"breathing": {"phase_rad": 1.0}}, "breathing.phase_rad"),
-        ({"events": [{"kind": "cough", "start_s": 50.0, "duration_s": 1.5}]}, "events"),
-    ])
     @pytest.mark.parametrize("second", [False, True])
-    def test_auto_events_rejects_what_it_would_ignore(self, extra, key, second):
-        # build_night_scenario draws the events and the breathing phase itself
-        person = {"auto_events": {"n_seizures": 1}, **extra}
+    def test_auto_events_rejects_what_it_would_ignore(self, second):
+        # build_night_scenario draws the events itself
+        person = {"auto_events": {"n_seizures": 1},
+                  "events": [{"kind": "cough", "start_s": 50.0, "duration_s": 1.5}]}
         cfg = {"duration_s": 60.0, "n_rx": 1, "n_sc": 2}
         cfg.update({"second_person": person} if second else person)
-        with pytest.raises(ValueError, match=f"{key} cannot be combined with auto_events"):
+        with pytest.raises(ValueError, match="events cannot be combined with auto_events"):
             simulate_from_config(cfg)
+
+    @pytest.mark.parametrize("second", [False, True])
+    def test_auto_events_honours_breathing_phase(self, second):
+        # the config's breathing profile, phase included, is the one
+        # build_night_scenario puts under the events it draws
+        person = {"auto_events": {"n_seizures": 1}, "breathing": {"phase_rad": 1.0}}
+        cfg = {"duration_s": 60.0, "seed": 4, "n_rx": 1, "n_sc": 2}
+        cfg.update({"second_person": person} if second else person)
+        night = build_night_scenario(60.0, 1, 0, seed=5 if second else 4,
+                                     breathing=breathing_profile(60.0, phase_rad=1.0))
+        if second:
+            first = generate_trace(Scenario(60.0, breathing_profile(60.0)), G, None,
+                                   seed=4, n_rx=1, n_sc=2)
+            direct = superpose_person(first, night, seed=5)
+        else:
+            direct = generate_trace(night, G, None, seed=4, n_rx=1, n_sc=2)
+        got = simulate_from_config(cfg).content_hash()
+        assert got == direct.content_hash()
+        del (cfg["second_person"] if second else cfg)["breathing"]
+        assert simulate_from_config(cfg).content_hash() != got
 
     def test_second_person_and_pipeline_sections_load(self):
         cfg = {
@@ -962,11 +1000,22 @@ class TestCli:
     def test_auto_events_with_events_exit_code(self, tmp_path, capsys):
         scenario = tmp_path / "both.json"
         scenario.write_text(json.dumps({"duration_s": 60.0, "auto_events": {"n_seizures": 1},
-                                        "breathing": {"phase_rad": 1.0}}))
+                                        "events": [{"kind": "cough", "start_s": 50.0,
+                                                    "duration_s": 1.5}]}))
         rc = main(["simulate", "--config", str(scenario),
                    "--out", str(tmp_path / "x.csitrace")])
         assert rc == 2
-        assert "breathing.phase_rad cannot be combined" in capsys.readouterr().err
+        assert "events cannot be combined with auto_events" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg, match", BAD_SCENARIO_CONFIGS)
+    def test_bad_scenario_config_exit_code(self, tmp_path, capsys, cfg, match):
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps(cfg))
+        rc = main(["simulate", "--config", str(scenario),
+                   "--out", str(tmp_path / "x.csitrace")])
+        assert rc == 2
+        assert match in capsys.readouterr().err
+        assert not (tmp_path / "x.csitrace").exists()
 
     def test_invalid_scenario_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -1130,6 +1179,29 @@ class TestPipelineEndToEnd:
         trace.csi[:, :, 6000] = bad
         with pytest.raises(ValueError, match=r"non-finite CSI sample at 30\.000 s"):
             stage(trace, PipelineConfig())
+
+    def test_pipeline_paths_agree(self):
+        # run_pipeline classifies in run_detection, which calls a closed
+        # event shorter than T_min normal without a profile; analyze_trace
+        # profiles every interval and leaves the verdict to classify_event
+        rng = np.random.default_rng(0)
+        events = (
+            ScenarioEvent(EventKind.COUGH, 20.0, 1.5, cough_profile(1.5, rng=rng)),
+            ScenarioEvent(EventKind.SEIZURE, 30.0, 22.0, seizure_profile(22.0, 0.75, 3.0)),
+            ScenarioEvent(EventKind.POSTURE_SHIFT, 62.0, 8.0,
+                          posture_shift_profile(8.0, rng=rng)),
+        )
+        trace = generate_trace(
+            Scenario(70.0, breathing_profile(70.0), events),
+            G, NoiseSpec(awgn_sigma=0.02, jitter_std_s=0.0005), seed=0, n_rx=2, n_sc=5,
+        )
+        config = PipelineConfig()
+        result = run_pipeline(trace, config)
+        assert [e.event_class for e in result.events] == [
+            EventClass.NORMAL, EventClass.SEIZURE, EventClass.ONGOING]
+        assert result.events[0].duration_s < config.t_min_s
+        analysis = analyze_trace(trace, config)
+        assert result.events == classify_analysis(analysis, result.f_th_hz, config.t_min_s)
 
     def test_breathing_only_zero_events(self):
         trace = tiny_trace(duration=30.0)
