@@ -18,6 +18,7 @@ from . import harness, traceio
 from .config import PipelineConfig
 from .detector import ED_THRESHOLD_Q, EventClass
 from .metrics import compute_report
+from .preprocess import check_cal_start
 from .signal_model import SceneGeometry
 from .spectral_oracle import (
     MotionClass,
@@ -68,6 +69,7 @@ def _pipeline_config(args) -> PipelineConfig:
 
 
 def _check_calibration_clear(trace_path, trace, cal_start: float, config: PipelineConfig):
+    check_cal_start(cal_start)
     cal_end = cal_start + config.t_cal_s
     for label in trace.events:
         if min(label.end_s, cal_end) - max(label.start_s, cal_start) > 0:

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 from .detector import ED_BAND_HZ
 from .signal_model import SceneGeometry
 from .spectral_oracle import derive_f_th
 
-__all__ = ["PipelineConfig"]
+__all__ = ["PipelineConfig", "whole_number"]
+
+
+def whole_number(x, name: str = "the value") -> int:
+    """x as an int; an integral float counts (JSON may write 3.0)."""
+    if isinstance(x, numbers.Real) and not isinstance(x, bool) and float(x).is_integer():
+        return int(x)
+    raise ValueError(f"{name} must be a whole number, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -28,13 +37,15 @@ class PipelineConfig:
 
     def __post_init__(self):
         for name in ("t_cal_s", "t_min_s"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not (math.isfinite(value := getattr(self, name)) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        object.__setattr__(self, "k_streams", whole_number(self.k_streams, "k_streams"))
         if self.k_streams < 2:
             raise ValueError("k_streams must be at least 2 (PCA needs >= 2 streams)")
-        if self.f_th_hz is not None and self.f_th_hz <= ED_BAND_HZ:
+        f_th = self.f_th_hz
+        if f_th is not None and not (math.isfinite(f_th) and f_th > ED_BAND_HZ):
             raise ValueError(
-                f"f_th_hz = {self.f_th_hz} must exceed the adjusted breathing "
+                f"f_th_hz = {f_th} must be finite and exceed the adjusted breathing "
                 f"bandwidth {ED_BAND_HZ}"
             )
 

@@ -6,8 +6,8 @@ a velocity profile superposed on the breathing velocity. Every (antenna,
 subcarrier) stream gets independently drawn path parameters; receiver noise,
 impulsive magnitude outliers, and packet-timing jitter are applied on top.
 
-Trace generation is deterministic in (scenario, geometry, noise, seed) and
-the returned trace should be treated as immutable.
+Trace generation is deterministic in (scenario, geometry, noise, seed). A
+CsiTrace checks its CSI once, when built, and is read-only from then on.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ class ScenarioEvent:
     motion: MotionProfile
 
     def __post_init__(self):
-        if self.start_s < 0 or self.duration_s <= 0:
-            raise ValueError("event must have start_s >= 0 and duration_s > 0")
+        if not (0 <= self.start_s < math.inf and 0 < self.duration_s < math.inf):
+            raise ValueError("event must have finite start_s >= 0 and duration_s > 0")
         _check_duration(self.kind, self.duration_s)
 
     @property
@@ -95,8 +95,8 @@ class Scenario:
     events: tuple[ScenarioEvent, ...] = ()
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError(f"duration_s must be finite and positive, got {self.duration_s!r}")
         events = tuple(sorted(self.events, key=lambda e: e.start_s))
         for ev in events:
             if ev.end_s > self.duration_s:
@@ -127,11 +127,11 @@ class NoiseSpec:
     jitter_std_s: float = 0.0
 
     def __post_init__(self):
-        sigma = np.asarray(self.awgn_sigma, dtype=float)
-        if np.any(sigma < 0):
-            raise ValueError("awgn_sigma must be non-negative")
-        if self.outlier_rate_per_s < 0 or self.outlier_magnitude < 0 or self.jitter_std_s < 0:
-            raise ValueError("noise parameters must be non-negative")
+        for name in ("awgn_sigma", "outlier_rate_per_s", "outlier_magnitude", "jitter_std_s"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            bad = value[~(np.isfinite(value) & (value >= 0))]
+            if bad.size:
+                raise ValueError(f"{name} must be finite and non-negative, got {float(bad[0])!r}")
 
 
 @dataclass(frozen=True)
@@ -148,18 +148,23 @@ class LabelInterval:
         return self.kind is EventKind.SEIZURE
 
 
-@dataclass
+@dataclass(frozen=True)
 class CsiTrace:
     """Uniform-rate multi-stream CSI record with ground truth.
 
-    csi is stream-major, shape (n_rx, n_sc, n_samples); timestamps_s holds
-    the actual (possibly jittered) packet arrival times, one per sample,
-    finite and strictly increasing, the first within half a sample period
-    of 0 s. Packets may be missing: the trace spans the uniform grid
-    through its last packet. events are the ground-truth intervals. The
-    alpha/mu arrays hold the per-stream path parameters of person 1 where
-    the trace was simulated, and are None where they are unknown (a trace
-    read from a file).
+    csi is stream-major, shape (n_rx, n_sc, n_samples), and finite;
+    timestamps_s holds the actual (possibly jittered) packet arrival times,
+    one per sample, finite and strictly increasing, the first within half a
+    sample period of 0 s. Packets may be missing: the trace spans the
+    uniform grid through its last packet. events are the ground-truth
+    intervals. The alpha/mu arrays hold the per-stream path parameters of
+    person 1 where the trace was simulated, and are None where they are
+    unknown (a trace read from a file).
+
+    Building a trace, dataclasses.replace too, checks all this, so no later
+    stage checks CSI; the first non-finite sample, in antenna then
+    subcarrier order, is named. A built trace is frozen, and the csi and
+    timestamps_s given to it are made read-only.
     """
 
     sample_rate_hz: float
@@ -199,6 +204,15 @@ class CsiTrace:
                 f"first packet at {self.timestamps_s[0]!r} s; a trace starts within "
                 "half a sample period of 0 s"
             )
+        # one stream row at a time: no temporary of the whole array's size
+        for rx, sc in np.ndindex(self.csi.shape[:2]):
+            if not (finite := np.isfinite(self.csi[rx, sc])).all():
+                t = self.timestamps_s[np.argmin(finite)]
+                raise ValueError(
+                    f"non-finite CSI sample on antenna {rx}, subcarrier {sc} at {t:.3f} s"
+                )
+        self.csi.flags.writeable = False
+        self.timestamps_s.flags.writeable = False
 
     @property
     def n_rx(self) -> int:

@@ -11,12 +11,13 @@ group's f_th. Its rows are keyed by the CSV columns `csiwatch sweep` writes.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PipelineConfig
+from .config import PipelineConfig, whole_number
 from .csi_sim import (
     CsiTrace,
     LabelInterval,
@@ -203,7 +204,9 @@ def selected_stream_event_snr(
 # ---------------------------------------------------------------------------
 
 def _check_keys(section: dict, allowed: tuple[str, ...], where: str) -> None:
-    """Reject a key nothing reads, so a typo fails instead of being ignored."""
+    """Reject a section that is not an object, or a key nothing reads (a typo)."""
+    if not isinstance(section, dict):
+        raise ValueError(f"{where} must be an object, got {section!r}")
     unknown = sorted(section.keys() - set(allowed))
     if unknown:
         raise ValueError(f"unknown {where} key {unknown[0]!r} (allowed: {', '.join(allowed)})")
@@ -235,16 +238,23 @@ def _geometry_from(cfg: dict) -> SceneGeometry:
     return SceneGeometry(**g)
 
 
+def _non_negative(value) -> float:
+    if not (math.isfinite(value := float(value)) and value >= 0):
+        raise ValueError(f"must be finite and non-negative, got {value!r}")
+    return value
+
+
 def _event_from(spec: dict, index: int, base_seed: int, rate_hz: float) -> ScenarioEvent:
-    params = dict(spec)  # the motion's parameters, once the three below are taken
-    try:
+    if not isinstance(spec, dict):
+        raise ValueError(f"event {index} must be an object, got {spec!r}")
+    params = _given(spec, f"event {index}", **dict.fromkeys(spec, float) | {"kind": EventKind})
+    try:  # what is left are the motion's parameters
         kind, start, dur = params.pop("kind"), params.pop("start_s"), params.pop("duration_s")
     except KeyError as e:
         raise ValueError(f"event {index} has no {e} key") from None
-    kind, dur = EventKind(kind), float(dur)
     rng = np.random.default_rng(base_seed + 7919 * (index + 1))
     motion = event_motion(kind, dur, rng, rate_hz, **params)
-    return ScenarioEvent(kind, float(start), dur, motion)
+    return ScenarioEvent(kind, start, dur, motion)
 
 
 def _scenario_from(cfg: dict, duration_s: float, seed: int, rate_hz: float) -> Scenario:
@@ -254,17 +264,18 @@ def _scenario_from(cfg: dict, duration_s: float, seed: int, rate_hz: float) -> S
         # build_night_scenario draws the events
         if "events" in cfg:
             raise ValueError("events cannot be combined with auto_events")
-        auto = _section(cfg, "auto_events", n_seizures=int, n_normal_events=int,
-                        normal_events_per_hour=float)
+        auto = _section(cfg, "auto_events", n_seizures=whole_number,
+                        n_normal_events=whole_number, normal_events_per_hour=_non_negative)
         if "normal_events_per_hour" in auto:
             n_normal = int(round(auto["normal_events_per_hour"] * duration_s / 3600.0))
         else:
             n_normal = auto.get("n_normal_events", 0)
         return build_night_scenario(duration_s, auto.get("n_seizures", 0), n_normal,
                                     seed, breathing, rate_hz=rate_hz)
-    events = tuple(
-        _event_from(spec, i, seed, rate_hz) for i, spec in enumerate(cfg.get("events", []))
-    )
+    specs = cfg.get("events", [])
+    if not isinstance(specs, list):
+        raise ValueError(f"events must be a list, got {specs!r}")
+    events = tuple(_event_from(spec, i, seed, rate_hz) for i, spec in enumerate(specs))
     return Scenario(duration_s=duration_s, breathing=breathing, events=events)
 
 
@@ -284,10 +295,11 @@ def parse_scenario_config(cfg: dict):
     second = cfg.get("second_person")
     if second is not None:
         _check_keys(second, ("seed", "breathing", "events", "auto_events"), "second_person")
-    duration = float(cfg["duration_s"])
-    sim_kwargs = {"seed": int(cfg.get("seed", 0)), **_given(
-        cfg, "scenario config", sample_rate_hz=float, n_rx=int, n_sc=int,
-        dtype=lambda v: np.dtype(v).type, ratio_range=tuple)}
+    given = _given(cfg, "scenario config", duration_s=float, seed=whole_number,
+                   sample_rate_hz=float, n_rx=whole_number, n_sc=whole_number,
+                   dtype=lambda v: np.dtype(v).type, ratio_range=tuple)
+    duration = given.pop("duration_s")
+    sim_kwargs = {"seed": 0, **given}
     scenario = _scenario_from(cfg, duration, sim_kwargs["seed"],
                               sim_kwargs.get("sample_rate_hz", SAMPLE_RATE_HZ))
     geometry = _geometry_from(cfg)
@@ -302,7 +314,8 @@ def simulate_from_config(cfg: dict) -> CsiTrace:
     scenario, geometry, noise, sim_kwargs, second = parse_scenario_config(cfg)
     trace = generate_trace(scenario, geometry, noise, **sim_kwargs)
     if second is not None:
-        seed2 = int(second.get("seed", sim_kwargs["seed"] + 1))
+        seed2 = _given(second, "second_person", seed=whole_number).get(
+            "seed", sim_kwargs["seed"] + 1)
         scenario2 = _scenario_from(second, scenario.duration_s, seed2, trace.sample_rate_hz)
         # the first person's path-ratio range, where the config sets one
         shared = {k: v for k, v in sim_kwargs.items() if k == "ratio_range"}

@@ -14,8 +14,8 @@ running median only where that median could flip its keep-or-replace
 decision: every other sample is cleared against order-statistic bounds from
 the nearest MAD window (see hampel_filter). Streams are derived in chunks of
 DERIVE_CHUNK grid samples: each chunk's packet search and slope denominators
-are shared by every raw series it resamples (see derive_streams). This module
-needs numpy only.
+are shared by every raw series it resamples (see derive_streams). CsiTrace
+checks CSI, so only hampel_filter checks its input here. Needs numpy only.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
     "hampel_filter",
     "compute_stream_snr",
     "select_streams",
+    "check_cal_start",
     "calibrate",
     "pca_first_component",
     "extract_pipeline_stream",
@@ -114,7 +115,7 @@ class _InterpPlan(NamedTuple):
     packet's from it on, packet j's on an exact hit.
     """
 
-    grid_s: np.ndarray  # the chunk's grid times
+    n_points: int  # the chunk's grid points
     left: np.ndarray  # packet j of each interpolated point
     right: np.ndarray  # j + 1
     dx: np.ndarray  # per interpolated point, twice: real and imaginary part
@@ -162,7 +163,7 @@ def _interp_plan(trace: CsiTrace, i0: int, i_end: int) -> _InterpPlan:
         take = take_j = j[:0]
     dx = np.repeat(ts[j + 1] - t0, 2)
     off = np.repeat(g - t0, 2)
-    return _InterpPlan(grid, j, j + 1, dx, off, inner, take, take_j)
+    return _InterpPlan(grid.size, j, j + 1, dx, off, inner, take, take_j)
 
 
 def _pairs(samples: np.ndarray) -> np.ndarray:
@@ -170,16 +171,6 @@ def _pairs(samples: np.ndarray) -> np.ndarray:
     if samples.dtype.kind != "c":
         samples = samples + 0j
     return samples.view(samples.real.dtype)
-
-
-def _first_non_finite_s(values: np.ndarray, plan: _InterpPlan) -> float:
-    """The plan's first grid time whose np.interp value reads a non-finite
-    sample of ``values`` (and so is non-finite itself)."""
-    bad = np.zeros(plan.grid_s.size, dtype=bool)
-    read = ~(np.isfinite(values[plan.left]) & np.isfinite(values[plan.right]))
-    bad[slice(None) if plan.inner is None else plan.inner] = read
-    bad[plan.take] = ~np.isfinite(values[plan.take_j])
-    return float(plan.grid_s[np.argmax(bad)])
 
 
 def resample_uniform(
@@ -194,20 +185,12 @@ def resample_uniform(
     np.interp's on the whole series: (y[j+1] - y[j]) / dx, times off, plus
     y[j], each step rounded to float64. The two are the float64 views of
     ``out``, a complex128 array of the chunk's length (a new one if None).
-    Grid points outside the timestamp span clamp to the edge values. Only
-    the packets the plan names are read, each checked before use: a NaN or
-    Inf among them raises ValueError naming the first grid time whose value
-    it would make non-finite.
+    Grid points outside the timestamp span clamp to the edge values. The
+    samples are finite: CsiTrace refused any other when it was built.
     """
     y0, y1 = _pairs(values[plan.left]), _pairs(values[plan.right])
-    finite = np.isfinite(y0).all() and np.isfinite(y1).all()
-    if plan.inner is not None:
-        kept = values[plan.take_j]
-        finite = finite and np.isfinite(kept).all()
-    if not finite:
-        raise ValueError(f"non-finite CSI sample at {_first_non_finite_s(values, plan):.3f} s")
     if out is None:
-        out = np.empty(plan.grid_s.size, dtype=np.complex128)
+        out = np.empty(plan.n_points, dtype=np.complex128)
     d = out.view(np.float64) if plan.inner is None else np.empty(y0.size)
     y0 = y0.astype(np.float64, copy=False)
     np.copyto(d, y1)
@@ -218,21 +201,8 @@ def resample_uniform(
     if plan.inner is not None:
         out[plan.inner] = d.view(np.complex128)
         # an exact hit, a signed zero included, keeps its packet's value
-        out[plan.take] = kept
+        out[plan.take] = values[plan.take_j]
     return out.real, out.imag
-
-
-def _raise_non_finite(trace: CsiTrace, ids, i0: int, i1: int) -> None:
-    """Raise the ValueError of the first stream in ``ids`` order whose raw
-    series resample to a non-finite value on the grid indices [i0, i1),
-    naming the first such time of the first such series it reads."""
-    for sid in ids:
-        for rx in (sid.rx,) if sid.kind == "mag" else (sid.rx, 0):
-            for i in range(i0, i1, DERIVE_CHUNK):
-                try:
-                    resample_uniform(trace.csi[rx, sid.sc], _interp_plan(trace, i, i1))
-                except ValueError as err:
-                    raise ValueError(f"stream {sid}: {err}") from None
 
 
 def _derive_chunk(trace: CsiTrace, ids, plan: _InterpPlan, cols: np.ndarray) -> None:
@@ -271,10 +241,7 @@ def derive_streams(
     is read again by every stream that needs it and held for one chunk
     only, so resampling needs a few chunks' memory however long the trace
     is. Every row is bit for bit the one np.interp gives on whole series.
-
-    A NaN or Inf sample that a requested stream resamples raises ValueError
-    naming the first such stream in ``ids`` order and its first such grid
-    time, as if each stream were formed whole in turn.
+    The trace's CSI is finite, as CsiTrace checks, so every row is too.
     """
     if end_s is None:
         end_s = trace.duration_s
@@ -283,15 +250,10 @@ def derive_streams(
     fs = trace.sample_rate_hz
     i0, i1 = int(round(start_s * fs)), int(round(end_s * fs))
     data = np.empty((len(ids), max(i1 - i0, 0)), dtype=np.float64)
-    try:
-        for i in range(i0, i1, DERIVE_CHUNK):
-            # the plan is dropped before the next one is made
-            cols = data[:, i - i0 : i - i0 + DERIVE_CHUNK]
-            _derive_chunk(trace, ids, _interp_plan(trace, i, i1), cols)
-    except ValueError:
-        # name the stream that forming each stream whole, in ids order, would
-        _raise_non_finite(trace, ids, i, i1)
-        raise
+    for i in range(i0, i1, DERIVE_CHUNK):
+        # the plan is dropped before the next one is made
+        cols = data[:, i - i0 : i - i0 + DERIVE_CHUNK]
+        _derive_chunk(trace, ids, _interp_plan(trace, i, i1), cols)
     for row, sid in zip(data, ids):
         if sid.kind == "pd":
             _unwrap_in_place(row)
@@ -536,6 +498,12 @@ def pca_first_component(data: np.ndarray, sample_rate_hz: float) -> np.ndarray:
     return out
 
 
+def check_cal_start(cal_start_s: float) -> None:
+    """Refuse a calibration start that is not finite or is before 0 s."""
+    if not (math.isfinite(cal_start_s) and cal_start_s >= 0):
+        raise ValueError(f"cal_start_s must be finite and at least 0 s, got {cal_start_s!r}")
+
+
 def calibrate(
     trace: CsiTrace, config: PipelineConfig, cal_start_s: float = 0.0
 ) -> CalibrationState:
@@ -546,6 +514,7 @@ def calibrate(
     out-of-band energy of the PCA-denoised calibration stream over sliding
     detection windows.
     """
+    check_cal_start(cal_start_s)
     fs = trace.sample_rate_hz
     cal_end = cal_start_s + config.t_cal_s
     if cal_end > trace.duration_s + 0.5 / fs:

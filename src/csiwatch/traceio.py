@@ -6,9 +6,9 @@ two arrays in NumPy ``.npy`` format: ``timestamps_s`` (float64, shape
 ``(n_records,)``) and ``csi`` (the header's dtype, shape
 ``(n_rx, n_sc, n_records)``). The arrays hold the raw in-memory bytes, so
 write-then-read reproduces the arrays bit for bit. Reading checks the
-arrays against the header, refuses pickled data, truncation and trailing
-bytes, and rejects non-finite CSI; `CsiTrace` itself rejects bad
-timestamps. A ``.gz`` extension transparently gzip-compresses at level 1;
+arrays against the header and refuses pickled data, truncation and trailing
+bytes; `CsiTrace` itself rejects non-finite CSI and bad timestamps, and
+returns read-only arrays. A ``.gz`` extension transparently gzip-compresses at level 1;
 written gzip members carry no timestamp or file name, so equal content
 gives equal bytes.
 
@@ -143,20 +143,12 @@ def _load_array(f, path, name: str, shape: tuple, dtype: np.dtype) -> np.ndarray
     return arr
 
 
-def _check_csi(path, csi: np.ndarray) -> None:
-    """Reject non-finite CSI, one stream row at a time, so no temporary of
-    the full array's size is allocated."""
-    for rx, sc in np.ndindex(csi.shape[:2]):
-        if not np.isfinite(csi[rx, sc]).all():
-            raise ValueError(f"{path}: non-finite CSI on antenna {rx}, subcarrier {sc}")
-
-
 def read_trace(path) -> CsiTrace:
     """Read a trace file and its labels sidecar back into a CsiTrace.
 
     Raises ValueError for a file that is not a well-formed trace of the
-    current format version, or whose CSI is non-finite, or that `CsiTrace`
-    rejects (bad rate or timestamps); those messages start with the path.
+    current format version, or that `CsiTrace` rejects (bad rate,
+    timestamps or non-finite CSI); those messages start with the path.
     events come from the labels sidecar, and are empty when there is none.
     The file format does not carry per-stream path parameters or the
     outlier log: the outlier log comes back empty, the path parameters None.
@@ -184,11 +176,9 @@ def read_trace(path) -> CsiTrace:
     labels_path = sidecar_path(path, "labels")
     events = tuple(read_labels(labels_path)) if labels_path.exists() else ()
     try:
-        trace = CsiTrace(sample_rate_hz, csi, timestamps, events=events, geometry=geometry)
+        return CsiTrace(sample_rate_hz, csi, timestamps, events=events, geometry=geometry)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from e
-    _check_csi(path, csi)
-    return trace
 
 
 def write_labels(events, path) -> None:

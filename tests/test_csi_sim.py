@@ -1,5 +1,7 @@
 """Trace generation: determinism, labels, noise model, superposition."""
 
+import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -67,7 +69,34 @@ class TestScenarioValidation:
             Scenario(60.0, breathing_profile(60.0), (ev,))
 
 
+class TestNoiseSpec:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize(
+        "field", ["awgn_sigma", "outlier_rate_per_s", "outlier_magnitude", "jitter_std_s"])
+    def test_bad_value_named(self, field, value):
+        with pytest.raises(ValueError, match=(
+                rf"^{field} must be finite and non-negative, got {value!r}$")):
+            NoiseSpec(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_bad_per_stream_sigma_named(self, value):
+        sigma = np.full((2, 3), 0.01)
+        sigma[1, 2] = value
+        with pytest.raises(ValueError, match=rf"^awgn_sigma must be .*, got {value!r}$"):
+            NoiseSpec(awgn_sigma=sigma)
+
+
 class TestGenerateTrace:
+    def test_trace_is_read_only(self):
+        trace = small_trace(duration=5.0, n_rx=2, n_sc=2)
+        for array in (trace.csi, trace.timestamps_s):
+            with pytest.raises(ValueError, match="read-only"):
+                array[..., 0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.csi = trace.csi.copy()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.events = ()
+
     def test_determinism_bit_identical(self):
         noise = NoiseSpec(awgn_sigma=0.02, outlier_rate_per_s=0.5,
                           outlier_magnitude=8.0, jitter_std_s=0.001)

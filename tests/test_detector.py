@@ -1,5 +1,6 @@
 """Event detection, bandwidth estimation, and classification."""
 
+import dataclasses
 import math
 import statistics
 
@@ -395,8 +396,7 @@ class TestInvariantsAndMonotonicity:
         ]
         trace = trace_with(evs, duration=120.0)
         r1 = run_pipeline(trace, PipelineConfig())
-        trace.csi *= 4.0
-        r2 = run_pipeline(trace, PipelineConfig())
+        r2 = run_pipeline(dataclasses.replace(trace, csi=4.0 * trace.csi), PipelineConfig())
         assert len(r1.events) == len(r2.events)
         for a, b in zip(r1.events, r2.events):
             assert a.event_class is b.event_class

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from csiwatch import csi_sim
 from csiwatch.cli import main
 from csiwatch.config import PipelineConfig
 from csiwatch.csi_sim import (
+    CsiTrace,
     EventKind,
     LabelInterval,
     NoiseSpec,
@@ -79,6 +81,55 @@ BAD_SCENARIO_CONFIGS = [
      "n_normal_events must be non-negative, got -2"),
     ({"duration_s": 60.0, "dtype": "float64"},
      "dtype must be complex64 or complex128, got float64"),
+    ({"duration_s": 3600.0, "auto_events": {"n_seizures": 1.7, "n_normal_events": 2.9}},
+     "auto_events key 'n_seizures': the value must be a whole number, got 1.7"),
+    ({"duration_s": 3600.0, "auto_events": {"n_normal_events": 2.9}},
+     "auto_events key 'n_normal_events': the value must be a whole number, got 2.9"),
+    ({"duration_s": 60.0, "n_rx": 2.5},
+     "scenario config key 'n_rx': the value must be a whole number"),
+    ({"duration_s": 60.0, "seed": "x"},
+     "scenario config key 'seed': the value must be a whole number"),
+    ({"duration_s": 60.0, "second_person": {"seed": 1.5}},
+     "second_person key 'seed': the value must be a whole number"),
+    ({"duration_s": "long"}, "scenario config key 'duration_s': could not convert"),
+    ({"duration_s": math.inf}, "duration_s must be finite and positive, got inf"),
+    ({"duration_s": 60.0, "events": [{"kind": "cough", "start_s": math.nan, "duration_s": 1.5}]},
+     "event must have finite start_s >= 0"),
+    ({"duration_s": 600.0, "auto_events": {"normal_events_per_hour": -3}},
+     "auto_events key 'normal_events_per_hour': must be finite and non-negative, got -3.0"),
+    ({"duration_s": 3600.0, "auto_events": {"normal_events_per_hour": -3}},
+     "auto_events key 'normal_events_per_hour': must be finite and non-negative, got -3.0"),
+    ({"duration_s": 60.0, "events": [{"kind": "cough", "start_s": "ten", "duration_s": 1.5}]},
+     "event 0 key 'start_s': could not convert"),
+    ({"duration_s": 60.0, "events": [{"kind": "cough", "start_s": 5.0, "duration_s": 1.5},
+                                     {"kind": "sneeze", "start_s": 20.0, "duration_s": 1.5}]},
+     "event 1 key 'kind': 'sneeze' is not a valid EventKind"),
+    ({"duration_s": 60.0, "events": [{"kind": "seizure", "start_s": 10.0, "duration_s": 22.0,
+                                      "f_o_hz": "fast"}]},
+     "event 0 key 'f_o_hz': could not convert"),
+    ({"duration_s": 60.0, "events": [5]}, "event 0 must be an object, got 5"),
+    ({"duration_s": 60.0, "events": 5}, "events must be a list, got 5"),
+    ({"duration_s": 60.0, "noise": [1]}, "noise must be an object, got [1]"),
+    ({"duration_s": 60.0, "noise": {"awgn_sigma": math.nan}},
+     "awgn_sigma must be finite and non-negative, got nan"),
+    ({"duration_s": 60.0, "n_rx": 1, "n_sc": 3, "noise": {"awgn_sigma": [[0.01, math.inf, 0.01]]}},
+     "awgn_sigma must be finite and non-negative, got inf"),
+    ({"duration_s": 60.0, "noise": {"outlier_magnitude": math.inf, "outlier_rate_per_s": 1.0}},
+     "outlier_magnitude must be finite and non-negative, got inf"),
+]
+
+# `csiwatch detect` arguments it must refuse as input errors (exit 2) before
+# the calibration-overlap check; a dict is written to a pipeline config file
+BAD_PIPELINE_SETTINGS = [
+    (["--t-min", "nan"], "t_min_s must be finite and positive, got nan"),
+    (["--t-min", "inf"], "t_min_s must be finite and positive, got inf"),
+    (["--f-th", "nan"], "f_th_hz = nan must be finite"),
+    (["--f-th", "inf"], "f_th_hz = inf must be finite"),
+    (["--cal-len", "nan"], "t_cal_s must be finite and positive, got nan"),
+    (["--config", {"t_cal_s": math.inf}], "t_cal_s must be finite and positive, got inf"),
+    (["--config", {"k_streams": 5.5}], "k_streams must be a whole number, got 5.5"),
+    (["--cal-start", "-12"], "cal_start_s must be finite and at least 0 s, got -12.0"),
+    (["--cal-start", "nan"], "cal_start_s must be finite and at least 0 s, got nan"),
 ]
 
 
@@ -98,16 +149,17 @@ def tiny_trace(duration=5.0, seed=0, dtype=np.complex128):
     )
 
 
-def write_trace_by_hand(path, trace, sample_rate_hz, timestamps_s):
-    """Write a trace file with the JSON header and np.save, for a header or
-    timestamps that CsiTrace itself refuses."""
-    header = {"version": 2, "sample_rate_hz": sample_rate_hz, "n_rx": trace.n_rx,
-              "n_sc": trace.n_sc, "n_records": trace.n_samples, "dtype": str(trace.csi.dtype),
+def write_trace_by_hand(path, csi, sample_rate_hz, timestamps_s):
+    """Write a trace file with the JSON header and np.save, for a header,
+    timestamps or CSI that CsiTrace itself refuses."""
+    n_rx, n_sc, n = csi.shape
+    header = {"version": 2, "sample_rate_hz": sample_rate_hz, "n_rx": n_rx,
+              "n_sc": n_sc, "n_records": n, "dtype": str(csi.dtype),
               "geometry": {"wavelength_m": G.wavelength_m, "psi": G.psi, "phi_rad": G.phi_rad}}
     with open(path, "wb") as f:
         f.write(json.dumps(header).encode() + b"\n")
         np.save(f, timestamps_s)
-        np.save(f, trace.csi)
+        np.save(f, csi)
 
 
 BAD_TIMESTAMPS = [
@@ -258,11 +310,11 @@ class TestTraceIO:
         ("inf_all_streams", "non-finite CSI"),
     ])
     def test_bad_samples_rejected(self, tmp_path, capsys, bad, match):
-        # written by hand because CsiTrace refuses the bad timestamps
+        # written by hand because CsiTrace refuses the bad timestamps and CSI
         trace = tiny_trace()
         ts, csi = bad_samples(trace, bad)
         path = tmp_path / "bad.csitrace"
-        write_trace_by_hand(path, dataclasses.replace(trace, csi=csi), trace.sample_rate_hz, ts)
+        write_trace_by_hand(path, csi, trace.sample_rate_hz, ts)
         with pytest.raises(ValueError, match=match):
             read_trace(path)
         assert main(["detect", "--trace", str(path)]) == 2
@@ -280,7 +332,7 @@ class TestTraceIO:
         # hand because CsiTrace refuses such a trace
         trace = tiny_trace()
         path = tmp_path / "epoch.csitrace"
-        write_trace_by_hand(path, trace, trace.sample_rate_hz, trace.timestamps_s + 1.7e9)
+        write_trace_by_hand(path, trace.csi, trace.sample_rate_hz, trace.timestamps_s + 1.7e9)
         with pytest.raises(ValueError, match="first packet"):
             read_trace(path)
         assert main(["detect", "--trace", str(path)]) == 2
@@ -290,14 +342,14 @@ class TestTraceIO:
     def test_bad_sample_rate_rejected(self, tmp_path, rate):
         trace = tiny_trace()
         path = tmp_path / "rate.csitrace"
-        write_trace_by_hand(path, trace, rate, trace.timestamps_s)
+        write_trace_by_hand(path, trace.csi, rate, trace.timestamps_s)
         with pytest.raises(ValueError, match="rate.csitrace: sample_rate_hz must be finite"):
             read_trace(path)
 
     def test_zero_sample_rate_exit_code(self, tmp_path, capsys):
         trace = tiny_trace()
         path = tmp_path / "zero.csitrace"
-        write_trace_by_hand(path, trace, 0, trace.timestamps_s)
+        write_trace_by_hand(path, trace.csi, 0, trace.timestamps_s)
         assert main(["detect", "--trace", str(path)]) == 2
         assert "sample_rate_hz must be finite and positive, got 0" in capsys.readouterr().err
 
@@ -377,6 +429,96 @@ class TestTraceIO:
         path.write_text("start,end\n1.0,2.0\n")
         with pytest.raises(ValueError, match=rf"{re.escape(name)}: unexpected header 'start,end'"):
             reader(path)
+
+# (dtype, part, value): every CSI dtype a trace may hold, each part it has
+NON_FINITE_SAMPLES = [
+    (dtype, part, value)
+    for dtype in (np.complex64, np.complex128, np.float32)
+    for part in (("real", "imag") if np.dtype(dtype).kind == "c" else ("real",))
+    for value in (math.nan, math.inf, -math.inf)
+]
+
+
+def non_finite_csi(dtype, part, value, layout, n=40):
+    """Random (2, 3, n) CSI with ``value`` in one part of sample 7 of
+    antenna 1, subcarrier 2; contiguous, a fancy-indexed copy, or a
+    strided view."""
+    rng = np.random.default_rng(0)
+    csi = rng.normal(size=(2, 3, n)).astype(dtype)
+    if csi.dtype.kind == "c":
+        csi.imag = rng.normal(size=csi.shape)
+    getattr(csi, part)[1, 2, 7] = value
+    if layout == "fancy":
+        return np.insert(csi, 12, 0, axis=2)[:, :, np.r_[0:12, 13 : n + 1]]
+    if layout == "strided":
+        wide = np.zeros((2, 3, 2 * n), dtype)
+        wide[:, :, ::2] = csi
+        return wide[:, :, ::2]
+    return csi
+
+
+class TestNonFiniteCsiRefused:
+    """CsiTrace is the one check of CSI: every way to a trace meets it."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("route", ["CsiTrace", "replace", "read_trace"])
+    @pytest.mark.parametrize("layout", ["contiguous", "fancy", "strided"])
+    @pytest.mark.parametrize(
+        "dtype, part, value", NON_FINITE_SAMPLES,
+        ids=[f"{np.dtype(d).name}-{p}-{v}" for d, p, v in NON_FINITE_SAMPLES],
+    )
+    def test_sample_named(self, tmp_path, route, layout, dtype, part, value):
+        csi = non_finite_csi(dtype, part, value, layout)
+        ts = np.arange(csi.shape[2]) / 200.0
+        prefix = ""
+        with pytest.raises(ValueError) as err:
+            if route == "CsiTrace":
+                CsiTrace(200.0, csi, ts, events=(), geometry=G)
+            elif route == "replace":
+                good = CsiTrace(200.0, np.zeros(csi.shape, csi.dtype), ts, events=(), geometry=G)
+                dataclasses.replace(good, csi=csi)
+            else:
+                path = tmp_path / "bad.csitrace"
+                prefix = f"{path}: "
+                write_trace_by_hand(path, csi, 200.0, ts)
+                read_trace(path)
+        assert str(err.value) == (
+            f"{prefix}non-finite CSI sample on antenna 1, subcarrier 2 at 0.035 s")
+
+    def test_first_bad_row_named(self):
+        # rows are checked in antenna, then subcarrier order; the first bad
+        # row names its first bad packet, however early a later row's is
+        trace = tiny_trace(duration=60.0)
+        csi = trace.csi.copy()
+        csi[0, 1, 10000] = math.nan
+        csi[1, 1, 400] = complex(math.inf, 0.0)
+        csi[0, 1, 9000] = complex(0.0, -math.inf)
+        with pytest.raises(ValueError, match=(
+                f"^non-finite CSI sample on antenna 0, subcarrier 1 at "
+                f"{trace.timestamps_s[9000]:.3f} s$")):
+            dataclasses.replace(trace, csi=csi)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("route", ["generate_trace", "superpose_person"])
+    def test_simulator_output_checked(self, monkeypatch, route):
+        # a displacement that is NaN at packet 7 makes that packet's sample
+        # non-finite on every stream
+        trace = tiny_trace()
+        displacement = csi_sim.scenario_displacement
+
+        def nan_at_packet_7(scenario, t):
+            d = displacement(scenario, t)
+            d[7] = math.nan
+            return d
+
+        monkeypatch.setattr(csi_sim, "scenario_displacement", nan_at_packet_7)
+        with pytest.raises(ValueError, match=(
+                f"^non-finite CSI sample on antenna 0, subcarrier 0 at "
+                f"{trace.timestamps_s[7]:.3f} s$")):
+            if route == "generate_trace":
+                tiny_trace()
+            else:
+                superpose_person(trace, Scenario(5.0, breathing_profile(5.0)), seed=3)
 
 
 class TestMetrics:
@@ -1074,6 +1216,25 @@ class TestCli:
         assert rc == 2
         assert "bad pipeline config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, match", BAD_PIPELINE_SETTINGS)
+    def test_bad_pipeline_setting_exit_code(self, tmp_path, capsys, args, match):
+        # the labeled seizure overlaps every calibration window the trace has
+        trace_path = tmp_path / "t.csitrace"
+        write_trace(dataclasses.replace(tiny_trace(), events=(
+            LabelInterval(0.5, 4.5, EventKind.SEIZURE),)), trace_path)
+        config = tmp_path / "pipeline.json"
+        if isinstance(args[-1], dict):
+            config.write_text(json.dumps(args[-1]))
+            args = [*args[:-1], str(config)]
+        rc = main(["detect", "--trace", str(trace_path), *args])
+        assert rc == 2
+        assert match in capsys.readouterr().err
+
+    def test_whole_float_k_streams_accepted(self):
+        # JSON may write a count as 15.0
+        k = PipelineConfig(k_streams=15.0).k_streams
+        assert k == 15 and type(k) is int
+
     def test_detect_help_lists_pipeline_keys(self, capsys):
         with pytest.raises(SystemExit):
             main(["detect", "--help"])
@@ -1174,11 +1335,13 @@ class TestPipelineEndToEnd:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("stage", [run_pipeline, analyze_trace])
     def test_non_finite_csi_rejected(self, stage, bad):
+        # the trace a stage would be given cannot be built
         trace = generate_trace(Scenario(60.0, breathing_profile(60.0)), G, None,
                                seed=0, n_rx=3, n_sc=6)
-        trace.csi[:, :, 6000] = bad
-        with pytest.raises(ValueError, match=r"non-finite CSI sample at 30\.000 s"):
-            stage(trace, PipelineConfig())
+        csi = trace.csi.copy()
+        csi[:, :, 6000] = bad
+        with pytest.raises(ValueError, match=r"antenna 0, subcarrier 0 at 30\.000 s"):
+            stage(dataclasses.replace(trace, csi=csi), PipelineConfig())
 
     def test_pipeline_paths_agree(self):
         # run_pipeline classifies in run_detection, which calls a closed
