@@ -498,6 +498,41 @@ class TestDeriveStreams:
         assert streams.data.tobytes() == expected.tobytes()
         assert streams.start_s == expected_start_s
 
+    @pytest.mark.parametrize(
+        "ids, named",
+        [(["mag:0:1", "mag:1:1"], "mag:0:1: non-finite CSI sample at 50.000 s"),
+         (["mag:1:1", "mag:0:1"], "mag:1:1: non-finite CSI sample at 2.000 s"),
+         (["mag:1:0", "pd:1:1"], "mag:1:0: non-finite CSI sample at 45.000 s"),
+         (["pd:1:0", "mag:0:0"], "pd:1:0: non-finite CSI sample at 45.000 s")],
+    )
+    def test_error_names_first_stream_in_ids_order(self, ids, named):
+        # the sample that the first stream in ids order reads (named as the
+        # stream's error once named it) is refused when the trace is built,
+        # under its own (antenna, subcarrier) row; with every bad sample in,
+        # the ids order no longer matters and the first bad row is named
+        trace = breathing_trace(duration=60.0, noise=NoiseSpec(awgn_sigma=0.01), n_rx=2, n_sc=2)
+        bad = {(0, 1, 10000): math.nan, (1, 1, 400): complex(math.inf, 0.0),
+               (1, 0, 9000): math.nan, (0, 0, 2000): complex(0.0, -math.inf)}
+        csi = trace.csi.copy()
+        for at, value in bad.items():
+            csi[at] = value
+        with pytest.raises(ValueError, match=r"^non-finite CSI sample on antenna 0, "
+                                             r"subcarrier 0 at 10\.000 s$"):
+            dataclasses.replace(trace, csi=csi)
+
+        sid, when = named.split(": non-finite CSI sample at ")
+        _, rx, sc = (int(x) if x.isdigit() else x for x in sid.split(":"))
+        ((k, value),) = [(k, v) for (r, s, k), v in bad.items() if (r, s) == (rx, sc)]
+        with pytest.raises(ValueError) as err:
+            dataclasses.replace(trace, csi=with_sample(trace, rx, sc, k, value))
+        assert str(err.value) == f"non-finite CSI sample on antenna {rx}, subcarrier {sc} at {when}"
+
+        # the finite trace derives its streams in ids order
+        ids = [StreamId(kind, int(r), int(s)) for kind, r, s in (i.split(":") for i in ids)]
+        streams = derive_streams(trace, ids)
+        assert streams.ids == tuple(ids)
+        assert streams.data.tobytes() == reference_derive_streams(trace, ids)[0].tobytes()
+
     def test_unread_packet_past_window_not_checked(self):
         # the window [0, 2) s reads nothing after packet 399, yet packet 400
         # is checked when the trace is built
