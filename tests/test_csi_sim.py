@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ from csiwatch.csi_sim import (
     superpose_person,
 )
 from csiwatch.detector import window_percentile_bandwidth
+from csiwatch.harness import simulate_from_config
 from csiwatch.signal_model import (
     SceneGeometry,
     SinusoidProfile,
@@ -204,6 +207,191 @@ class TestGenerateTrace:
         rms_err = np.sqrt(np.mean((lp0 - lp1) ** 2))
         rms_sig = np.sqrt(np.mean((lp0 - lp0.mean()) ** 2))
         assert rms_err < 0.01 * rms_sig
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -200.0])
+    def test_bad_sample_rate_refused_by_name(self, rate):
+        with pytest.raises(ValueError, match=r"^sample_rate_hz must be finite and positive"):
+            generate_trace(Scenario(5.0, breathing_profile(5.0)), G, sample_rate_hz=rate)
+
+    @pytest.mark.parametrize("ratio_range", [
+        (0.1,), (0.05, 0.1, 0.15), (0.2, 0.1), (-0.1, 0.1), (0.05, math.inf),
+        (math.nan, 0.1), ("low", "high"), 0.1,
+    ])
+    def test_bad_ratio_range_refused_by_name(self, ratio_range):
+        with pytest.raises(ValueError, match=r"^ratio_range must be two finite values"):
+            generate_trace(Scenario(5.0, breathing_profile(5.0)), G, ratio_range=ratio_range)
+        trace = small_trace(duration=5.0, n_rx=1, n_sc=2)
+        with pytest.raises(ValueError, match=r"^ratio_range must be two finite values"):
+            superpose_person(trace, Scenario(5.0, breathing_profile(5.0)),
+                             ratio_range=ratio_range)
+
+    # content_hash of complex64 traces, recorded with the serial synthesis
+    # that drew the noise on the calling thread: a night with AWGN, outliers
+    # and jitter; per-stream sigmas with zeros; and the benchmark's one-minute
+    # CLI scenario. complex64 outliers move by an ulp if their scale is
+    # computed in float64.
+    CLI_CONFIG = {
+        "duration_s": 60.0, "seed": 1, "dtype": "complex64",
+        "noise": {"awgn_sigma": 0.02, "outlier_rate_per_s": 0.02, "outlier_magnitude": 8.0,
+                  "jitter_std_s": 0.0005},
+        "events": [
+            {"kind": "posture_shift", "start_s": 14.0, "duration_s": 6.0},
+            {"kind": "seizure", "start_s": 24.0, "duration_s": 22.0, "v_max_mps": 0.75,
+             "f_o_hz": 3.0, "phase_rad": 1.0},
+            {"kind": "scratch", "start_s": 50.0, "duration_s": 4.0},
+            {"kind": "cough", "start_s": 56.5, "duration_s": 1.5},
+        ],
+    }
+    RECORDED_COMPLEX64 = {
+        "night": ("c12f243a3a922bcbb9d10ead13b20868204fff20f58b05e98f90e700a86b8166", 121),
+        "stream_sigmas": ("84fe73f54f6bd0615cf19309f6d842a4786a16745f3071a873bc40fd2e4d3722", 38),
+        "cli_config": ("0a6763f308068880bc6540023e75b7989dd6921e3bd1cc451d847de6d34487df", 114),
+    }
+
+    @pytest.mark.parametrize("case", sorted(RECORDED_COMPLEX64))
+    def test_complex64_content_matches_recorded(self, case):
+        if case == "night":
+            noise = NoiseSpec(awgn_sigma=0.02, outlier_rate_per_s=0.02, outlier_magnitude=8.0,
+                              jitter_std_s=0.0005)
+            trace = generate_trace(build_night_scenario(300.0, 1, 3, seed=11), G, noise,
+                                   seed=11, n_rx=3, n_sc=6, dtype=np.complex64)
+        elif case == "stream_sigmas":
+            sigma = np.array([[0.02, 0.0, 0.05], [0.0, 0.01, 0.0]])
+            noise = NoiseSpec(awgn_sigma=sigma, outlier_rate_per_s=0.05)
+            trace = generate_trace(build_night_scenario(120.0, 1, 1, seed=12), G, noise,
+                                   seed=12, n_rx=2, n_sc=3, dtype=np.complex64)
+        else:
+            trace = simulate_from_config(self.CLI_CONFIG)
+        assert trace.csi.dtype == np.complex64
+        assert (trace.content_hash(), len(trace.outlier_log)) == self.RECORDED_COMPLEX64[case]
+
+
+def before_each_draw(monkeypatch, hook):
+    """Make every generator generate_trace seeds call hook(k) before its
+    k-th standard_normal draw, k counting from 1."""
+    make_rng = np.random.default_rng
+
+    class HookedNormals:
+        def __init__(self, seed):
+            self._rng = make_rng(seed)
+            self._draws = 0
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+        def standard_normal(self, *args, **kwargs):
+            self._draws += 1
+            hook(self._draws)
+            return self._rng.standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", HookedNormals)
+
+
+def before_each_spread(monkeypatch, hook):
+    """Make generate_trace call hook(k) before it takes the magnitude spread
+    of its k-th stream, k counting from 1."""
+    spread = csiwatch.csi_sim._stream_magnitude_std
+    calls = []
+
+    def hooked_spread(stream):
+        calls.append(stream)
+        hook(len(calls))
+        return spread(stream)
+
+    monkeypatch.setattr(csiwatch.csi_sim, "_stream_magnitude_std", hooked_spread)
+
+
+def fail_at(k, message):
+    def hook(call):
+        if call == k:
+            raise FloatingPointError(message)
+
+    return hook
+
+
+class TestNoiseWorker:
+    """Receiver noise is drawn on one worker thread that no call outlives."""
+
+    NOISE = NoiseSpec(awgn_sigma=0.02, outlier_rate_per_s=0.5, jitter_std_s=0.001)
+
+    @staticmethod
+    def trace_within_60_s(**kwargs):
+        """small_trace(**kwargs), made on a thread that must end within 60 s,
+        so that a worker that leaves its caller waiting fails the test."""
+        outcome = {}
+
+        def call():
+            try:
+                outcome["trace"] = small_trace(**kwargs)
+            except Exception as exc:
+                outcome["error"] = exc
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "generate_trace did not return within 60 s"
+        if "error" in outcome:
+            raise outcome["error"]
+        return outcome["trace"]
+
+    def test_no_thread_outlives_a_trace(self):
+        before = threading.active_count()
+        small_trace(noise=self.NOISE)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_error_reaches_caller_and_no_thread_outlives_it(self, monkeypatch, failing):
+        # the worker fails on its third stream, or the caller on its second
+        # while the worker draws ahead
+        if failing == "worker":
+            before_each_draw(monkeypatch, fail_at(3, "worker failed"))
+        else:
+            before_each_spread(monkeypatch, fail_at(2, "caller failed"))
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match=f"^{failing} failed$"):
+            self.trace_within_60_s(noise=self.NOISE)
+        assert threading.active_count() == before
+
+    def test_trace_without_awgn_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        small_trace(noise=NoiseSpec(outlier_rate_per_s=0.5, jitter_std_s=0.001))
+        small_trace(noise=NoiseSpec(awgn_sigma=np.zeros((3, 4)), outlier_rate_per_s=0.5))
+
+    def test_concurrent_traces_with_fast_thread_switching(self):
+        # six callers, each with its own worker, on fewer cores, switching
+        # threads every few microseconds: every trace equals its serial one
+        seeds = range(6)
+        expected = {seed: small_trace(noise=self.NOISE, seed=seed).content_hash()
+                    for seed in seeds}
+        got = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [
+                threading.Thread(target=lambda seed=seed: got.__setitem__(
+                    seed, small_trace(noise=self.NOISE, seed=seed).content_hash()))
+                for seed in seeds
+            ]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+                assert not caller.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+
+    @pytest.mark.parametrize("slow", ["worker", "caller"])
+    def test_trace_does_not_depend_on_timing(self, monkeypatch, slow):
+        sigma = np.array([[0.02, 0.0, 0.01, 0.03]] * 3)
+        noise = NoiseSpec(awgn_sigma=sigma, outlier_rate_per_s=0.5, jitter_std_s=0.001)
+        expected = small_trace(noise=noise, seed=4).content_hash()
+        hooks = {"worker": before_each_draw, "caller": before_each_spread}
+        hooks[slow](monkeypatch, lambda k: time.sleep(0.005))
+        assert small_trace(noise=noise, seed=4).content_hash() == expected
 
 
 class TestSuperposePerson:

@@ -116,6 +116,12 @@ BAD_SCENARIO_CONFIGS = [
      "awgn_sigma must be finite and non-negative, got inf"),
     ({"duration_s": 60.0, "noise": {"outlier_magnitude": math.inf, "outlier_rate_per_s": 1.0}},
      "outlier_magnitude must be finite and non-negative, got inf"),
+    ({"duration_s": 60.0, "ratio_range": [0.1]},
+     "ratio_range must be two finite values lo, hi with 0 <= lo <= hi, got (0.1,)"),
+    ({"duration_s": 60.0, "ratio_range": [0.2, 0.1]},
+     "ratio_range must be two finite values lo, hi with 0 <= lo <= hi, got (0.2, 0.1)"),
+    ({"duration_s": 60.0, "sample_rate_hz": math.nan},
+     "sample_rate_hz must be finite and positive, got nan"),
 ]
 
 # `csiwatch detect` arguments it must refuse as input errors (exit 2) before
@@ -345,6 +351,24 @@ class TestTraceIO:
         write_trace_by_hand(path, trace.csi, rate, trace.timestamps_s)
         with pytest.raises(ValueError, match="rate.csitrace: sample_rate_hz must be finite"):
             read_trace(path)
+
+    def test_non_numeric_csi_dtype_refused_by_path(self, tmp_path, capsys):
+        trace = tiny_trace()
+        path = tmp_path / "text.csitrace"
+        write_trace_by_hand(path, trace.csi.astype("<U3"), trace.sample_rate_hz,
+                            trace.timestamps_s)
+        message = f"{path}: CSI must be float or complex, got dtype <U3"
+        with pytest.raises(ValueError) as exc:
+            read_trace(path)
+        assert str(exc.value) == message
+        assert main(["detect", "--trace", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("dtype", ["<U3", "int16", "bool", "object"])
+    def test_non_numeric_csi_dtype_refused(self, dtype):
+        trace = tiny_trace()
+        with pytest.raises(ValueError, match=f"^CSI must be float or complex, got dtype {dtype}"):
+            dataclasses.replace(trace, csi=trace.csi.real.astype(dtype))
 
     def test_zero_sample_rate_exit_code(self, tmp_path, capsys):
         trace = tiny_trace()
