@@ -244,6 +244,18 @@ def _non_negative(value) -> float:
     return value
 
 
+def _finite(value) -> float:
+    if not math.isfinite(value := float(value)):
+        raise ValueError(f"must be finite, got {value!r}")
+    return value
+
+
+def _seed(value) -> int:
+    if (seed := whole_number(value)) < 0:
+        raise ValueError(f"must be non-negative, got {seed!r}")
+    return seed
+
+
 def _event_from(spec: dict, index: int, base_seed: int, rate_hz: float) -> ScenarioEvent:
     if not isinstance(spec, dict):
         raise ValueError(f"event {index} must be an object, got {spec!r}")
@@ -259,7 +271,7 @@ def _event_from(spec: dict, index: int, base_seed: int, rate_hz: float) -> Scena
 
 def _scenario_from(cfg: dict, duration_s: float, seed: int, rate_hz: float) -> Scenario:
     breathing = breathing_profile(duration_s, **_section(
-        cfg, "breathing", f_o_hz=float, displacement_m=float, phase_rad=float))
+        cfg, "breathing", f_o_hz=_finite, displacement_m=_finite, phase_rad=_finite))
     if "auto_events" in cfg:
         # build_night_scenario draws the events
         if "events" in cfg:
@@ -295,7 +307,7 @@ def parse_scenario_config(cfg: dict):
     second = cfg.get("second_person")
     if second is not None:
         _check_keys(second, ("seed", "breathing", "events", "auto_events"), "second_person")
-    given = _given(cfg, "scenario config", duration_s=float, seed=whole_number,
+    given = _given(cfg, "scenario config", duration_s=float, seed=_seed,
                    sample_rate_hz=float, n_rx=whole_number, n_sc=whole_number,
                    dtype=lambda v: np.dtype(v).type, ratio_range=tuple)
     duration = given.pop("duration_s")
@@ -314,7 +326,7 @@ def simulate_from_config(cfg: dict) -> CsiTrace:
     scenario, geometry, noise, sim_kwargs, second = parse_scenario_config(cfg)
     trace = generate_trace(scenario, geometry, noise, **sim_kwargs)
     if second is not None:
-        seed2 = _given(second, "second_person", seed=whole_number).get(
+        seed2 = _given(second, "second_person", seed=_seed).get(
             "seed", sim_kwargs["seed"] + 1)
         scenario2 = _scenario_from(second, scenario.duration_s, seed2, trace.sample_rate_hz)
         # the first person's path-ratio range, where the config sets one

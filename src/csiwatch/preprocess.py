@@ -9,18 +9,23 @@ operation the selected streams are denoised to a single series p(t) by
 per-block PCA projection onto the first principal component.
 
 Per-stream filtering and SNR are independent per stream; CalibrationState is
-immutable once computed. Hampel outlier rejection takes a sample's exact
-running median only where that median could flip its keep-or-replace
-decision: every other sample is cleared against order-statistic bounds from
-the nearest MAD window (see hampel_filter). Streams are derived in chunks of
-DERIVE_CHUNK grid samples: each chunk's packet search and slope denominators
-are shared by every raw series it resamples (see derive_streams). CsiTrace
-checks CSI, so only hampel_filter checks its input here. Needs numpy only.
+immutable once computed. Hampel outlier rejection sorts the window of each
+MAD centre and takes a sample's exact running median only where that median
+could flip its keep-or-replace decision: every other sample is cleared
+against order statistics of its centre's sorted window. A row of more than
+HAMPEL_CHUNK centres is filtered in two halves at once, the second on a
+worker thread that the call joins (see hampel_filter). Streams are derived
+in chunks of DERIVE_CHUNK grid samples: each chunk's packet search and slope
+denominators are shared by every raw series it resamples, and phase
+differences are unwrapped in pieces of the same size (see derive_streams).
+CsiTrace checks CSI, so only hampel_filter checks its input here. Needs
+numpy only.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -50,7 +55,7 @@ __all__ = [
 MAD_SCALE = 1.4826  # scaled-MAD factor for a normal distribution
 HAMPEL_WINDOW_S = 0.5
 HAMPEL_N_SIGMAS = 3.0
-HAMPEL_CHUNK = 1024  # windows partitioned per batch
+HAMPEL_CHUNK = 1024  # windows sorted per batch and lane
 DERIVE_CHUNK = 4096  # grid samples resampled per batch
 PCA_BLOCK_S = 4.0
 PCA_OVERLAP = 0.5
@@ -237,10 +242,11 @@ def derive_streams(
     from it, as real and imaginary parts, into the stream's columns. A
     magnitude is re*re + im*im. A phase difference also reads antenna 0's
     series and is the angle of c * conj(c_0), multiplied in that operand
-    order; its row is unwrapped whole once every chunk is in. A raw series
-    is read again by every stream that needs it and held for one chunk
-    only, so resampling needs a few chunks' memory however long the trace
-    is. Every row is bit for bit the one np.interp gives on whole series.
+    order; its row is unwrapped, a chunk's length at a time, once every
+    chunk is in. A raw series is read again by every stream that needs it
+    and held for one chunk only, so deriving needs a few chunks' memory
+    beside the output however long the trace is. Every row is bit for bit
+    the one np.interp (and np.unwrap) gives on whole series.
     The trace's CSI is finite, as CsiTrace checks, so every row is too.
     """
     if end_s is None:
@@ -265,18 +271,50 @@ def _unwrap_in_place(phase: np.ndarray) -> None:
 
     np.unwrap wraps every step into [-pi, pi) and then zeroes the correction
     of every step smaller than pi; here the correction is computed only for
-    the steps of pi or more, and a single cumulative sum spreads it. phase
-    must be finite.
+    the steps of pi or more, and a cumulative sum spreads it. The row is
+    walked in DERIVE_CHUNK pieces: each piece's first step is taken from
+    the previous piece's last sample as it was, and the correction summed
+    so far is added to the piece's first correction before its cumulative
+    sum, so the sum runs in the same order as one over the whole row.
+    phase must be finite.
     """
-    steps = np.diff(phase)
-    jumps = np.flatnonzero(np.abs(steps) >= np.pi)
-    step = steps[jumps]
-    wrapped = np.mod(step + np.pi, 2 * np.pi) - np.pi
-    # a step of exactly +pi keeps its sign, as in np.unwrap
-    wrapped[(wrapped == -np.pi) & (step > 0)] = np.pi
-    correction = np.zeros_like(steps)
-    correction[jumps] = wrapped - step
-    phase[1:] += np.cumsum(correction, out=correction)
+    if phase.size < 2:
+        return
+    before = phase[0]  # the sample before the piece, as it was
+    carried = 0.0
+    for i in range(1, phase.size, DERIVE_CHUNK):
+        piece = phase[i : i + DERIVE_CHUNK]
+        steps = np.empty_like(piece)
+        steps[0] = piece[0] - before
+        np.subtract(piece[1:], piece[:-1], out=steps[1:])
+        before = piece[-1]
+        jumps = np.flatnonzero(np.abs(steps) >= np.pi)
+        if jumps.size == 0:
+            # the cumulative sum stays at carried, never -0.0 (a sum of
+            # corrections, none of them -0.0)
+            piece += carried
+            continue
+        step = steps[jumps]
+        wrapped = np.mod(step + np.pi, 2 * np.pi) - np.pi
+        # a step of exactly +pi keeps its sign, as in np.unwrap
+        wrapped[(wrapped == -np.pi) & (step > 0)] = np.pi
+        correction = np.zeros_like(steps)
+        correction[jumps] = wrapped - step
+        correction[0] += carried
+        np.cumsum(correction, out=correction)
+        carried = correction[-1]
+        piece += correction
+
+
+class _HampelRow(NamedTuple):
+    """One stream's Hampel geometry, read by both lanes."""
+
+    x: np.ndarray  # the stream
+    windows: np.ndarray  # its sliding windows of w samples
+    m: int  # the median's rank in a window, w // 2
+    hop: int  # the spacing of the MAD centres, m + 1
+    reach: int  # hop // 2
+    n_centres: int
 
 
 def hampel_filter(stream: np.ndarray, window_samples: int) -> np.ndarray:
@@ -294,23 +332,27 @@ def hampel_filter(stream: np.ndarray, window_samples: int) -> np.ndarray:
     No running median is formed over the whole stream. A window at
     distance d from a centre c differs from W_c in d samples (padded ends
     included), so m_i lies between W_c's order statistics m - d and m + d
-    (m = w//2). Each centre's window is partitioned for m_c and, in its two
-    halves, for lo_c and hi_c at ranks m - reach and m + reach, with
-    reach = hop//2. A sample within reach of its centre whose |x - lo_c|
-    and |x - hi_c| are both within the threshold keeps its value: rounding
-    is monotone, so |x - m_i| is within it too. Only the other samples, the
-    candidates, get their own window partitioned for the exact m_i: those
-    the screen cannot clear, and the few at either end more than reach from
-    their centre. The result equals a full median filter's bit for bit,
-    except that a zero median of a window holding both +0.0 and -0.0 may
-    carry either sign.
+    (m = w//2). One sort of each centre's window gives m_c, and lo_c and
+    hi_c at ranks m - reach and m + reach, with reach = hop//2. A sample
+    within reach of its centre whose |x - lo_c| and |x - hi_c| are both
+    within the threshold keeps its value: rounding is monotone, so
+    |x - m_i| is within it too. Only the other samples, the candidates, get
+    their own window sorted for the exact m_i: those the screen cannot
+    clear, and the few at either end more than reach from their centre.
+    The result equals a full median filter's bit for bit, except that a
+    zero median of a window holding both +0.0 and -0.0 may carry either
+    sign.
 
-    Cost: one centre window per hop samples, partitioned once whole, once
-    in halves and once for the MAD; then one window partition per
-    candidate. With 1-3 % candidates, as on detection rows, that is about
-    half the time of a full median filter; with every sample a candidate it
-    is several times that. Work arrays hold at most HAMPEL_CHUNK windows at
-    a time.
+    Cost: two window sorts per centre, one for the order statistics and one
+    for the MAD, then one per candidate. Detection rows have 1-3 %
+    candidates, so the centres' sorts take most of the time; when most
+    samples are candidates, as on integer-quantized CSI, theirs do. Work
+    arrays hold at most HAMPEL_CHUNK windows per lane. A row of more than
+    HAMPEL_CHUNK centres is cut into two halves of equal centre count, each
+    with the samples its centres own: the caller filters one half and a
+    worker thread the other. The halves write apart, so the output does not
+    depend on the thread, and no thread outlives the call. A shorter row
+    starts no thread.
 
     window_samples must be odd and >= 3. The stream must be finite (a NaN
     or Inf sample raises ValueError) and is not modified; returns a new
@@ -327,62 +369,104 @@ def hampel_filter(stream: np.ndarray, window_samples: int) -> np.ndarray:
         return x.copy()
     m = w // 2
     hop = m + 1
-    reach = hop // 2
     n_centres = (n - w) // hop + 1
     windows = np.lib.stride_tricks.sliding_window_view(x, w)
-    # block k: the hop samples from c_k - (m - reach) to c_k + reach, all
-    # owned by centre c_k and within reach of it; the reach samples before
-    # block 0 and the ones after the last block are always candidates
-    blocks = x[reach : reach + n_centres * hop].reshape(n_centres, hop)
+    row = _HampelRow(x, windows, m, hop, hop // 2, n_centres)
+    out = np.empty_like(x)
+    if n_centres <= HAMPEL_CHUNK:
+        _hampel_half(row, out, 0, n_centres)
+        return out
+    half = (n_centres + 1) // 2
+    error: list[BaseException] = []
 
-    thr = np.empty(n_centres)
-    screened_out = [np.arange(reach)]
-    for k0 in range(0, n_centres, HAMPEL_CHUNK):
-        k1 = min(k0 + HAMPEL_CHUNK, n_centres)
-        buf = windows[k0 * hop : (k1 - 1) * hop + 1 : hop].copy()
-        buf.partition(m, axis=1)
-        med = buf[:, m : m + 1].copy()
-        # order statistics m -+ reach of W_c bound the median of every
-        # window within reach of c_k
-        buf[:, :m].partition(m - reach, axis=1)
-        buf[:, m + 1 :].partition(reach - 1, axis=1)
-        lo = buf[:, m - reach : m - reach + 1].copy()
-        hi = buf[:, m + reach : m + reach + 1].copy()
-        # the MAD, then the screen's deviations, reuse the window buffer
-        np.subtract(buf, med, out=buf)
-        np.abs(buf, out=buf)
-        buf.partition(m, axis=1)
-        t = thr[k0:k1, None]
-        np.multiply(HAMPEL_N_SIGMAS * MAD_SCALE, buf[:, m : m + 1], out=t)
+    def second_half() -> None:
+        try:
+            _hampel_half(row, out, half, n_centres)
+        except BaseException as exc:  # raised again by the caller
+            error.append(exc)
 
-        block = blocks[k0:k1]
-        dev = buf[:, :hop]
-        np.subtract(block, lo, out=dev)
-        np.abs(dev, out=dev)
-        kept = dev <= t
-        np.subtract(block, hi, out=dev)
-        np.abs(dev, out=dev)
-        kept &= dev <= t
-        screened_out.append(np.flatnonzero(~kept) + (reach + k0 * hop))
-    screened_out.append(np.arange(reach + n_centres * hop, n))
-    candidates = np.concatenate(screened_out)
-
-    out = x.copy()
-    for j in range(0, candidates.size, HAMPEL_CHUNK):
-        idx = candidates[j : j + HAMPEL_CHUNK]
-        win = windows[np.clip(idx - m, 0, n - w)]
-        # the windows of the first and last m samples are padded with the
-        # nearest sample
-        edge = np.flatnonzero((idx < m) | (idx >= n - m))
-        win[edge] = x[np.clip(idx[edge, None] + np.arange(-m, m + 1), 0, n - 1)]
-        win.partition(m, axis=1)
-        med_i = win[:, m]
-        dev = np.subtract(x[idx], med_i)
-        np.abs(dev, out=dev)
-        owner = np.clip((idx - reach) // hop, 0, n_centres - 1)
-        replace = dev > thr[owner]
-        out[idx[replace]] = med_i[replace]
+    worker = threading.Thread(target=second_half, name="csiwatch-hampel")
+    worker.start()
+    try:
+        _hampel_half(row, out, 0, half)
+    finally:
+        worker.join()
+    if error:
+        raise error[0]
     return out
+
+
+def _hampel_half(row: _HampelRow, out: np.ndarray, k0: int, k1: int) -> None:
+    """Filter the samples that centres k0 to k1 - 1 own into out.
+
+    Centre c_k owns block k, the hop samples from c_k - (m - reach) to
+    c_k + reach, all within reach of it; the first centre also owns the
+    reach samples before its block, the last one every sample after its.
+    """
+    a = 0 if k0 == 0 else row.reach + k0 * row.hop
+    b = row.x.size if k1 == row.n_centres else row.reach + k1 * row.hop
+    out[a:b] = row.x[a:b]
+    for k in range(k0, k1, HAMPEL_CHUNK):
+        k_end = min(k + HAMPEL_CHUNK, k1)
+        candidates, thr = _centre_chunk(row, k, k_end)
+        for j in range(0, candidates.size, HAMPEL_CHUNK):
+            _candidate_chunk(row, candidates[j : j + HAMPEL_CHUNK], thr, k, out)
+
+
+def _centre_chunk(row: _HampelRow, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
+    """The candidates among the samples that centres k0 to k1 - 1 own, and
+    those centres' thresholds."""
+    m, hop, reach = row.m, row.hop, row.reach
+    buf = row.windows[k0 * hop : (k1 - 1) * hop + 1 : hop].copy()
+    buf.sort(axis=1)
+    med = buf[:, m : m + 1].copy()
+    # order statistics m -+ reach of W_c bound the median of every window
+    # within reach of c_k
+    lo = buf[:, m - reach : m - reach + 1].copy()
+    hi = buf[:, m + reach : m + reach + 1].copy()
+    # the MAD, then the screen's deviations, reuse the window buffer
+    np.subtract(buf, med, out=buf)
+    np.abs(buf, out=buf)
+    buf.sort(axis=1)
+    thr = HAMPEL_N_SIGMAS * MAD_SCALE * buf[:, m : m + 1]
+
+    first = reach + k0 * hop
+    block = row.x[first : first + (k1 - k0) * hop].reshape(k1 - k0, hop)
+    dev = np.subtract(block, lo)
+    np.abs(dev, out=dev)
+    dev_hi = np.subtract(block, hi, out=buf[:, :hop])
+    np.abs(dev_hi, out=dev_hi)
+    np.maximum(dev, dev_hi, out=dev)
+    candidates = np.flatnonzero(dev > thr) + first
+    # the samples before block 0 and after the last block are more than
+    # reach from their centre
+    if k0 == 0:
+        candidates = np.concatenate([np.arange(reach), candidates])
+    if k1 == row.n_centres:
+        candidates = np.concatenate([candidates, np.arange(first + dev.size, row.x.size)])
+    return candidates, thr[:, 0]
+
+
+def _candidate_chunk(
+    row: _HampelRow, idx: np.ndarray, thr: np.ndarray, k0: int, out: np.ndarray
+) -> None:
+    """Replace each candidate in idx whose own median is beyond its
+    threshold with that median, in out. thr holds the thresholds of the
+    centres from k0 on, which own every sample in idx."""
+    x, m, hop, reach = row.x, row.m, row.hop, row.reach
+    n, w = x.size, 2 * m + 1
+    win = row.windows[np.clip(idx - m, 0, n - w)]
+    # the windows of the first and last m samples are padded with the
+    # nearest sample
+    edge = np.flatnonzero((idx < m) | (idx >= n - m))
+    win[edge] = x[np.clip(idx[edge, None] + np.arange(-m, m + 1), 0, n - 1)]
+    win.sort(axis=1)
+    med_i = win[:, m]
+    dev = np.subtract(x[idx], med_i)
+    np.abs(dev, out=dev)
+    owner = np.clip((idx - reach) // hop - k0, 0, thr.size - 1)
+    replace = dev > thr[owner]
+    out[idx[replace]] = med_i[replace]
 
 
 def _hampel_rows(streams: StreamSet) -> None:
@@ -464,6 +548,8 @@ def pca_first_component(data: np.ndarray, sample_rate_hz: float) -> np.ndarray:
     starts = list(range(0, max(n - block, 0) + 1, hop))
     if starts[-1] + block < n:
         starts.append(n - block)
+    # every block is `block` samples long
+    w = np.minimum(np.arange(1, block + 1), np.arange(block, 0, -1)).astype(np.float64)
 
     for s in starts:
         x = data[:, s : s + block]
@@ -486,16 +572,13 @@ def pca_first_component(data: np.ndarray, sample_rate_hz: float) -> np.ndarray:
                     )
                     if dot < 0:
                         comp = -comp
-        m = comp.size
-        w = np.minimum(np.arange(1, m + 1), np.arange(m, 0, -1)).astype(np.float64)
-        acc[s : s + m] += w * comp
-        wsum[s : s + m] += w
+        acc[s : s + block] += w * comp
+        wsum[s : s + block] += w
         prev, prev_start = comp, s
 
-    out = np.zeros(n)
-    nz = wsum > 0
-    out[nz] = acc[nz] / wsum[nz]
-    return out
+    # the blocks cover every sample, each with a weight of at least 1
+    acc /= wsum
+    return acc
 
 
 def check_cal_start(cal_start_s: float) -> None:

@@ -122,6 +122,18 @@ BAD_SCENARIO_CONFIGS = [
      "ratio_range must be two finite values lo, hi with 0 <= lo <= hi, got (0.2, 0.1)"),
     ({"duration_s": 60.0, "sample_rate_hz": math.nan},
      "sample_rate_hz must be finite and positive, got nan"),
+    ({"duration_s": 60.0, "seed": -1}, "scenario config key 'seed': must be non-negative, got -1"),
+    ({"duration_s": 60.0, "n_rx": 1, "n_sc": 2, "second_person": {"seed": -1}},
+     "second_person key 'seed': must be non-negative, got -1"),
+    ({"duration_s": 60.0, "breathing": {"f_o_hz": math.nan}},
+     "breathing key 'f_o_hz': must be finite, got nan"),
+    ({"duration_s": 60.0, "breathing": {"displacement_m": math.inf}},
+     "breathing key 'displacement_m': must be finite, got inf"),
+    ({"duration_s": 60.0, "breathing": {"phase_rad": -math.inf}},
+     "breathing key 'phase_rad': must be finite, got -inf"),
+    ({"duration_s": 60.0, "n_rx": 1, "n_sc": 2,
+      "second_person": {"breathing": {"f_o_hz": math.nan}}},
+     "breathing key 'f_o_hz': must be finite, got nan"),
 ]
 
 # `csiwatch detect` arguments it must refuse as input errors (exit 2) before

@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -25,6 +27,7 @@ from csiwatch.csi_sim import (
 from csiwatch.detector import ED_BAND_HZ
 from csiwatch.preprocess import (
     DERIVE_CHUNK,
+    HAMPEL_CHUNK,
     HAMPEL_N_SIGMAS,
     MAD_SCALE,
     StreamId,
@@ -164,16 +167,7 @@ class TestHampel:
         assert np.count_nonzero(out != x) > 0
 
     def test_threshold_ties_bit_equal_to_median_filter(self):
-        # integers -2..2 give a zero median and a MAD of 1 in most windows, so
-        # a sample at +-HAMPEL_N_SIGMAS*MAD_SCALE sits exactly on the threshold;
-        # runs of one value give zero MADs, where the threshold is 0
-        rng = np.random.default_rng(7)
-        x = rng.integers(-2, 3, 30_000).astype(np.float64)
-        t = HAMPEL_N_SIGMAS * MAD_SCALE
-        spikes = rng.choice(x.size, 600, replace=False)
-        x[spikes] = rng.choice([t, -t, np.nextafter(t, 10.0), 2.0 + t, -2.0 - t], 600)
-        for start in range(1000, 30_000, 3000):
-            x[start : start + 200] = x[start]
+        x = threshold_ties_stream(30_000)
         med, threshold = _median_and_threshold(x, 101)
         dev = np.abs(x - med)
         assert np.count_nonzero((dev == threshold) & (threshold > 0)) > 100
@@ -206,6 +200,139 @@ class TestHampel:
         finally:
             tracemalloc.stop()
         assert peak <= 29.6e6
+
+
+class TestHampelLanes:
+    """A row of more than HAMPEL_CHUNK centres is filtered in two halves, one
+    on a worker thread that no call outlives."""
+
+    @staticmethod
+    def stream(n_centres, extra=0, seed=0):
+        """A mixed stream with n_centres MAD centres at window 101 (hop 51)
+        and extra samples after the last centre's window."""
+        return mixed_stream(101 + (n_centres - 1) * 51 + extra, seed=seed)
+
+    @staticmethod
+    def centre_chunk_spy(monkeypatch, before=None):
+        """Names of the threads that run preprocess._centre_chunk, one per
+        call; before(k0) is called first in each."""
+        names = []
+        real = preprocess._centre_chunk
+
+        def spy(row, k0, k1):
+            names.append(threading.current_thread().name)
+            if before is not None:
+                before(k0)
+            return real(row, k0, k1)
+
+        monkeypatch.setattr(preprocess, "_centre_chunk", spy)
+        return names
+
+    @pytest.mark.parametrize(
+        "n_centres, extra",
+        [(HAMPEL_CHUNK, 50),  # one chunk: no thread
+         (HAMPEL_CHUNK + 1, 0),  # the shortest row in two halves
+         (2 * HAMPEL_CHUNK - 1, 50),
+         (2 * HAMPEL_CHUNK, 0),
+         (2 * HAMPEL_CHUNK + 1, 7),
+         (3 * HAMPEL_CHUNK, 0),  # an odd chunk count, split inside a chunk
+         (5 * HAMPEL_CHUNK + 301, 23)],
+    )
+    def test_bit_equal_to_median_filter(self, n_centres, extra):
+        x = self.stream(n_centres, extra, seed=n_centres)
+        out = hampel_filter(x, 101)
+        assert out.tobytes() == median_filter_hampel(x, 101).tobytes()
+        assert np.count_nonzero(out != x) > 0
+
+    def test_candidates_beyond_a_chunk_in_each_half(self, monkeypatch):
+        # the threshold-ties stream at ~110 000 samples leaves both halves
+        # more than a chunk of candidates
+        settled = {}
+        real = preprocess._candidate_chunk
+
+        def spy(row, idx, thr, k0, out):
+            name = threading.current_thread().name
+            settled[name] = settled.get(name, 0) + idx.size
+            real(row, idx, thr, k0, out)
+
+        monkeypatch.setattr(preprocess, "_candidate_chunk", spy)
+        x = threshold_ties_stream(110_000)
+        out = hampel_filter(x, 101)
+        assert out.tobytes() == median_filter_hampel(x, 101).tobytes()
+        assert len(settled) == 2
+        assert min(settled.values()) > HAMPEL_CHUNK
+
+    @pytest.mark.parametrize("n", [2_600, 12_000, 101 + (HAMPEL_CHUNK - 1) * 51 + 50])
+    def test_row_of_one_chunk_starts_no_thread(self, monkeypatch, n):
+        # calibration rows (13 s), 60 s rows and the longest one-chunk row
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        names = self.centre_chunk_spy(monkeypatch)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        x = mixed_stream(n, seed=n)
+        assert hampel_filter(x, 101).tobytes() == median_filter_hampel(x, 101).tobytes()
+        assert set(names) == {threading.current_thread().name}
+
+    def test_longer_row_has_one_worker(self, monkeypatch):
+        names = self.centre_chunk_spy(monkeypatch)
+        before = threading.active_count()
+        hampel_filter(self.stream(HAMPEL_CHUNK + 1), 101)
+        assert threading.active_count() == before
+        assert sorted(names) == sorted([threading.current_thread().name, "csiwatch-hampel"])
+
+    @pytest.mark.parametrize("failing, k_fail", [("worker", 2 * HAMPEL_CHUNK),
+                                                 ("caller", HAMPEL_CHUNK)])
+    def test_error_reaches_caller_and_no_thread_outlives_it(self, monkeypatch, failing, k_fail):
+        # of 4 chunks, the worker's first one fails, or the caller's second
+        # one while the worker is busy
+        def fail(k0):
+            if k0 == k_fail:
+                raise FloatingPointError(f"{failing} failed")
+
+        self.centre_chunk_spy(monkeypatch, fail)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match=f"^{failing} failed$"):
+            hampel_filter(self.stream(4 * HAMPEL_CHUNK), 101)
+        assert threading.active_count() == before
+
+    def test_concurrent_callers_with_fast_thread_switching(self):
+        # six callers, each with its own worker, on fewer cores, switching
+        # threads every few microseconds: every output equals the oracle's
+        rows = [self.stream(2 * HAMPEL_CHUNK + 500 * k, seed=k) for k in range(6)]
+        expected = [median_filter_hampel(x, 101).tobytes() for x in rows]
+        got = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [
+                threading.Thread(target=lambda k=k: got.__setitem__(
+                    k, hampel_filter(rows[k], 101).tobytes()))
+                for k in range(6)
+            ]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+                assert not caller.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [got.get(k) for k in range(6)] == expected
+
+
+def threshold_ties_stream(n):
+    """Integers -2..2 give a zero median and a MAD of 1 in most windows, so
+    a sample at +-HAMPEL_N_SIGMAS*MAD_SCALE sits exactly on the threshold;
+    runs of one value give zero MADs, where the threshold is 0. One sample
+    in 50 is such a spike."""
+    rng = np.random.default_rng(7)
+    x = rng.integers(-2, 3, n).astype(np.float64)
+    t = HAMPEL_N_SIGMAS * MAD_SCALE
+    spikes = rng.choice(x.size, n // 50, replace=False)
+    x[spikes] = rng.choice([t, -t, np.nextafter(t, 10.0), 2.0 + t, -2.0 - t], n // 50)
+    for start in range(1000, n, 3000):
+        x[start : start + 200] = x[start]
+    return x
 
 
 def mixed_stream(n, seed):
@@ -563,6 +690,49 @@ class TestUnwrap:
         preprocess._unwrap_in_place(phase)
         assert phase.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("n", [DERIVE_CHUNK + 2, 2 * DERIVE_CHUNK + 1, 3 * DERIVE_CHUNK + 777])
+    def test_row_of_several_pieces_equals_numpy_unwrap(self, n):
+        # wrapped phases with steps of exactly +-pi and jumps on both sides
+        # of every piece boundary (a piece starts at 1 + k * DERIVE_CHUNK)
+        rng = np.random.default_rng(n)
+        phase = np.angle(np.exp(1j * np.cumsum(rng.normal(0.0, 1.5, n))))
+        phase[rng.choice(n, n // 20, replace=False)] = rng.choice([math.pi, -math.pi], n // 20)
+        for edge in range(1 + DERIVE_CHUNK, n, DERIVE_CHUNK):
+            phase[edge - 1 : edge + 2] = [3.0, -3.0, math.pi][: n - edge + 1]
+        expected = np.unwrap(phase)
+        preprocess._unwrap_in_place(phase)
+        assert phase.tobytes() == expected.tobytes()
+        assert np.abs(expected).max() > 4 * math.pi
+
+    @pytest.mark.parametrize("first_piece_jumps", [False, True])
+    def test_quiet_pieces_equal_numpy_unwrap(self, first_piece_jumps):
+        # a piece with no step of pi or more only adds the correction carried
+        # into it (none, or the first piece's), to -0.0 samples as well
+        n = 3 * DERIVE_CHUNK + 1
+        rng = np.random.default_rng(11)
+        phase = rng.uniform(-1.0, 1.0, n)
+        phase[rng.choice(n, 200, replace=False)] = -0.0
+        if first_piece_jumps:
+            walk = np.cumsum(rng.normal(0.0, 1.5, DERIVE_CHUNK - 1))
+            phase[1:DERIVE_CHUNK] = np.angle(np.exp(1j * walk))
+            phase[DERIVE_CHUNK] = 0.0
+        expected = np.unwrap(phase)
+        carried = expected[-1] - phase[-1]
+        preprocess._unwrap_in_place(phase)
+        assert phase.tobytes() == expected.tobytes()
+        assert (carried != 0) == first_piece_jumps
+
+    def test_peak_memory_bounded_by_piece(self):
+        # an hour at 200 Hz is unwrapped in DERIVE_CHUNK pieces
+        phase = np.angle(np.exp(1j * np.cumsum(np.random.default_rng(0).normal(0, 1.0, 720_000))))
+        tracemalloc.start()
+        try:
+            preprocess._unwrap_in_place(phase)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * DERIVE_CHUNK * 8
+
 
 class TestStreamSnr:
     def test_white_noise_matches_band_ratio(self):
@@ -688,6 +858,18 @@ class TestSelection:
 
 
 class TestPca:
+    def test_peak_memory_two_rows(self):
+        # p(t) is the weighted sum divided in place by the weights: beside
+        # the input, two rows and one block's work
+        data = np.random.default_rng(1).normal(size=(15, 72_000))
+        tracemalloc.start()
+        try:
+            p = pca_first_component(data, FS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * p.nbytes + 0.5e6
+
     def test_common_signal_recovered(self):
         # K copies of one signal plus small independent noise: the first
         # component correlates with the common signal at >= 0.99
