@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -27,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._lanes import OneAhead
 from .signal_model import (
     MotionProfile,
     PathParams,
@@ -591,65 +591,6 @@ def _check_ratio_range(ratio_range) -> None:
         )
 
 
-class _NoiseAhead:
-    """Each noisy stream's (real, imag) standard normals, drawn on a worker
-    thread from rng in stream order, at most one stream ahead of the caller.
-
-    Within `with`, the caller takes the draws of each of the n_noisy streams
-    in turn; taking one hands back the buffer of the one before. The caller
-    must not use rng itself. An error in the worker is raised by take.
-    Leaving the block stops and joins the worker. With no noisy stream, no
-    thread starts.
-    """
-
-    def __init__(self, rng: np.random.Generator, n_noisy: int, n: int, dtype):
-        # the draws of the stream in use and of the next one
-        self._buffers = np.empty((2, 2, n if n_noisy else 0), dtype=dtype)
-        self._filled = threading.Semaphore(0)
-        self._free = threading.Semaphore(2)
-        self._stopping = False
-        self._error: BaseException | None = None
-        self._taken = 0
-        self._thread = threading.Thread(
-            target=self._draw, args=(rng, n_noisy), name="csiwatch-noise"
-        ) if n_noisy else None
-
-    def _draw(self, rng: np.random.Generator, n_noisy: int) -> None:
-        try:
-            for k in range(n_noisy):
-                self._free.acquire()
-                if self._stopping:
-                    return
-                out = self._buffers[k % 2]
-                rng.standard_normal(dtype=out.dtype, out=out)
-                self._filled.release()
-        except BaseException as exc:  # raised again by the caller's take
-            self._error = exc
-            self._filled.release()
-
-    def __enter__(self) -> _NoiseAhead:
-        if self._thread is not None:
-            self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._thread is not None:
-            self._stopping = True
-            self._free.release()
-            self._thread.join()
-
-    def take(self) -> np.ndarray:
-        """The next noisy stream's draws, shape (2, n): real row, imag row."""
-        if self._taken:
-            self._free.release()
-        self._filled.acquire()
-        if self._error is not None:
-            raise self._error
-        z = self._buffers[self._taken % 2]
-        self._taken += 1
-        return z
-
-
 def generate_trace(
     scenario: Scenario,
     geometry: SceneGeometry,
@@ -672,9 +613,10 @@ def generate_trace(
     Each stream is synthesized and given its receiver noise in one pass of
     SIM_CHUNK-sample chunks; where outliers are on, its magnitude spread is
     taken right after. With receiver noise on, a worker thread draws the
-    noise one stream ahead of that pass; the draws, their order and every
-    sample are those of a serial run, so the trace does not depend on the
-    thread. No thread outlives the call.
+    noise one stream ahead of that pass (a _lanes.OneAhead over the noisy
+    streams, in two buffers of one stream's draws that take turns); the
+    draws, their order and every sample are those of a serial run, so the
+    trace does not depend on the thread. No thread outlives the call.
 
     dtype complex64 halves memory; on a one-hour 3x30 night with noise it is
     only ~10 % faster than complex128, as drawing the noise sets the pace
@@ -717,7 +659,15 @@ def generate_trace(
     # Receiver noise comes next in the draw order, stream by stream; the
     # worker starts drawing it while the motion phasor is computed.
     sigma = np.broadcast_to(np.asarray(noise.awgn_sigma, dtype=float), (n_rx, n_sc))
-    with _NoiseAhead(rng, int(np.count_nonzero(sigma)), n, real_dtype) as noise_ahead:
+    n_noisy = int(np.count_nonzero(sigma))
+
+    def draw(k: int, out: np.ndarray) -> None:
+        # the (real, imag) standard normals of the k-th noisy stream
+        rng.standard_normal(dtype=out.dtype, out=out)
+
+    # the draws of the stream in use and of the next one
+    buffers = np.empty((2, 2, n if n_noisy else 0), dtype=real_dtype)
+    with OneAhead(draw, n_noisy, buffers, "csiwatch-noise") as noise_ahead:
         # Shared motion phasor, then per-stream complex coefficients.
         d = scenario_displacement(scenario, timestamps)
         base = np.exp(1j * (geometry.beta_rad_per_m * d)).astype(dtype)

@@ -294,9 +294,12 @@ def _scenario_from(cfg: dict, duration_s: float, seed: int, rate_hz: float) -> S
 def parse_scenario_config(cfg: dict):
     """Decode a scenario config dict.
 
-    Returns (scenario, geometry, noise, sim_kwargs, second_person_cfg).
+    Returns (scenario, geometry, noise, sim_kwargs, second_person).
     sim_kwargs holds the seed and only the generate_trace settings the
     config gives; generate_trace's defaults hold for the others.
+    second_person is None, or the (scenario, seed) of the second person
+    the config describes. Every value is checked here, before anything is
+    generated.
     """
     if "duration_s" not in cfg:
         raise ValueError("scenario config needs duration_s")
@@ -312,12 +315,15 @@ def parse_scenario_config(cfg: dict):
                    dtype=lambda v: np.dtype(v).type, ratio_range=tuple)
     duration = given.pop("duration_s")
     sim_kwargs = {"seed": 0, **given}
-    scenario = _scenario_from(cfg, duration, sim_kwargs["seed"],
-                              sim_kwargs.get("sample_rate_hz", SAMPLE_RATE_HZ))
+    rate_hz = sim_kwargs.get("sample_rate_hz", SAMPLE_RATE_HZ)
+    scenario = _scenario_from(cfg, duration, sim_kwargs["seed"], rate_hz)
     geometry = _geometry_from(cfg)
     noise = NoiseSpec(**_section(
         cfg, "noise", awgn_sigma=lambda v: v,  # a number, or nested lists per stream
         outlier_rate_per_s=float, outlier_magnitude=float, jitter_std_s=float))
+    if second is not None:
+        seed2 = _given(second, "second_person", seed=_seed).get("seed", sim_kwargs["seed"] + 1)
+        second = (_scenario_from(second, scenario.duration_s, seed2, rate_hz), seed2)
     return scenario, geometry, noise, sim_kwargs, second
 
 
@@ -326,9 +332,7 @@ def simulate_from_config(cfg: dict) -> CsiTrace:
     scenario, geometry, noise, sim_kwargs, second = parse_scenario_config(cfg)
     trace = generate_trace(scenario, geometry, noise, **sim_kwargs)
     if second is not None:
-        seed2 = _given(second, "second_person", seed=_seed).get(
-            "seed", sim_kwargs["seed"] + 1)
-        scenario2 = _scenario_from(second, scenario.duration_s, seed2, trace.sample_rate_hz)
+        scenario2, seed2 = second
         # the first person's path-ratio range, where the config sets one
         shared = {k: v for k, v in sim_kwargs.items() if k == "ratio_range"}
         trace = superpose_person(trace, scenario2, seed=seed2, **shared)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from csiwatch import csi_sim
+from csiwatch import csi_sim, harness
 from csiwatch.cli import main
 from csiwatch.config import PipelineConfig
 from csiwatch.csi_sim import (
@@ -1194,6 +1194,37 @@ class TestCli:
         assert rc == 2
         assert match in capsys.readouterr().err
         assert not (tmp_path / "x.csitrace").exists()
+
+    # a bad value in each part of second_person, and the message naming it
+    BAD_SECOND_PERSON = [
+        ({"seed": -1}, "second_person key 'seed': must be non-negative, got -1"),
+        ({"seed": 1.5}, "second_person key 'seed': the value must be a whole number"),
+        ({"breathing": {"f_o_hz": math.nan}}, "breathing key 'f_o_hz': must be finite, got nan"),
+        ({"events": [{"kind": "cough", "start_s": "ten", "duration_s": 1.5}]},
+         "event 0 key 'start_s': could not convert"),
+        ({"events": [{"kind": "sneeze", "start_s": 20.0, "duration_s": 1.5}]},
+         "event 0 key 'kind': 'sneeze' is not a valid EventKind"),
+        ({"auto_events": {"n_seizures": 1.7}},
+         "auto_events key 'n_seizures': the value must be a whole number, got 1.7"),
+        ({"auto_events": {"n_seizures": 1},
+          "events": [{"kind": "cough", "start_s": 50.0, "duration_s": 1.5}]},
+         "events cannot be combined with auto_events"),
+    ]
+
+    @pytest.mark.parametrize("second, match", BAD_SECOND_PERSON)
+    def test_bad_second_person_refused_before_generation(
+            self, tmp_path, capsys, monkeypatch, second, match):
+        # an hour-long first person is never generated
+        def generate_trace(*args, **kwargs):
+            raise AssertionError("generate_trace was called")
+
+        monkeypatch.setattr(harness, "generate_trace", generate_trace)
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps({"duration_s": 3600, "second_person": second}))
+        rc = main(["simulate", "--config", str(scenario),
+                   "--out", str(tmp_path / "x.csitrace")])
+        assert rc == 2
+        assert match in capsys.readouterr().err
 
     def test_invalid_scenario_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

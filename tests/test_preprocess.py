@@ -909,6 +909,204 @@ class TestPca:
             pca_first_component(np.ones((1, 100)), FS)
 
 
+def reference_pca(data, sample_rate_hz, flips=None):
+    """pca_first_component as one loop over the blocks: the oracle. If
+    flips is a list, each block's eigenvector sign flip is appended."""
+    n = data.shape[1]
+    block = min(int(round(preprocess.PCA_BLOCK_S * sample_rate_hz)), n)
+    hop = max(int(round(block * (1.0 - preprocess.PCA_OVERLAP))), 1)
+    acc = np.zeros(n)
+    wsum = np.zeros(n)
+    prev = None
+    prev_start = 0
+    starts = list(range(0, max(n - block, 0) + 1, hop))
+    if starts[-1] + block < n:
+        starts.append(n - block)
+    w = np.minimum(np.arange(1, block + 1), np.arange(block, 0, -1)).astype(np.float64)
+    for s in starts:
+        x = data[:, s : s + block]
+        xc = x - x.mean(axis=1, keepdims=True)
+        cov = xc @ xc.T
+        if not np.any(cov):
+            comp = np.zeros(x.shape[1])
+        else:
+            eigvals, eigvecs = np.linalg.eigh(cov)
+            v = eigvecs[:, -1]
+            flipped = v[np.argmax(np.abs(v))] < 0
+            if flipped:
+                v = -v
+            if flips is not None:
+                flips.append(flipped)
+            comp = v @ xc
+            if prev is not None:
+                lo = max(s, prev_start)
+                hi = min(prev_start + prev.size, s + comp.size)
+                if hi > lo:
+                    dot = float(
+                        np.dot(prev[lo - prev_start : hi - prev_start], comp[lo - s : hi - s])
+                    )
+                    if dot < 0:
+                        comp = -comp
+        acc[s : s + block] += w * comp
+        wsum[s : s + block] += w
+        prev, prev_start = comp, s
+    acc /= wsum
+    return acc
+
+
+def pca_rows(k, n, seed):
+    """k streams of n samples at FS: one shared breathing-like line at a
+    different gain per stream, plus independent noise."""
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((k, n))
+    data += np.sin(2 * math.pi * 0.3 / FS * np.arange(n)) * rng.uniform(-2.0, 2.0, (k, 1))
+    return data
+
+
+def pca_batch_size(k, n):
+    """Blocks per batch, as pca_first_component sizes it at FS."""
+    return max(1, n // (3 * (k + 1) * 800))
+
+
+class TestPcaOracle:
+    """pca_first_component equals the block-by-block loop bit for bit."""
+
+    @pytest.mark.parametrize("k", [2, 15])
+    @pytest.mark.parametrize("n", [799, 800, 801, 2_600, 12_000, 120_000, 720_000])
+    def test_bit_equal_to_block_loop(self, k, n):
+        # below, at and one past a block; 13 s, 60 s, 600 s and an hour
+        data = pca_rows(k, n, seed=n + k)
+        assert pca_first_component(data, FS).tobytes() == reference_pca(data, FS).tobytes()
+
+    def test_last_block_off_the_hop_grid_inside_a_batch(self):
+        # the last block starts 123 samples after the one before, in the
+        # last batch of many blocks
+        data = pca_rows(2, 120_123, seed=5)
+        assert pca_batch_size(2, data.shape[1]) > 1
+        assert pca_first_component(data, FS).tobytes() == reference_pca(data, FS).tobytes()
+
+    @pytest.mark.parametrize("where", ["start", "end", "batch_boundary"])
+    def test_constant_blocks(self, where):
+        # 600 s of two streams: batches of 16 blocks, the first the caller's
+        # and the second the worker's; blocks 15 and 16 lie on both sides
+        n = 120_000
+        assert pca_batch_size(2, n) == 16
+        data = pca_rows(2, n, seed=6)
+        span = {"start": slice(0, 1200), "end": slice(n - 1200, n),
+                "batch_boundary": slice(15 * 400, 17 * 400 + 400)}[where]
+        data[0, span] = 1.0
+        data[1, span] = -2.0
+        p = pca_first_component(data, FS)
+        assert p.tobytes() == reference_pca(data, FS).tobytes()
+        assert np.count_nonzero(p[span]) < span.stop - span.start
+
+    def test_overlap_dot_exactly_zero(self):
+        # the first block's second half equals its mean on every stream, so
+        # its output there is zero and the next block's sign dot is 0.0
+        data = pca_rows(3, 12_000, seed=7)
+        data[:, 400:800] = 1.0
+        data[:, :400] = 1.0 + np.where(np.arange(400) % 2, 0.5, -0.5) * [[1.0], [2.0], [-1.0]]
+        p = pca_first_component(data, FS)
+        assert np.all(p[400:800] != 0.0)  # the second block is not constant
+        assert p.tobytes() == reference_pca(data, FS).tobytes()
+
+    def test_flipped_and_kept_eigenvectors(self):
+        # a loop projects a kept eigenvector as a strided column of eigh's
+        # output and a flipped one as a new contiguous array; the two round
+        # differently, and on independent noise both occur often
+        data = np.random.default_rng(8).standard_normal((15, 120_000))
+        flips = []
+        expected = reference_pca(data, FS, flips)
+        assert 0.3 < np.mean(flips) < 0.7
+        assert pca_first_component(data, FS).tobytes() == expected.tobytes()
+
+
+class TestPcaLanes:
+    """Batches of more than one block split over the caller and one
+    csiwatch-pca worker that no call outlives."""
+
+    @staticmethod
+    def batch_spy(monkeypatch, before=None):
+        """(thread name, first block start) of each preprocess._pca_batch
+        call; before(first start) is called first in each."""
+        calls = []
+        real = preprocess._pca_batch
+
+        def spy(windows, hop, starts, buf):
+            calls.append((threading.current_thread().name, starts[0]))
+            if before is not None:
+                before(starts[0])
+            real(windows, hop, starts, buf)
+
+        monkeypatch.setattr(preprocess, "_pca_batch", spy)
+        return calls
+
+    @pytest.mark.parametrize("n", [2_600, 12_000, 2 * 3 * 16 * 800 - 1])
+    def test_batch_of_one_block_starts_no_thread(self, monkeypatch, n):
+        # calibration rows (13 s), 60 s rows and the longest row of
+        # one-block batches at K = 15
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        assert pca_batch_size(15, n) == 1
+        calls = self.batch_spy(monkeypatch)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        data = pca_rows(15, n, seed=n)
+        assert pca_first_component(data, FS).tobytes() == reference_pca(data, FS).tobytes()
+        assert {name for name, _ in calls} == {threading.current_thread().name}
+
+    def test_hour_has_one_worker_for_the_odd_batches(self, monkeypatch):
+        calls = self.batch_spy(monkeypatch)
+        before = threading.active_count()
+        pca_first_component(pca_rows(15, 720_000, seed=9), FS)
+        assert threading.active_count() == before
+        # 1799 blocks in 100 batches of 18
+        assert len(calls) == 100
+        by_thread = {}
+        for name, first in calls:
+            by_thread.setdefault(name, []).append(first // (18 * 400))
+        assert by_thread == {threading.current_thread().name: list(range(0, 100, 2)),
+                             "csiwatch-pca": list(range(1, 100, 2))}
+
+    @pytest.mark.parametrize("failing, batch", [("worker", 1), ("worker", 3),
+                                                ("caller", 0), ("caller", 2)])
+    def test_error_reaches_caller_and_no_thread_outlives_it(
+            self, monkeypatch, failing, batch):
+        # 600 s of two streams: 19 batches of 16 blocks
+        def fail(first):
+            if first == batch * 16 * 400:
+                raise FloatingPointError(f"{failing} failed")
+
+        self.batch_spy(monkeypatch, fail)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match=f"^{failing} failed$"):
+            pca_first_component(pca_rows(2, 120_000, seed=10), FS)
+        assert threading.active_count() == before
+
+    def test_concurrent_callers_with_fast_thread_switching(self):
+        # six callers, each with its own worker, on fewer cores, switching
+        # threads every few microseconds: every output equals the oracle's
+        rows = [pca_rows(2, 120_000 + 7_001 * k, seed=k) for k in range(6)]
+        expected = [reference_pca(x, FS).tobytes() for x in rows]
+        got = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [
+                threading.Thread(target=lambda k=k: got.__setitem__(
+                    k, pca_first_component(rows[k], FS).tobytes()))
+                for k in range(6)
+            ]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+                assert not caller.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [got.get(k) for k in range(6)] == expected
+
+
 class TestTimeBase:
     @pytest.mark.parametrize("jitter_std_s", [0.0, 0.0005, 0.002])
     @pytest.mark.parametrize("duration, rate", [(300.0, 200.0), (37.35, 100.0), (61.7, 30.0)])
