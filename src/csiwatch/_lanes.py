@@ -1,15 +1,15 @@
-"""The two ways a pipeline stage puts work on a second core.
+"""How a pipeline stage puts work on a second core.
 
-split_in_two runs two independent pieces of work at once, one on a worker
-thread, and joins it: Hampel's halves of a long row and ED's low bins.
 OneAhead makes a sequence of items on a worker thread, in order and at most
 one item ahead of the caller, in two buffers that take turns: the
-simulator's noise draws and PCA's odd batches of blocks.
+simulator's noise draws and PCA's odd batches of blocks. split_in_two is a
+OneAhead of one item, made while the caller runs other work: Hampel's
+halves of a long row and ED's low bins.
 
-Either way no thread outlives the call that started it, and an error in the
-worker is raised in the caller. A worker runs only the callables it is
-given; a stage hands it private code, so that a tracer wrapping the public
-functions sees every call on the caller's thread.
+No thread outlives the call that started it, and an error in the worker is
+raised in the caller. A worker runs only the callables it is given; a stage
+hands it private code, so that a tracer wrapping the public functions sees
+every call on the caller's thread.
 """
 
 from __future__ import annotations
@@ -23,24 +23,9 @@ def split_in_two(first: Callable[[], object], second: Callable[[], object],
     """(first(), second()), with second run on a worker thread called name
     while the caller runs first. The worker is joined before this returns
     or raises; the caller's error wins over the worker's."""
-    result: list = []
-    error: list[BaseException] = []
-
-    def run_second() -> None:
-        try:
-            result.append(second())
-        except BaseException as exc:  # raised again by the caller
-            error.append(exc)
-
-    worker = threading.Thread(target=run_second, name=name)
-    worker.start()
-    try:
+    with OneAhead(lambda _k, out: out.append(second()), 1, [[]], name) as ahead:
         mine = first()
-    finally:
-        worker.join()
-    if error:
-        raise error[0]
-    return mine, result[0]
+        return mine, ahead.take()[0]
 
 
 class OneAhead:

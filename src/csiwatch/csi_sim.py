@@ -530,40 +530,28 @@ def build_night_scenario(
 # Trace generation
 # ---------------------------------------------------------------------------
 
-def _event_displacement(event: ScenarioEvent, t: np.ndarray) -> np.ndarray:
-    """Displacement contributed by one event at absolute times t.
-
-    Zero before the event; frozen at the net displacement after it (the
-    body part stays where the movement left it).
-    """
-    d = np.zeros_like(t)
-    lo = np.searchsorted(t, event.start_s, side="left")
-    hi = np.searchsorted(t, event.end_s, side="right")
-    if lo >= t.size:
-        return d
-    local = np.clip(t[lo:hi] - event.start_s, 0.0, event.duration_s)
-    if isinstance(event.motion, SinusoidProfile):
-        seg = event.motion.displacement_at(local)
-        final = float(event.motion.displacement_at(np.array([event.duration_s]))[0])
-    else:
-        v = event.motion.velocity_at(local)
-        seg = cumulative_trapezoid(v, t[lo:hi])
-        final = float(seg[-1]) if seg.size else 0.0
-    d[lo:hi] = seg
-    d[hi:] = final
-    return d
-
-
 def scenario_displacement(scenario: Scenario, t: np.ndarray) -> np.ndarray:
     """Total body displacement along the ellipse normal at times t.
 
     Event velocities superpose on the breathing velocity, so displacements
-    add.
+    add. Each event adds its own displacement over the times [lo, hi) it
+    spans, and after them the net displacement it leaves (the body part
+    stays where the movement left it); it adds nothing before it starts.
     """
     t = np.asarray(t, dtype=float)
     d = scenario.breathing.displacement_at(t)
     for ev in scenario.events:
-        d = d + _event_displacement(ev, t)
+        lo = np.searchsorted(t, ev.start_s, side="left")
+        hi = np.searchsorted(t, ev.end_s, side="right")
+        local = np.clip(t[lo:hi] - ev.start_s, 0.0, ev.duration_s)
+        if isinstance(ev.motion, SinusoidProfile):
+            seg = ev.motion.displacement_at(local)
+            final = float(ev.motion.displacement_at(np.array([ev.duration_s]))[0])
+        else:
+            seg = cumulative_trapezoid(ev.motion.velocity_at(local), t[lo:hi])
+            final = float(seg[-1]) if seg.size else 0.0
+        d[lo:hi] += seg
+        d[hi:] += final
     return d
 
 
@@ -648,13 +636,11 @@ def generate_trace(
 
     # Packet arrival times. Jitter is clipped to +/-0.4 sample periods to
     # keep timestamps strictly monotone.
-    nominal = np.arange(n) / sample_rate_hz
+    timestamps = np.arange(n) / sample_rate_hz
     if noise.jitter_std_s > 0:
         jitter = rng.normal(0.0, noise.jitter_std_s, n)
         np.clip(jitter, -0.4 / sample_rate_hz, 0.4 / sample_rate_hz, out=jitter)
-        timestamps = nominal + jitter
-    else:
-        timestamps = nominal.copy()
+        timestamps += jitter
 
     # Receiver noise comes next in the draw order, stream by stream; the
     # worker starts drawing it while the motion phasor is computed.

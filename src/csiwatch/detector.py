@@ -165,43 +165,32 @@ def detect_event_intervals(
     """Threshold the sliding out-of-band energy and merge triggers into events.
 
     H1 holds at a window position when its out-of-band energy exceeds
-    gamma_th = q * sigma_c^2. Consecutive H1 positions belong to one event;
-    the event closes once H0 persists longer than the hysteresis, so brief
-    amplitude nulls inside one movement do not split it.
+    gamma_th = q * sigma_c^2. The H1 positions split into runs wherever
+    more than the hysteresis of H0 positions lies between two of them, so
+    brief amplitude nulls inside one movement do not split it. Each run is
+    one event: it starts where its first window ends and ends ED_WINDOW_S
+    before its last window ends, and it is open at the end when its last
+    window is the trace's last.
     """
     if calibration is None:
         raise ValueError("event detection requires a calibration state")
     ends, energies = sliding_out_of_band_energy(p, sample_rate_hz)
-    if ends.size == 0:
-        return []
-    gamma_th = ED_THRESHOLD_Q * calibration.sigma_c_sq
-    h1 = energies > gamma_th
-    idx = np.flatnonzero(h1)
-    if idx.size == 0:
+    h1 = np.flatnonzero(energies > ED_THRESHOLD_Q * calibration.sigma_c_sq)
+    if h1.size == 0:
         return []
 
     hop = max(int(round(ED_HOP_S * sample_rate_hz)), 1)
     max_gap_positions = int(round(EVENT_CLOSE_HYSTERESIS_S * sample_rate_hz / hop))
-
-    runs: list[tuple[int, int]] = []
-    run_start = idx[0]
-    prev = idx[0]
-    for i in idx[1:]:
-        if i - prev > max_gap_positions + 1:
-            runs.append((run_start, prev))
-            run_start = i
-        prev = i
-    runs.append((run_start, prev))
+    cut = np.flatnonzero(np.diff(h1) > max_gap_positions + 1)
+    first = h1[np.r_[0, cut + 1]]
+    last = h1[np.r_[cut, h1.size - 1]]
 
     fs = sample_rate_hz
-    intervals = []
-    for first, last in runs:
-        start_s = float(ends[first] + 1) / fs
-        raw_end_s = float(ends[last] + 1) / fs
-        end_s = max(start_s, raw_end_s - ED_WINDOW_S)
-        open_at_end = bool(last == ends.size - 1)
-        intervals.append(DetectedInterval(start_s, end_s, open_at_end))
-    return intervals
+    start_s = (ends[first] + 1) / fs
+    end_s = np.maximum(start_s, (ends[last] + 1) / fs - ED_WINDOW_S)
+    open_at_end = last == ends.size - 1
+    return [DetectedInterval(*row)
+            for row in zip(start_s.tolist(), end_s.tolist(), open_at_end.tolist())]
 
 
 def window_percentile_bandwidth(x: np.ndarray, sample_rate_hz: float) -> float | None:

@@ -279,6 +279,8 @@ def _scenario_from(cfg: dict, duration_s: float, seed: int, rate_hz: float) -> S
         auto = _section(cfg, "auto_events", n_seizures=whole_number,
                         n_normal_events=whole_number, normal_events_per_hour=_non_negative)
         if "normal_events_per_hour" in auto:
+            if "n_normal_events" in auto:
+                raise ValueError("n_normal_events cannot be combined with normal_events_per_hour")
             n_normal = int(round(auto["normal_events_per_hour"] * duration_s / 3600.0))
         else:
             n_normal = auto.get("n_normal_events", 0)

@@ -24,6 +24,7 @@ from csiwatch.csi_sim import (
     generate_trace,
     limb_jerk_profile,
     posture_shift_profile,
+    scenario_displacement,
     scratch_profile,
     seizure_profile,
     superpose_person,
@@ -33,6 +34,7 @@ from csiwatch.harness import simulate_from_config
 from csiwatch.signal_model import (
     SceneGeometry,
     SinusoidProfile,
+    cumulative_trapezoid,
     phase_difference,
     squared_magnitude,
 )
@@ -392,6 +394,79 @@ class TestNoiseWorker:
         hooks = {"worker": before_each_draw, "caller": before_each_spread}
         hooks[slow](monkeypatch, lambda k: time.sleep(0.005))
         assert small_trace(noise=noise, seed=4).content_hash() == expected
+
+
+def reference_event_displacement(event, t):
+    """One event's displacement at absolute times t as a full-length array:
+    zero before the event, held at its net displacement after it."""
+    d = np.zeros_like(t)
+    lo = np.searchsorted(t, event.start_s, side="left")
+    hi = np.searchsorted(t, event.end_s, side="right")
+    if lo >= t.size:
+        return d
+    local = np.clip(t[lo:hi] - event.start_s, 0.0, event.duration_s)
+    if isinstance(event.motion, SinusoidProfile):
+        seg = event.motion.displacement_at(local)
+        final = float(event.motion.displacement_at(np.array([event.duration_s]))[0])
+    else:
+        v = event.motion.velocity_at(local)
+        seg = cumulative_trapezoid(v, t[lo:hi])
+        final = float(seg[-1]) if seg.size else 0.0
+    d[lo:hi] = seg
+    d[hi:] = final
+    return d
+
+
+def reference_displacement(scenario, t):
+    """scenario_displacement as the breathing plus one full-length array per
+    event: the oracle."""
+    t = np.asarray(t, dtype=float)
+    d = scenario.breathing.displacement_at(t)
+    for ev in scenario.events:
+        d = d + reference_event_displacement(ev, t)
+    return d
+
+
+def jittered_times(duration, seed, fs=200.0):
+    """Packet times with generate_trace's clipped jitter."""
+    n = int(round(duration * fs))
+    jitter = np.random.default_rng(seed).normal(0.0, 0.001, n)
+    return np.arange(n) / fs + np.clip(jitter, -0.4 / fs, 0.4 / fs)
+
+
+class TestScenarioDisplacement:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_night_bit_equal_to_oracle(self, seed):
+        # 4 seizures and 24 normal events take every kind in turn
+        scenario = build_night_scenario(600.0, 4, 24, seed=seed)
+        assert {ev.kind for ev in scenario.events} == set(EventKind)
+        t = jittered_times(600.0, seed)
+        got = scenario_displacement(scenario, t)
+        assert got.tobytes() == reference_displacement(scenario, t).tobytes()
+
+    @pytest.mark.parametrize("case", ["at_zero", "past_the_end", "after_the_end", "tonic",
+                                      "still_breathing"])
+    def test_edge_bit_equal_to_oracle(self, case):
+        shift = posture_shift_profile(3.0, rng=np.random.default_rng(5))
+        breathing = breathing_profile(30.0)
+        t = jittered_times(30.0, seed=6)
+        if case == "at_zero":
+            events = (ScenarioEvent(EventKind.POSTURE_SHIFT, 0.0, 3.0, shift),)
+        elif case in ("past_the_end", "after_the_end"):
+            # ends at 30 s, after the last packet; or starts after it
+            events = (ScenarioEvent(EventKind.POSTURE_SHIFT, 27.0, 3.0, shift),)
+            t = t if case == "past_the_end" else t[:5000]
+        elif case == "tonic":
+            events = (ScenarioEvent(EventKind.SEIZURE, 4.0, 22.0,
+                                    seizure_profile(22.0, 0.75, 3.0, tonic_s=5.0)),)
+        else:
+            breathing = SinusoidProfile(0.0, 0.25, 30.0)
+            events = (ScenarioEvent(EventKind.SEIZURE, 2.0, 21.0,
+                                    seizure_profile(21.0, 0.7, 2.5, phase_rad=1.0)),
+                      ScenarioEvent(EventKind.POSTURE_SHIFT, 25.0, 3.0, shift))
+        scenario = Scenario(30.0, breathing, events)
+        got = scenario_displacement(scenario, t)
+        assert got.tobytes() == reference_displacement(scenario, t).tobytes()
 
 
 class TestSuperposePerson:

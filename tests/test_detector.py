@@ -4,6 +4,7 @@ import dataclasses
 import math
 import statistics
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -271,6 +272,84 @@ class TestDetectEvents:
         p = extract_pipeline_stream(trace, calibrate(trace, PipelineConfig()))
         with pytest.raises(ValueError, match="calibration"):
             detect_event_intervals(p, FS, None)
+
+
+def reference_event_intervals(p, sample_rate_hz, calibration):
+    """detect_event_intervals as a walk over every triggered position that
+    closes a run at each long enough gap: the oracle."""
+    if calibration is None:
+        raise ValueError("event detection requires a calibration state")
+    ends, energies = detector.sliding_out_of_band_energy(p, sample_rate_hz)
+    if ends.size == 0:
+        return []
+    gamma_th = detector.ED_THRESHOLD_Q * calibration.sigma_c_sq
+    h1 = energies > gamma_th
+    idx = np.flatnonzero(h1)
+    if idx.size == 0:
+        return []
+
+    hop = max(int(round(detector.ED_HOP_S * sample_rate_hz)), 1)
+    max_gap_positions = int(round(detector.EVENT_CLOSE_HYSTERESIS_S * sample_rate_hz / hop))
+
+    runs: list[tuple[int, int]] = []
+    run_start = idx[0]
+    prev = idx[0]
+    for i in idx[1:]:
+        if i - prev > max_gap_positions + 1:
+            runs.append((run_start, prev))
+            run_start = i
+        prev = i
+    runs.append((run_start, prev))
+
+    fs = sample_rate_hz
+    intervals = []
+    for first, last in runs:
+        start_s = float(ends[first] + 1) / fs
+        raw_end_s = float(ends[last] + 1) / fs
+        end_s = max(start_s, raw_end_s - detector.ED_WINDOW_S)
+        open_at_end = bool(last == ends.size - 1)
+        intervals.append(DetectedInterval(start_s, end_s, open_at_end))
+    return intervals
+
+
+@st.composite
+def trigger_patterns(draw):
+    """(sample rate, window ends, H1 flags): triggered positions a step of
+    one, of exactly max_gap_positions + 1 or + 2, or of any length apart,
+    so that runs of one window occur; the last window triggered or not, and
+    at times no trigger or no window at all."""
+    fs = draw(st.sampled_from([37.0, 100.0, 200.0, 1000.0]))
+    hop = max(int(round(detector.ED_HOP_S * fs)), 1)
+    max_gap = int(round(detector.EVENT_CLOSE_HYSTERESIS_S * fs / hop))
+    step = st.one_of(st.sampled_from([1, max_gap + 1, max_gap + 2]),
+                     st.integers(1, 3 * max_gap + 6))
+    first = draw(st.integers(0, 5))
+    h1 = first + np.cumsum([0] + draw(st.lists(step, max_size=30)))
+    if draw(st.booleans()):
+        h1 = h1[:0]
+    # a tail of 0 puts the last run on the last window
+    tail = draw(st.sampled_from([0, 1, max_gap + 1, max_gap + 2]))
+    n_windows = (int(h1[-1]) + 1 if h1.size else first) + tail
+    flags = np.zeros(n_windows, dtype=bool)
+    flags[h1] = True
+    L = int(round(detector.ED_WINDOW_S * fs))
+    return fs, L - 1 + hop * np.arange(n_windows), flags
+
+
+class TestDetectionRuns:
+    @settings(max_examples=400, deadline=None)
+    @given(pattern=trigger_patterns())
+    def test_equal_to_the_loop_over_triggered_positions(self, pattern):
+        fs, ends, flags = pattern
+        calibration = SimpleNamespace(sigma_c_sq=0.5)
+        gamma_th = detector.ED_THRESHOLD_Q * calibration.sigma_c_sq
+        energies = np.where(flags, 3.0 * gamma_th, 0.5 * gamma_th)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detector, "sliding_out_of_band_energy", lambda p, rate: (ends, energies))
+            got = detect_event_intervals(None, fs, calibration)
+            expected = reference_event_intervals(None, fs, calibration)
+        # repr tells a numpy float or bool from a Python one
+        assert [repr(iv) for iv in got] == [repr(iv) for iv in expected]
 
 
 class TestClassification:

@@ -134,6 +134,11 @@ BAD_SCENARIO_CONFIGS = [
     ({"duration_s": 60.0, "n_rx": 1, "n_sc": 2,
       "second_person": {"breathing": {"f_o_hz": math.nan}}},
      "breathing key 'f_o_hz': must be finite, got nan"),
+    ({"duration_s": 3600, "auto_events": {"n_normal_events": 2, "normal_events_per_hour": 6}},
+     "n_normal_events cannot be combined with normal_events_per_hour"),
+    ({"duration_s": 60.0, "n_rx": 1, "n_sc": 2,
+      "second_person": {"auto_events": {"n_normal_events": 1, "normal_events_per_hour": 0}}},
+     "n_normal_events cannot be combined with normal_events_per_hour"),
 ]
 
 # `csiwatch detect` arguments it must refuse as input errors (exit 2) before
@@ -1209,6 +1214,8 @@ class TestCli:
         ({"auto_events": {"n_seizures": 1},
           "events": [{"kind": "cough", "start_s": 50.0, "duration_s": 1.5}]},
          "events cannot be combined with auto_events"),
+        ({"auto_events": {"n_normal_events": 1, "normal_events_per_hour": 0}},
+         "n_normal_events cannot be combined with normal_events_per_hour"),
     ]
 
     @pytest.mark.parametrize("second, match", BAD_SECOND_PERSON)
