@@ -2,14 +2,17 @@
 
 OneAhead makes a sequence of items on a worker thread, in order and at most
 one item ahead of the caller, in two buffers that take turns: the
-simulator's noise draws and PCA's odd batches of blocks. split_in_two is a
-OneAhead of one item, made while the caller runs other work: Hampel's
-halves of a long row and ED's low bins.
+simulator's noise draws (csiwatch-noise) and PCA's odd batches of blocks
+(csiwatch-pca). split_in_two is a OneAhead of one item, made while the
+caller runs other work: Hampel's halves of a long row (csiwatch-hampel),
+ED's low bins (csiwatch-ed), and a long window's second half of derived
+chunks, then half of its phase unwraps (csiwatch-derive).
 
 No thread outlives the call that started it, and an error in the worker is
 raised in the caller. A worker runs only the callables it is given; a stage
 hands it private code, so that a tracer wrapping the public functions sees
-every call on the caller's thread.
+every call on the caller's thread (tests/test_lanes.py checks this for every
+function a csiwatch module names in __all__).
 """
 
 from __future__ import annotations

@@ -32,9 +32,21 @@ from .spectral_oracle import (
 def _load_json(path) -> dict:
     with open(path, encoding="utf-8") as f:
         try:
-            return json.load(f)
+            cfg = json.load(f)
         except json.JSONDecodeError as e:
             raise ValueError(f"{path}: invalid JSON ({e})") from e
+    _check_object(cfg, path, "the config")
+    return cfg
+
+
+_JSON_TYPES = {bool: "a boolean", int: "a number", float: "a number", str: "a string",
+               list: "an array", type(None): "null"}
+
+
+def _check_object(value, path, what: str) -> None:
+    """Refuse a config value that is not a JSON object, naming the file."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: {what} must be a JSON object, not {_JSON_TYPES[type(value)]}")
 
 
 def cmd_simulate(args) -> int:
@@ -58,7 +70,9 @@ def _pipeline_config(args) -> PipelineConfig:
     overrides = {}
     if args.config:
         file_cfg = _load_json(args.config)
-        overrides.update(file_cfg.get("pipeline", file_cfg))
+        section = file_cfg.get("pipeline", file_cfg)
+        _check_object(section, args.config, 'its "pipeline" section')
+        overrides.update(section)
     for flag, key in (("f_th", "f_th_hz"), ("t_min", "t_min_s"), ("cal_len", "t_cal_s")):
         if getattr(args, flag, None) is not None:
             overrides[key] = getattr(args, flag)

@@ -17,11 +17,13 @@ HAMPEL_CHUNK centres is filtered in two halves at once, the second on a
 worker thread that the call joins (see hampel_filter). PCA works on batches
 of blocks, with stacked covariances and eigenvectors; on a long input a
 worker thread computes every other batch one batch ahead of the caller (see
-pca_first_component). Both give the output of one thread bit for bit, and
-both start their worker through the helpers of _lanes. Streams are derived
-in chunks of DERIVE_CHUNK grid samples: each chunk's packet search and slope
-denominators are shared by every raw series it resamples, and phase
-differences are unwrapped in pieces of the same size (see derive_streams).
+pca_first_component). Streams are derived in chunks of grid samples: each
+chunk's packet search and slope denominators are shared by every raw series
+it resamples, and phase differences are unwrapped in pieces of DERIVE_CHUNK.
+A window longer than about 22 min at 200 Hz is walked in larger chunks on
+two lanes, the second half of its chunks and then half of its unwraps on a
+worker thread (see derive_streams). All three give the output of one thread
+bit for bit, and all start their worker through the helpers of _lanes.
 CsiTrace checks CSI, so only hampel_filter checks its input here. Needs
 numpy only.
 """
@@ -29,6 +31,7 @@ numpy only.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -61,6 +64,7 @@ HAMPEL_WINDOW_S = 0.5
 HAMPEL_N_SIGMAS = 3.0
 HAMPEL_CHUNK = 1024  # windows sorted per batch and lane
 DERIVE_CHUNK = 4096  # grid samples resampled per batch
+DERIVE_LANE_DIVISOR = 64  # a long window's lanes walk chunks of n // this
 PCA_BLOCK_S = 4.0
 PCA_OVERLAP = 0.5
 
@@ -153,11 +157,9 @@ def _last_packets(ts: np.ndarray, fs: float, i0: int, i1: int) -> np.ndarray:
     return np.cumsum(n_new) + (a - 1)
 
 
-def _interp_plan(trace: CsiTrace, i0: int, i_end: int) -> _InterpPlan:
-    """The plan of the DERIVE_CHUNK grid indices from i0 on, or of those
-    before i_end if fewer; grid point i lies at i / fs."""
+def _interp_plan(trace: CsiTrace, i0: int, i1: int) -> _InterpPlan:
+    """The plan of the grid indices i0 to i1 - 1; grid point i lies at i / fs."""
     ts, fs = trace.timestamps_s, trace.sample_rate_hz
-    i1 = min(i0 + DERIVE_CHUNK, i_end)
     grid = np.arange(i0, i1, dtype=np.float64) / fs
     j = _last_packets(ts, fs, i0, i1)
     t0 = ts[np.maximum(j, 0)]
@@ -197,6 +199,14 @@ def resample_uniform(
     Grid points outside the timestamp span clamp to the edge values. The
     samples are finite: CsiTrace refused any other when it was built.
     """
+    return _resample(values, plan, out)
+
+
+def _resample(
+    values: np.ndarray, plan: _InterpPlan, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """resample_uniform's work. derive_streams calls this private name, so
+    that its worker runs no public function."""
     y0, y1 = _pairs(values[plan.left]), _pairs(values[plan.right])
     if out is None:
         out = np.empty(plan.n_points, dtype=np.complex128)
@@ -219,17 +229,31 @@ def _derive_chunk(trace: CsiTrace, ids, plan: _InterpPlan, cols: np.ndarray) -> 
     for row, sid in zip(cols, ids):
         values = trace.csi[sid.rx, sid.sc]
         if sid.kind == "mag":
-            re, im = resample_uniform(values, plan)
+            re, im = _resample(values, plan)
             np.multiply(re, re, out=row)
             row += np.multiply(im, im, out=im)
         else:
             c, conj_c0 = np.empty((2, row.size), dtype=np.complex128)
-            resample_uniform(values, plan, c)
-            resample_uniform(trace.csi[0, sid.sc], plan, conj_c0)
+            _resample(values, plan, c)
+            _resample(trace.csi[0, sid.sc], plan, conj_c0)
             np.conjugate(conj_c0, out=conj_c0)
             # one operand order everywhere: conj_c0 * c rounds differently
             np.multiply(c, conj_c0, out=conj_c0)
             np.arctan2(conj_c0.imag, conj_c0.real, out=row)
+
+
+def _derive_span(trace: CsiTrace, ids, cols: np.ndarray, a: int, b: int, chunk: int) -> None:
+    """Write the grid indices a to b - 1 of every stream in ``ids`` into
+    ``cols``, in chunks of ``chunk`` samples."""
+    for i in range(a, b, chunk):
+        end = min(i + chunk, b)
+        # the plan is dropped before the next one is made
+        _derive_chunk(trace, ids, _interp_plan(trace, i, end), cols[:, i - a : end - a])
+
+
+def _unwrap_rows(rows: Iterable[np.ndarray]) -> None:
+    for row in rows:
+        _unwrap_in_place(row)
 
 
 def derive_streams(
@@ -240,18 +264,40 @@ def derive_streams(
 ) -> StreamSet:
     """Form the requested derived streams on the uniform grid.
 
-    The grid is walked in chunks of DERIVE_CHUNK samples. A chunk's
-    interpolation plan (the packets around each grid point) is made once,
-    and every raw series a requested stream reads is resampled on the chunk
-    from it, as real and imaginary parts, into the stream's columns. A
-    magnitude is re*re + im*im. A phase difference also reads antenna 0's
-    series and is the angle of c * conj(c_0), multiplied in that operand
-    order; its row is unwrapped, a chunk's length at a time, once every
-    chunk is in. A raw series is read again by every stream that needs it
-    and held for one chunk only, so deriving needs a few chunks' memory
-    beside the output however long the trace is. Every row is bit for bit
-    the one np.interp (and np.unwrap) gives on whole series.
-    The trace's CSI is finite, as CsiTrace checks, so every row is too.
+    The grid is walked in chunks. A chunk's interpolation plan (the packets
+    around each grid point) is made once, and every raw series a requested
+    stream reads is resampled on the chunk from it, as real and imaginary
+    parts, into the stream's columns. A magnitude is re*re + im*im. A phase
+    difference also reads antenna 0's series and is the angle of
+    c * conj(c_0), multiplied in that operand order; its row is unwrapped,
+    DERIVE_CHUNK samples at a time, once every chunk is in. A raw series is
+    read again by every stream that needs it and held for one chunk only.
+    Every row is bit for bit the one np.interp (and np.unwrap) gives on
+    whole series, whatever the chunks are. The trace's CSI is finite, as
+    CsiTrace checks, so every row is too.
+
+    Lanes: a window of n grid samples walks chunks of
+    max(DERIVE_CHUNK, n // DERIVE_LANE_DIVISOR). Where that exceeds
+    DERIVE_CHUNK, from n = 64 * 4097 samples (21.9 min at 200 Hz) on, the
+    window is walked on two lanes: the caller takes the first half of the
+    chunks and a csiwatch-derive worker thread the second, then each
+    unwraps half of the phase-difference rows (a single one on the caller).
+    The lanes write apart, so the output does not depend on the thread, and
+    no thread outlives the call. A shorter window (the 13 s calibration
+    window, 60 s and 600 s rows) is walked in DERIVE_CHUNK chunks on the
+    caller, with no thread, and needs a few chunks' memory beside the
+    output.
+
+    Memory: a chunk's plan and a phase difference's series take about 145
+    bytes per grid sample on each lane, so at n // 64 the two lanes hold
+    about 4.5 bytes per output sample beside the output: 3.3 MB on an hour,
+    within one 5.8 MB output row, where n // 32 would hold 6.5 MB.
+    Cost (one process, 2 vCPUs, the 15 selected rows of an hour-long night,
+    7 of them phase differences, interleaved runs): 210 ms against 293 ms
+    on one lane in DERIVE_CHUNK chunks; n // 128 took 280 ms and n // 32
+    179 ms. Two lanes of chunks near DERIVE_CHUNK took longer than one lane
+    (290 against 250 ms): each numpy call then lasts a few microseconds,
+    and the lanes spend their time passing the interpreter lock.
     """
     if end_s is None:
         end_s = trace.duration_s
@@ -259,14 +305,25 @@ def derive_streams(
         ids = all_stream_ids(trace.n_rx, trace.n_sc)
     fs = trace.sample_rate_hz
     i0, i1 = int(round(start_s * fs)), int(round(end_s * fs))
-    data = np.empty((len(ids), max(i1 - i0, 0)), dtype=np.float64)
-    for i in range(i0, i1, DERIVE_CHUNK):
-        # the plan is dropped before the next one is made
-        cols = data[:, i - i0 : i - i0 + DERIVE_CHUNK]
-        _derive_chunk(trace, ids, _interp_plan(trace, i, i1), cols)
-    for row, sid in zip(data, ids):
-        if sid.kind == "pd":
-            _unwrap_in_place(row)
+    n = max(i1 - i0, 0)
+    data = np.empty((len(ids), n), dtype=np.float64)
+    chunk = max(DERIVE_CHUNK, n // DERIVE_LANE_DIVISOR)
+    if chunk == DERIVE_CHUNK:
+        _derive_span(trace, ids, data, i0, i1, chunk)
+        _unwrap_rows(row for row, sid in zip(data, ids) if sid.kind == "pd")
+    else:
+        # the caller's half holds the middle chunk of an odd count
+        mid = (-(-n // chunk) + 1) // 2 * chunk
+        split_in_two(lambda: _derive_span(trace, ids, data[:, :mid], i0, i0 + mid, chunk),
+                     lambda: _derive_span(trace, ids, data[:, mid:], i0 + mid, i1, chunk),
+                     "csiwatch-derive")
+        pd_rows = [row for row, sid in zip(data, ids) if sid.kind == "pd"]
+        half = (len(pd_rows) + 1) // 2
+        if half < len(pd_rows):
+            split_in_two(lambda: _unwrap_rows(pd_rows[:half]),
+                         lambda: _unwrap_rows(pd_rows[half:]), "csiwatch-derive")
+        else:  # one row or none: no worker
+            _unwrap_rows(pd_rows)
     return StreamSet(tuple(ids), data, fs, start_s=i0 / fs if i1 > i0 else start_s)
 
 

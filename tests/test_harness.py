@@ -141,6 +141,14 @@ BAD_SCENARIO_CONFIGS = [
      "n_normal_events cannot be combined with normal_events_per_hour"),
 ]
 
+# config files that are not JSON objects, and what the CLI calls them; every
+# command refuses them by file (exit 2)
+NON_OBJECT_CONFIGS = [
+    (5, "the config must be a JSON object, not a number"),
+    ([1, 2], "the config must be a JSON object, not an array"),
+    ("x", "the config must be a JSON object, not a string"),
+]
+
 # `csiwatch detect` arguments it must refuse as input errors (exit 2) before
 # the calibration-overlap check; a dict is written to a pipeline config file
 BAD_PIPELINE_SETTINGS = [
@@ -1200,6 +1208,16 @@ class TestCli:
         assert match in capsys.readouterr().err
         assert not (tmp_path / "x.csitrace").exists()
 
+    @pytest.mark.parametrize("cfg, match", NON_OBJECT_CONFIGS)
+    def test_non_object_scenario_config_exit_code(self, tmp_path, capsys, cfg, match):
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps(cfg))
+        rc = main(["simulate", "--config", str(scenario),
+                   "--out", str(tmp_path / "x.csitrace")])
+        assert rc == 2
+        assert f"bad.json: {match}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csitrace").exists()
+
     # a bad value in each part of second_person, and the message naming it
     BAD_SECOND_PERSON = [
         ({"seed": -1}, "second_person key 'seed': must be non-negative, got -1"),
@@ -1301,6 +1319,22 @@ class TestCli:
             config.write_text(json.dumps(args[-1]))
             args = [*args[:-1], str(config)]
         rc = main(["detect", "--trace", str(trace_path), *args])
+        assert rc == 2
+        assert match in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg, match", NON_OBJECT_CONFIGS + [
+        ({"pipeline": [1]}, 'its "pipeline" section must be a JSON object, not an array')])
+    def test_non_object_pipeline_config_exit_code(self, tmp_path, capsys, cfg, match):
+        trace_path = tmp_path / "t.csitrace"
+        write_trace(tiny_trace(), trace_path)
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps(cfg))
+        match = f"pipeline.json: {match}"
+        rc = main(["detect", "--trace", str(trace_path), "--config", str(config)])
+        assert rc == 2
+        assert match in capsys.readouterr().err
+        rc = main(["sweep", "--trace-dir", str(tmp_path), "--param", "psi",
+                   "--out", str(tmp_path / "sweep.csv"), "--config", str(config)])
         assert rc == 2
         assert match in capsys.readouterr().err
 

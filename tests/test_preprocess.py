@@ -27,6 +27,7 @@ from csiwatch.csi_sim import (
 from csiwatch.detector import ED_BAND_HZ
 from csiwatch.preprocess import (
     DERIVE_CHUNK,
+    DERIVE_LANE_DIVISOR,
     HAMPEL_CHUNK,
     HAMPEL_N_SIGMAS,
     MAD_SCALE,
@@ -668,6 +669,225 @@ class TestDeriveStreams:
         csi[:, :, 400] = math.inf
         with pytest.raises(ValueError, match=r"antenna 0, subcarrier 0 at 2\.000 s"):
             dataclasses.replace(trace, csi=csi)
+
+
+# the shortest window whose chunks exceed DERIVE_CHUNK, so that it is walked
+# on two lanes
+LANES_FROM = DERIVE_LANE_DIVISOR * (DERIVE_CHUNK + 1)
+
+
+def lane_trace(n_packets, seed, dtype=np.complex128, gap_rate=0.01, hit_rate=0.3):
+    """A 2x2 trace of n_packets at FS, with gaps of 1-5 periods, jitter of up
+    to 0.45 periods and exact grid hits."""
+    rng = np.random.default_rng(seed)
+    gaps = np.where(rng.random(n_packets) < gap_rate, rng.integers(1, 6, n_packets), 0)
+    gaps[0] = 0
+    offsets = rng.uniform(-0.45, 0.45, n_packets)
+    offsets[rng.random(n_packets) < hit_rate] = 0.0
+    offsets[0] = 0.0
+    timestamps = (np.arange(n_packets) + np.cumsum(gaps) + offsets) / FS
+    csi = rng.normal(size=(2, 2, n_packets)).astype(dtype)
+    if csi.dtype.kind == "c":
+        csi.imag = rng.normal(size=csi.shape)
+    return CsiTrace(FS, csi, timestamps, events=(), geometry=G)
+
+
+def thread_starts(monkeypatch):
+    """The names of the threads started from now on, in order."""
+    started = []
+
+    class Recording(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recording)
+    return started
+
+
+def off_grid_window(i0, n):
+    """start_s and end_s off the grid that round to indices i0 and i0 + n."""
+    return (i0 + 0.3) / FS, (i0 + n - 0.4) / FS
+
+
+class TestDeriveLanes:
+    """A window of LANES_FROM grid samples or more walks chunks of
+    n // DERIVE_LANE_DIVISOR on two lanes, the second on a worker thread that
+    no call outlives; a shorter one walks DERIVE_CHUNK chunks on the caller."""
+
+    IDS = [StreamId("pd", 1, 0), StreamId("mag", 0, 1), StreamId("pd", 1, 1)]
+
+    @staticmethod
+    def plan_spy(monkeypatch, before=None):
+        """(thread name, first grid index) of each chunk's plan, in order;
+        before(i0) is called first in each."""
+        chunks = []
+        real = preprocess._interp_plan
+
+        def spy(trace, i0, i1):
+            chunks.append((threading.current_thread().name, i0))
+            if before is not None:
+                before(i0)
+            return real(trace, i0, i1)
+
+        monkeypatch.setattr(preprocess, "_interp_plan", spy)
+        return chunks
+
+    @pytest.mark.parametrize(
+        "n, n_chunks, i0, n_packets, dtype, gap_rate, hit_rate",
+        [(LANES_FROM - 1, -(-(LANES_FROM - 1) // DERIVE_CHUNK), 25, LANES_FROM + 60,
+          np.complex64, 0.01, 0.3),
+         # the window starts before the first packet: 64 chunks of 4097
+         (LANES_FROM, DERIVE_LANE_DIVISOR, -40, LANES_FROM, np.complex128, 0.01, 0.3),
+         # it ends after the last packet, which gaps push on: 65 chunks
+         (LANES_FROM + 1, DERIVE_LANE_DIVISOR + 1, 25, LANES_FROM // 2, np.complex64, 0.3, 0.0),
+         # every packet on the grid
+         (DERIVE_LANE_DIVISOR * 5000, DERIVE_LANE_DIVISOR, 25, DERIVE_LANE_DIVISOR * 5000 + 60,
+          np.complex128, 0.0, 1.0),
+         (DERIVE_LANE_DIVISOR * 5000 + 17, DERIVE_LANE_DIVISOR + 1, 25,
+          DERIVE_LANE_DIVISOR * 5000 + 99, np.float32, 0.01, 0.3)],
+        ids=["below", "at-even", "above-odd", "on-grid-even", "float32-odd"],
+    )
+    def test_rows_equal_np_interp_oracle(
+            self, monkeypatch, n, n_chunks, i0, n_packets, dtype, gap_rate, hit_rate):
+        trace = lane_trace(n_packets, seed=n, dtype=dtype, gap_rate=gap_rate, hit_rate=hit_rate)
+        start_s, end_s = off_grid_window(i0, n)
+        chunks = self.plan_spy(monkeypatch)
+        streams = derive_streams(trace, ids=self.IDS, start_s=start_s, end_s=end_s)
+        expected, expected_start_s = reference_derive_streams(trace, self.IDS, start_s, end_s)
+        assert streams.data.shape == (len(self.IDS), n)
+        assert streams.data.tobytes() == expected.tobytes()
+        assert streams.start_s == expected_start_s == i0 / FS
+        # the chunks tile the window, the caller's half (the middle chunk
+        # of an odd count included) first
+        chunk = max(DERIVE_CHUNK, n // DERIVE_LANE_DIVISOR)
+        assert sorted(i for _, i in chunks) == list(range(i0, i0 + n, chunk))
+        assert len(chunks) == n_chunks
+        caller = threading.current_thread().name
+        mine = sorted(i for name, i in chunks if name == caller)
+        if n < LANES_FROM:
+            assert len(mine) == n_chunks
+        else:
+            assert mine == list(range(i0, i0 + (n_chunks + 1) // 2 * chunk, chunk))
+            assert {name for name, _ in chunks} == {caller, "csiwatch-derive"}
+
+    def test_shorter_window_starts_no_thread(self, monkeypatch):
+        # the 13 s calibration window, 60 s and 600 s rows, and the longest
+        # window of one lane
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        trace = lane_trace(LANES_FROM + 100, seed=1)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        for n in (2600, 12_000, 120_000, LANES_FROM - 1):
+            start_s, end_s = off_grid_window(50, n)
+            streams = derive_streams(trace, ids=self.IDS, start_s=start_s, end_s=end_s)
+            expected = reference_derive_streams(trace, self.IDS, start_s, end_s)[0]
+            assert streams.data.tobytes() == expected.tobytes()
+
+    def test_longer_window_has_one_worker(self, monkeypatch):
+        # one worker walks the second half of the chunks, then one unwraps
+        # the second half of the phase-difference rows
+        unwrapped = []
+        real_unwrap = preprocess._unwrap_in_place
+
+        def unwrap_spy(phase):
+            unwrapped.append(threading.current_thread().name)
+            real_unwrap(phase)
+
+        started = thread_starts(monkeypatch)
+        monkeypatch.setattr(preprocess, "_unwrap_in_place", unwrap_spy)
+        chunks = self.plan_spy(monkeypatch)
+        trace = lane_trace(LANES_FROM, seed=2)
+        before = threading.active_count()
+        derive_streams(trace, ids=self.IDS)
+        assert threading.active_count() == before
+        assert started == ["csiwatch-derive", "csiwatch-derive"]
+        caller = threading.current_thread().name
+        assert {name for name, _ in chunks} == {caller, "csiwatch-derive"}
+        assert sorted(unwrapped) == sorted([caller, "csiwatch-derive"])
+
+    def test_one_phase_difference_unwrapped_on_the_caller(self, monkeypatch):
+        started = thread_starts(monkeypatch)
+        trace = lane_trace(LANES_FROM, seed=3)
+        ids = [StreamId("mag", 1, 1), StreamId("pd", 1, 0)]
+        streams = derive_streams(trace, ids=ids)
+        assert streams.data.tobytes() == reference_derive_streams(trace, ids)[0].tobytes()
+        assert started == ["csiwatch-derive"]
+
+    @pytest.mark.parametrize("step", ["derive", "unwrap"])
+    @pytest.mark.parametrize("failing", ["worker", "both"])
+    def test_error_reaches_caller_and_no_thread_outlives_it(self, monkeypatch, step, failing):
+        # the worker fails on its first piece of work; with both failing,
+        # the caller fails on its second once the worker has failed, and
+        # the caller's error wins
+        worker_failed = threading.Event()
+        seen = []
+
+        def fail():
+            name = threading.current_thread().name
+            seen.append(name)
+            if name == "csiwatch-derive":
+                worker_failed.set()
+                raise FloatingPointError("worker failed")
+            if failing == "both" and seen.count(name) == 2:
+                assert worker_failed.wait(timeout=60)
+                raise FloatingPointError("caller failed")
+
+        if step == "derive":
+            self.plan_spy(monkeypatch, lambda i0: fail())
+        else:
+            real_unwrap = preprocess._unwrap_in_place
+
+            def unwrap_spy(phase):
+                fail()
+                real_unwrap(phase)
+
+            monkeypatch.setattr(preprocess, "_unwrap_in_place", unwrap_spy)
+        trace = lane_trace(LANES_FROM, seed=4)
+        ids = [StreamId("pd", 1, sc) for sc in (0, 1, 0, 1)]
+        before = threading.active_count()
+        match = "caller failed" if failing == "both" else "worker failed"
+        with pytest.raises(FloatingPointError, match=f"^{match}$"):
+            derive_streams(trace, ids=ids)
+        assert threading.active_count() == before
+
+    def test_concurrent_callers_with_fast_thread_switching(self):
+        # six callers, each with its own worker, on fewer cores, switching
+        # threads every few microseconds: every output equals the oracle's
+        trace = lane_trace(LANES_FROM + 600, seed=5, dtype=np.complex64)
+        windows = [off_grid_window(100 * k, LANES_FROM + 77 * k) for k in range(6)]
+        expected = [reference_derive_streams(trace, self.IDS, *w)[0].tobytes() for w in windows]
+        got = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [
+                threading.Thread(target=lambda k=k: got.__setitem__(
+                    k, derive_streams(trace, self.IDS, *windows[k]).data.tobytes()))
+                for k in range(6)
+            ]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+                assert not caller.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [got.get(k) for k in range(6)] == expected
+
+    def test_peak_memory_within_one_output_row(self):
+        # an hour at 200 Hz: the lanes' plans and series, beside the output,
+        # take less than one of its rows
+        trace = lane_trace(720_000, seed=6, dtype=np.complex64)
+        tracemalloc.start()
+        try:
+            streams = derive_streams(trace, ids=self.IDS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert streams.data.shape[1] >= 720_000
+        assert peak < streams.data.nbytes + streams.data[0].nbytes
 
 
 PHASE_SAMPLES = st.one_of(
