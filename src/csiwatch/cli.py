@@ -1,5 +1,12 @@
 """Command-line entry points: simulate, detect, sweep, oracle.
 
+detect and sweep read pipeline settings from a --config file of one of two
+shapes. A scenario config (the file simulate reads) gives them in its
+"pipeline" section; every other key must still be a scenario config key. Any
+other file holds only the settings t_cal_s, k_streams, t_min_s and f_th_hz.
+detect's --cal-len, --t-min and --f-th override the file. harness.pipeline_config
+reads both shapes; a key nothing reads is an input error.
+
 Exit codes: 0 on success, 2 on input errors (any ValueError or OSError: bad
 config, missing or malformed files, invalid calibration placement), 3 on
 internal invariant violations.
@@ -9,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -35,18 +43,13 @@ def _load_json(path) -> dict:
             cfg = json.load(f)
         except json.JSONDecodeError as e:
             raise ValueError(f"{path}: invalid JSON ({e})") from e
-    _check_object(cfg, path, "the config")
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: the config must be a JSON object, not {_JSON_TYPES[type(cfg)]}")
     return cfg
 
 
 _JSON_TYPES = {bool: "a boolean", int: "a number", float: "a number", str: "a string",
                list: "an array", type(None): "null"}
-
-
-def _check_object(value, path, what: str) -> None:
-    """Refuse a config value that is not a JSON object, naming the file."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{path}: {what} must be a JSON object, not {_JSON_TYPES[type(value)]}")
 
 
 def cmd_simulate(args) -> int:
@@ -67,19 +70,15 @@ def cmd_simulate(args) -> int:
 
 
 def _pipeline_config(args) -> PipelineConfig:
-    overrides = {}
-    if args.config:
-        file_cfg = _load_json(args.config)
-        section = file_cfg.get("pipeline", file_cfg)
-        _check_object(section, args.config, 'its "pipeline" section')
-        overrides.update(section)
-    for flag, key in (("f_th", "f_th_hz"), ("t_min", "t_min_s"), ("cal_len", "t_cal_s")):
-        if getattr(args, flag, None) is not None:
-            overrides[key] = getattr(args, flag)
+    cfg = _load_json(args.config) if args.config else {}
+    flags = {key: value for flag, key in (("f_th", "f_th_hz"), ("t_min", "t_min_s"),
+                                          ("cal_len", "t_cal_s"))
+             if (value := getattr(args, flag, None)) is not None}
     try:
-        return PipelineConfig(**overrides)
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"bad pipeline config: {e}") from e
+        return harness.pipeline_config(cfg, **flags)
+    except ValueError as e:
+        source = f"{args.config}: " if args.config else ""
+        raise ValueError(f"{source}bad pipeline config: {e}") from e
 
 
 def _check_calibration_clear(trace_path, trace, cal_start: float, config: PipelineConfig):
@@ -145,6 +144,8 @@ def _parse_grid(text: str) -> np.ndarray:
         start, stop, step = (float(v) for v in text.split(":"))
     except ValueError as e:
         raise ValueError(f"bad --grid {text!r}; expected start:stop:step") from e
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"bad --grid {text!r}; start, stop and step must be finite")
     if step <= 0 or stop < start:
         raise ValueError(f"bad --grid {text!r}")
     return np.arange(start, stop + step / 2, step)
@@ -206,8 +207,9 @@ def cmd_oracle(args) -> int:
 
 
 PIPELINE_CONFIG_HELP = (
-    "pipeline config JSON; it may set t_cal_s, k_streams, t_min_s and f_th_hz, "
-    'at the top level or under "pipeline"'
+    "pipeline config JSON: t_cal_s, k_streams, t_min_s and f_th_hz, either at "
+    'the top level and alone, or in the "pipeline" section of a scenario config; '
+    "detect's --cal-len, --t-min and --f-th override the file"
 )
 
 

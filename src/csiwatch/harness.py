@@ -1,4 +1,4 @@
-"""Pipeline orchestration, parameter sweeps, and scenario-config parsing.
+"""Pipeline orchestration, parameter sweeps, and scenario- and pipeline-config parsing.
 
 `run_pipeline` is the production path: calibrate, denoise, detect, classify.
 `analyze_trace` additionally keeps every event's bandwidth trajectory so that
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -256,6 +257,14 @@ def _seed(value) -> int:
     return seed
 
 
+def _number(value):
+    """A JSON number, unconverted so that an integer stays one in the
+    report; PipelineConfig checks its range."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"must be a number, got {value!r}")
+    return value
+
+
 def _event_from(spec: dict, index: int, base_seed: int, rate_hz: float) -> ScenarioEvent:
     if not isinstance(spec, dict):
         raise ValueError(f"event {index} must be an object, got {spec!r}")
@@ -301,14 +310,15 @@ def parse_scenario_config(cfg: dict):
     config gives; generate_trace's defaults hold for the others.
     second_person is None, or the (scenario, seed) of the second person
     the config describes. Every value is checked here, before anything is
-    generated.
+    generated, the "pipeline" section's too: that section holds the settings
+    `csiwatch detect --config` reads from this file (see pipeline_config),
+    and the detect flags --cal-len, --t-min and --f-th override them.
     """
     if "duration_s" not in cfg:
         raise ValueError("scenario config needs duration_s")
-    # "pipeline" holds the settings `csiwatch detect --config` reads
-    _check_keys(cfg, ("duration_s", "seed", "sample_rate_hz", "n_rx", "n_sc", "dtype",
-                      "ratio_range", "noise", "geometry", "breathing", "events",
-                      "auto_events", "second_person", "pipeline"), "scenario config")
+    _check_scenario_keys(cfg)
+    if "pipeline" in cfg:
+        pipeline_config(cfg)
     second = cfg.get("second_person")
     if second is not None:
         _check_keys(second, ("seed", "breathing", "events", "auto_events"), "second_person")
@@ -327,6 +337,31 @@ def parse_scenario_config(cfg: dict):
         seed2 = _given(second, "second_person", seed=_seed).get("seed", sim_kwargs["seed"] + 1)
         second = (_scenario_from(second, scenario.duration_s, seed2, rate_hz), seed2)
     return scenario, geometry, noise, sim_kwargs, second
+
+
+def _check_scenario_keys(cfg: dict) -> None:
+    _check_keys(cfg, ("duration_s", "seed", "sample_rate_hz", "n_rx", "n_sc", "dtype",
+                      "ratio_range", "noise", "geometry", "breathing", "events",
+                      "auto_events", "second_person", "pipeline"), "scenario config")
+
+
+def pipeline_config(cfg: dict, **overrides) -> PipelineConfig:
+    """The PipelineConfig a config file gives, with overrides set over it.
+
+    A file with a "pipeline" section is a scenario config: the section holds
+    the pipeline settings, and every other key must be a scenario config key
+    (parse_scenario_config reads them; this reads none). A file without one
+    holds only pipeline settings. The settings are t_cal_s, k_streams,
+    t_min_s and f_th_hz; an omitted one keeps PipelineConfig's default, and
+    an override (the CLI's --cal-len, --t-min, --f-th) replaces the file's.
+    """
+    if "pipeline" in cfg:
+        _check_scenario_keys(cfg)
+    else:
+        cfg = {"pipeline": cfg}
+    settings = _section(cfg, "pipeline", t_cal_s=_number, k_streams=_number, t_min_s=_number,
+                        f_th_hz=lambda v: None if v is None else _number(v))
+    return PipelineConfig(**settings | overrides)
 
 
 def simulate_from_config(cfg: dict) -> CsiTrace:

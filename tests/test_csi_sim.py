@@ -362,29 +362,13 @@ class TestNoiseWorker:
         small_trace(noise=NoiseSpec(outlier_rate_per_s=0.5, jitter_std_s=0.001))
         small_trace(noise=NoiseSpec(awgn_sigma=np.zeros((3, 4)), outlier_rate_per_s=0.5))
 
-    def test_concurrent_traces_with_fast_thread_switching(self):
-        # six callers, each with its own worker, on fewer cores, switching
-        # threads every few microseconds: every trace equals its serial one
+    def test_concurrent_traces_with_fast_thread_switching(self, fast_switching_callers):
+        # every trace equals its serial one
         seeds = range(6)
-        expected = {seed: small_trace(noise=self.NOISE, seed=seed).content_hash()
-                    for seed in seeds}
-        got = {}
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            callers = [
-                threading.Thread(target=lambda seed=seed: got.__setitem__(
-                    seed, small_trace(noise=self.NOISE, seed=seed).content_hash()))
-                for seed in seeds
-            ]
-            for caller in callers:
-                caller.start()
-            for caller in callers:
-                caller.join(timeout=60)
-                assert not caller.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == expected
+        expected = [small_trace(noise=self.NOISE, seed=seed).content_hash() for seed in seeds]
+        assert fast_switching_callers(
+            [lambda seed=seed: small_trace(noise=self.NOISE, seed=seed).content_hash()
+             for seed in seeds]) == expected
 
     @pytest.mark.parametrize("slow", ["worker", "caller"])
     def test_trace_does_not_depend_on_timing(self, monkeypatch, slow):

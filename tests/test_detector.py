@@ -126,6 +126,14 @@ class TestSlidingEnergy:
             sliding_out_of_band_energy(ed_stream(12_000, seed=1), FS)
         assert threading.active_count() == before
 
+    def test_concurrent_callers_with_fast_thread_switching(self, fast_switching_callers):
+        streams = [ed_stream(12_000 + 1_001 * k, seed=k) for k in range(6)]
+        expected = [tuple(a.tobytes() for a in reference_out_of_band_energy(p, FS))
+                    for p in streams]
+        assert fast_switching_callers(
+            [lambda p=p: tuple(a.tobytes() for a in sliding_out_of_band_energy(p, FS))
+             for p in streams]) == expected
+
     def test_caller_takes_bins_0_and_1_and_one_worker_bin_2(self, monkeypatch):
         names = {}
         real = detector._low_bin_power

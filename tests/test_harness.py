@@ -163,6 +163,38 @@ BAD_PIPELINE_SETTINGS = [
     (["--cal-start", "nan"], "cal_start_s must be finite and at least 0 s, got nan"),
 ]
 
+# "pipeline" sections a scenario config may not hold, and the message naming
+# the fault; simulate refuses them before it generates anything
+BAD_PIPELINE_SECTIONS = [
+    ({"k_stream": 3}, "unknown pipeline key 'k_stream'"),
+    ({"t_cal_s": -1}, "t_cal_s must be finite and positive, got -1"),
+    ({"t_min_s": "5"}, "pipeline key 't_min_s': must be a number, got '5'"),
+    ({"k_streams": 1}, "k_streams must be at least 2"),
+    ([1], "pipeline must be an object, got [1]"),
+]
+
+# pipeline config files in both shapes, and the PipelineConfig each gives
+PIPELINE_FILES = [
+    ({}, PipelineConfig()),
+    ({"t_cal_s": 10, "k_streams": 5.0, "t_min_s": 4.5, "f_th_hz": 9.0},
+     PipelineConfig(t_cal_s=10, k_streams=5, t_min_s=4.5, f_th_hz=9.0)),
+    ({"f_th_hz": None}, PipelineConfig()),
+    ({"pipeline": {}}, PipelineConfig()),
+    ({"duration_s": 30, "noise": {"awgn_sigma": 0.1}, "pipeline": {"t_cal_s": 10}},
+     PipelineConfig(t_cal_s=10)),
+]
+
+# --grid values `csiwatch sweep` refuses (exit 2), and the message
+BAD_GRIDS = [
+    ("7:11", "expected start:stop:step"),
+    ("7:x:1", "expected start:stop:step"),
+    ("11:7:1", "bad --grid '11:7:1'"),
+    ("7:11:0", "bad --grid '7:11:0'"),
+    ("nan:12:1", "bad --grid 'nan:12:1'; start, stop and step must be finite"),
+    ("6:12:nan", "bad --grid '6:12:nan'; start, stop and step must be finite"),
+    ("6:inf:1", "bad --grid '6:inf:1'; start, stop and step must be finite"),
+]
+
 
 def edit_trace_file(path, edit):
     """Replace the uncompressed bytes of a trace file by ``edit(bytes)``."""
@@ -1323,7 +1355,7 @@ class TestCli:
         assert match in capsys.readouterr().err
 
     @pytest.mark.parametrize("cfg, match", NON_OBJECT_CONFIGS + [
-        ({"pipeline": [1]}, 'its "pipeline" section must be a JSON object, not an array')])
+        ({"pipeline": [1]}, "bad pipeline config: pipeline must be an object, got [1]")])
     def test_non_object_pipeline_config_exit_code(self, tmp_path, capsys, cfg, match):
         trace_path = tmp_path / "t.csitrace"
         write_trace(tiny_trace(), trace_path)
@@ -1335,6 +1367,57 @@ class TestCli:
         assert match in capsys.readouterr().err
         rc = main(["sweep", "--trace-dir", str(tmp_path), "--param", "psi",
                    "--out", str(tmp_path / "sweep.csv"), "--config", str(config)])
+        assert rc == 2
+        assert match in capsys.readouterr().err
+
+    def test_setting_beside_pipeline_section_refused(self, tmp_path, capsys):
+        # a file with a "pipeline" section is a scenario config, which has no
+        # t_cal_s key; the section's k_streams does not make it readable
+        trace_path = tmp_path / "t.csitrace"
+        write_trace(tiny_trace(), trace_path)
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({"pipeline": {"k_streams": 3}, "t_cal_s": 1e9}))
+        rc = main(["detect", "--trace", str(trace_path), "--config", str(config)])
+        assert rc == 2
+        assert "unknown scenario config key 't_cal_s'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, match", BAD_PIPELINE_SECTIONS)
+    def test_bad_pipeline_section_refused_before_generation(
+            self, tmp_path, capsys, monkeypatch, section, match):
+        def generate_trace(*args, **kwargs):
+            raise AssertionError("generate_trace was called")
+
+        monkeypatch.setattr(harness, "generate_trace", generate_trace)
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps({"duration_s": 3600, "pipeline": section}))
+        rc = main(["simulate", "--config", str(scenario),
+                   "--out", str(tmp_path / "x.csitrace")])
+        assert rc == 2
+        assert match in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg, expected", PIPELINE_FILES)
+    def test_pipeline_config_reads_both_shapes(self, cfg, expected):
+        config = harness.pipeline_config(cfg)
+        assert config == expected
+        # a count or length the file writes as an integer stays one in the report
+        assert dataclasses.asdict(config) == dataclasses.asdict(expected)
+        assert harness.pipeline_config(cfg, t_min_s=7.0).t_min_s == 7.0
+
+    def test_scenario_pipeline_section_applied(self, tmp_path):
+        scenario = self._write_scenario(tmp_path, pipeline={"t_cal_s": 10.0, "k_streams": 5})
+        trace_path = tmp_path / "night.csitrace"
+        assert main(["simulate", "--config", str(scenario), "--out", str(trace_path)]) == 0
+        report_path = tmp_path / "report.json"
+        for flags, t_cal_s in [([], 10.0), (["--cal-len", "11"], 11.0)]:
+            assert main(["detect", "--trace", str(trace_path), "--config", str(scenario),
+                         "--report-out", str(report_path), *flags]) == 0
+            config = json.loads(report_path.read_text())["config"]
+            assert (config["t_cal_s"], config["k_streams"]) == (t_cal_s, 5)
+
+    @pytest.mark.parametrize("grid, match", BAD_GRIDS)
+    def test_bad_grid_exit_code(self, tmp_path, capsys, grid, match):
+        rc = main(["sweep", "--trace-dir", str(tmp_path), "--param", "t_min",
+                   "--grid", grid, "--out", str(tmp_path / "sweep.csv")])
         assert rc == 2
         assert match in capsys.readouterr().err
 

@@ -3,7 +3,6 @@
 import dataclasses
 import hashlib
 import math
-import sys
 import threading
 import tracemalloc
 import warnings
@@ -297,28 +296,11 @@ class TestHampelLanes:
             hampel_filter(self.stream(4 * HAMPEL_CHUNK), 101)
         assert threading.active_count() == before
 
-    def test_concurrent_callers_with_fast_thread_switching(self):
-        # six callers, each with its own worker, on fewer cores, switching
-        # threads every few microseconds: every output equals the oracle's
+    def test_concurrent_callers_with_fast_thread_switching(self, fast_switching_callers):
         rows = [self.stream(2 * HAMPEL_CHUNK + 500 * k, seed=k) for k in range(6)]
         expected = [median_filter_hampel(x, 101).tobytes() for x in rows]
-        got = {}
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            callers = [
-                threading.Thread(target=lambda k=k: got.__setitem__(
-                    k, hampel_filter(rows[k], 101).tobytes()))
-                for k in range(6)
-            ]
-            for caller in callers:
-                caller.start()
-            for caller in callers:
-                caller.join(timeout=60)
-                assert not caller.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert [got.get(k) for k in range(6)] == expected
+        assert fast_switching_callers(
+            [lambda x=x: hampel_filter(x, 101).tobytes() for x in rows]) == expected
 
 
 def threshold_ties_stream(n):
@@ -852,29 +834,13 @@ class TestDeriveLanes:
             derive_streams(trace, ids=ids)
         assert threading.active_count() == before
 
-    def test_concurrent_callers_with_fast_thread_switching(self):
-        # six callers, each with its own worker, on fewer cores, switching
-        # threads every few microseconds: every output equals the oracle's
+    def test_concurrent_callers_with_fast_thread_switching(self, fast_switching_callers):
         trace = lane_trace(LANES_FROM + 600, seed=5, dtype=np.complex64)
         windows = [off_grid_window(100 * k, LANES_FROM + 77 * k) for k in range(6)]
         expected = [reference_derive_streams(trace, self.IDS, *w)[0].tobytes() for w in windows]
-        got = {}
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            callers = [
-                threading.Thread(target=lambda k=k: got.__setitem__(
-                    k, derive_streams(trace, self.IDS, *windows[k]).data.tobytes()))
-                for k in range(6)
-            ]
-            for caller in callers:
-                caller.start()
-            for caller in callers:
-                caller.join(timeout=60)
-                assert not caller.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert [got.get(k) for k in range(6)] == expected
+        assert fast_switching_callers(
+            [lambda w=w: derive_streams(trace, self.IDS, *w).data.tobytes()
+             for w in windows]) == expected
 
     def test_peak_memory_within_one_output_row(self):
         # an hour at 200 Hz: the lanes' plans and series, beside the output,
@@ -1303,28 +1269,11 @@ class TestPcaLanes:
             pca_first_component(pca_rows(2, 120_000, seed=10), FS)
         assert threading.active_count() == before
 
-    def test_concurrent_callers_with_fast_thread_switching(self):
-        # six callers, each with its own worker, on fewer cores, switching
-        # threads every few microseconds: every output equals the oracle's
+    def test_concurrent_callers_with_fast_thread_switching(self, fast_switching_callers):
         rows = [pca_rows(2, 120_000 + 7_001 * k, seed=k) for k in range(6)]
         expected = [reference_pca(x, FS).tobytes() for x in rows]
-        got = {}
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            callers = [
-                threading.Thread(target=lambda k=k: got.__setitem__(
-                    k, pca_first_component(rows[k], FS).tobytes()))
-                for k in range(6)
-            ]
-            for caller in callers:
-                caller.start()
-            for caller in callers:
-                caller.join(timeout=60)
-                assert not caller.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert [got.get(k) for k in range(6)] == expected
+        assert fast_switching_callers(
+            [lambda x=x: pca_first_component(x, FS).tobytes() for x in rows]) == expected
 
 
 class TestTimeBase:
