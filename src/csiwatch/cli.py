@@ -5,7 +5,9 @@ shapes. A scenario config (the file simulate reads) gives them in its
 "pipeline" section; every other key must still be a scenario config key. Any
 other file holds only the settings t_cal_s, k_streams, t_min_s and f_th_hz.
 detect's --cal-len, --t-min and --f-th override the file. harness.pipeline_config
-reads both shapes; a key nothing reads is an input error.
+reads both shapes; a key nothing reads is an input error. The calibration
+window, from --cal-start (default 0 s) for t_cal_s, must hold breathing
+only: a labeled event in it is an input error.
 
 Exit codes: 0 on success, 2 on input errors (any ValueError or OSError: bad
 config, missing or malformed files, invalid calibration placement), 3 on
@@ -26,7 +28,6 @@ from . import harness, traceio
 from .config import PipelineConfig
 from .detector import ED_THRESHOLD_Q, EventClass
 from .metrics import compute_report
-from .preprocess import check_cal_start
 from .signal_model import SceneGeometry
 from .spectral_oracle import (
     MotionClass,
@@ -72,7 +73,7 @@ def cmd_simulate(args) -> int:
 def _pipeline_config(args) -> PipelineConfig:
     cfg = _load_json(args.config) if args.config else {}
     flags = {key: value for flag, key in (("f_th", "f_th_hz"), ("t_min", "t_min_s"),
-                                          ("cal_len", "t_cal_s"))
+                                          ("cal_len", "t_cal_s"), ("cal_start", "cal_start_s"))
              if (value := getattr(args, flag, None)) is not None}
     try:
         return harness.pipeline_config(cfg, **flags)
@@ -81,8 +82,8 @@ def _pipeline_config(args) -> PipelineConfig:
         raise ValueError(f"{source}bad pipeline config: {e}") from e
 
 
-def _check_calibration_clear(trace_path, trace, cal_start: float, config: PipelineConfig):
-    check_cal_start(cal_start)
+def _check_calibration_clear(trace_path, trace, config: PipelineConfig):
+    cal_start = config.cal_start_s
     cal_end = cal_start + config.t_cal_s
     for label in trace.events:
         if min(label.end_s, cal_end) - max(label.start_s, cal_start) > 0:
@@ -97,9 +98,9 @@ def cmd_detect(args) -> int:
     trace_path = Path(args.trace)
     trace = traceio.read_trace(trace_path)
     config = _pipeline_config(args)
-    _check_calibration_clear(trace_path, trace, args.cal_start, config)
+    _check_calibration_clear(trace_path, trace, config)
 
-    result = harness.run_pipeline(trace, config, cal_start_s=args.cal_start)
+    result = harness.run_pipeline(trace, config)
     report = compute_report(
         result.events,
         list(trace.events),
@@ -129,6 +130,10 @@ def cmd_detect(args) -> int:
     return 0
 
 
+# the most values a sweep --grid may give; each is one sweep row over every trace
+MAX_GRID_VALUES = 10_000
+
+
 def _find_traces(trace_dir: Path):
     files = sorted(
         p for p in trace_dir.iterdir()
@@ -148,6 +153,9 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ValueError(f"bad --grid {text!r}; start, stop and step must be finite")
     if step <= 0 or stop < start:
         raise ValueError(f"bad --grid {text!r}")
+    # np.arange's own count, taken before it allocates
+    if not (stop + step / 2 - start) / step <= MAX_GRID_VALUES:
+        raise ValueError(f"bad --grid {text!r}; more than {MAX_GRID_VALUES} values")
     return np.arange(start, stop + step / 2, step)
 
 
@@ -164,8 +172,8 @@ def cmd_sweep(args) -> int:
         if not traceio.sidecar_path(path, "labels").exists():
             raise ValueError(f"missing labels sidecar for {path}")
         trace = traceio.read_trace(path)
-        _check_calibration_clear(path, trace, args.cal_start, config)
-        analyses.append(harness.analyze_trace(trace, config, cal_start_s=args.cal_start))
+        _check_calibration_clear(path, trace, config)
+        analyses.append(harness.analyze_trace(trace, config))
 
     rows = harness.sweep_parameter(analyses, args.param, values, config)
     lines = [",".join(rows[0])] + [
@@ -183,10 +191,14 @@ def _fmt(v) -> str:
 
 
 def cmd_oracle(args) -> int:
+    # every input is checked before the first line is printed
     spectrum = bessel_line_spectrum(
         args.beta_prime, args.f_o, args.delta_mu,
         amplitude=args.amplitude, n_max=args.n_max,
     )
+    bw = carson_bandwidth(args.beta_prime, args.f_o)
+    if args.psi is not None:
+        geometry = SceneGeometry(wavelength_m=args.wavelength, psi=args.psi)
     print(f"beta' = {args.beta_prime:g}, f_o = {args.f_o:g} Hz, "
           f"delta_mu = {args.delta_mu:g} rad")
     print(f"{'n':>4} {'f (Hz)':>10} {'|amp|':>12} {'re':>12} {'im':>12}")
@@ -194,11 +206,9 @@ def cmd_oracle(args) -> int:
         if abs(a) < 1e-12 * args.amplitude and n > 0:
             continue
         print(f"{n:>4} {f:>10.4f} {abs(a):>12.5g} {a.real:>12.5g} {a.imag:>12.5g}")
-    bw = carson_bandwidth(args.beta_prime, args.f_o)
     print(f"bandwidth: {bw:.4f} Hz "
           f"({'(beta+1)*f_o' if args.beta_prime >= 1 else '2*f_o'})")
     if args.psi is not None:
-        geometry = SceneGeometry(wavelength_m=args.wavelength, psi=args.psi)
         bw_sz = class_bandwidth_bound(MotionClass.SEIZURE, geometry)
         bw_nm = class_bandwidth_bound(MotionClass.NORMAL_EVENT, geometry)
         print(f"geometry psi = {args.psi:g}: BW_sz >= {bw_sz:.2f} Hz, "
@@ -209,8 +219,10 @@ def cmd_oracle(args) -> int:
 PIPELINE_CONFIG_HELP = (
     "pipeline config JSON: t_cal_s, k_streams, t_min_s and f_th_hz, either at "
     'the top level and alone, or in the "pipeline" section of a scenario config; '
-    "detect's --cal-len, --t-min and --f-th override the file"
+    "detect's --cal-len, --t-min and --f-th override the file; --cal-start sets "
+    "the calibration window's start, which the file does not hold"
 )
+CAL_START_HELP = "calibration window start (s, default 0); the window must hold breathing only"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="run the detection pipeline on a trace")
     p.add_argument("--trace", required=True)
     p.add_argument("--config", help=PIPELINE_CONFIG_HELP)
-    p.add_argument("--cal-start", type=float, default=0.0)
+    p.add_argument("--cal-start", type=float, help=CAL_START_HELP)
     p.add_argument("--cal-len", type=float, help="calibration length (default t_cal)")
     p.add_argument("--f-th", type=float, help="override f_th (Hz)")
     p.add_argument("--t-min", type=float, help="override T_min (s)")
@@ -245,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "a psi sweep ignores it and gives one row per (psi, wavelength)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--config", help=PIPELINE_CONFIG_HELP)
-    p.add_argument("--cal-start", type=float, default=0.0)
+    p.add_argument("--cal-start", type=float, help=CAL_START_HELP)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("oracle", help="print the analytic line spectrum and bandwidth")

@@ -24,7 +24,8 @@ def whole_number(x, name: str = "the value") -> int:
 class PipelineConfig:
     """The pipeline values a caller may set.
 
-    f_th_hz = None means "derive from the scene geometry" via the
+    The breathing-only calibration window is [cal_start_s, cal_start_s +
+    t_cal_s]. f_th_hz = None means "derive from the scene geometry" via the
     seizure/normal bandwidth midpoint; call resolve_f_th() with the trace
     geometry to obtain the operating value. Every other tunable is a named
     constant of the stage that reads it.
@@ -34,8 +35,12 @@ class PipelineConfig:
     k_streams: int = 15
     t_min_s: float = 5.0  # shortest duration worth classifying
     f_th_hz: float | None = None
+    cal_start_s: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.cal_start_s) and self.cal_start_s >= 0):
+            raise ValueError(
+                f"cal_start_s must be finite and at least 0 s, got {self.cal_start_s!r}")
         for name in ("t_cal_s", "t_min_s"):
             if not (math.isfinite(value := getattr(self, name)) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")

@@ -80,13 +80,12 @@ class PipelineResult:
         return self.processing_s / self.trace_duration_s
 
 
-def run_pipeline(
-    trace: CsiTrace, config: PipelineConfig, cal_start_s: float = 0.0
-) -> PipelineResult:
-    """Preprocess and detect on one trace; timed end to end."""
+def run_pipeline(trace: CsiTrace, config: PipelineConfig) -> PipelineResult:
+    """Preprocess and detect on one trace; timed end to end. The calibration
+    window is config's [cal_start_s, cal_start_s + t_cal_s]."""
     t0 = time.perf_counter()
     f_th = config.resolve_f_th(trace.geometry)
-    calibration = calibrate(trace, config, cal_start_s)
+    calibration = calibrate(trace, config)
     p = extract_pipeline_stream(trace, calibration)
     events = run_detection(p, trace.sample_rate_hz, calibration, config, f_th)
     elapsed = time.perf_counter() - t0
@@ -109,11 +108,10 @@ class TraceAnalysis:
     calibration: CalibrationState
 
 
-def analyze_trace(
-    trace: CsiTrace, config: PipelineConfig, cal_start_s: float = 0.0
-) -> TraceAnalysis:
-    """Run detection once, keeping every event's bandwidth trajectory."""
-    calibration = calibrate(trace, config, cal_start_s)
+def analyze_trace(trace: CsiTrace, config: PipelineConfig) -> TraceAnalysis:
+    """Run detection once, keeping every event's bandwidth trajectory. The
+    calibration window is config's [cal_start_s, cal_start_s + t_cal_s]."""
+    calibration = calibrate(trace, config)
     p = extract_pipeline_stream(trace, calibration)
     intervals = detect_event_intervals(p, trace.sample_rate_hz, calibration)
     profiles = [build_event_profile(p, trace.sample_rate_hz, iv) for iv in intervals]
@@ -354,6 +352,7 @@ def pipeline_config(cfg: dict, **overrides) -> PipelineConfig:
     holds only pipeline settings. The settings are t_cal_s, k_streams,
     t_min_s and f_th_hz; an omitted one keeps PipelineConfig's default, and
     an override (the CLI's --cal-len, --t-min, --f-th) replaces the file's.
+    cal_start_s is set only by an override (the CLI's --cal-start).
     """
     if "pipeline" in cfg:
         _check_scenario_keys(cfg)

@@ -53,7 +53,6 @@ __all__ = [
     "hampel_filter",
     "compute_stream_snr",
     "select_streams",
-    "check_cal_start",
     "calibrate",
     "pca_first_component",
     "extract_pipeline_stream",
@@ -551,8 +550,6 @@ class CalibrationState:
 
     selected_ids: tuple[StreamId, ...]
     sigma_c_sq: float
-    t_cal_s: float
-    cal_start_s: float
     snr_by_id: dict | None = None
 
 
@@ -703,31 +700,22 @@ def _pca_batch(windows: np.ndarray, hop: int, starts: list[int], buf: np.ndarray
         comps[~varies] = 0.0
 
 
-def check_cal_start(cal_start_s: float) -> None:
-    """Refuse a calibration start that is not finite or is before 0 s."""
-    if not (math.isfinite(cal_start_s) and cal_start_s >= 0):
-        raise ValueError(f"cal_start_s must be finite and at least 0 s, got {cal_start_s!r}")
-
-
-def calibrate(
-    trace: CsiTrace, config: PipelineConfig, cal_start_s: float = 0.0
-) -> CalibrationState:
+def calibrate(trace: CsiTrace, config: PipelineConfig) -> CalibrationState:
     """Run the calibration pass: Hampel, SNR ranking, selection, noise floor.
 
-    The window [cal_start, cal_start + t_cal] must contain breathing only;
-    that is the caller's protocol responsibility. sigma_c^2 is the maximum
-    out-of-band energy of the PCA-denoised calibration stream over sliding
-    detection windows.
+    The window is config's [cal_start_s, cal_start_s + t_cal_s] and must
+    contain breathing only; that is the caller's protocol responsibility.
+    sigma_c^2 is the maximum out-of-band energy of the PCA-denoised
+    calibration stream over sliding detection windows.
     """
-    check_cal_start(cal_start_s)
     fs = trace.sample_rate_hz
-    cal_end = cal_start_s + config.t_cal_s
+    cal_end = config.cal_start_s + config.t_cal_s
     if cal_end > trace.duration_s + 0.5 / fs:
         raise ValueError(
             f"trace ({trace.duration_s:.2f} s) shorter than the calibration window "
             f"ending at {cal_end:.2f} s"
         )
-    streams = derive_streams(trace, start_s=cal_start_s, end_s=cal_end)
+    streams = derive_streams(trace, start_s=config.cal_start_s, end_s=cal_end)
     _hampel_rows(streams)
 
     selected, snrs = select_streams(streams, config.k_streams)
@@ -739,8 +727,6 @@ def calibrate(
     return CalibrationState(
         selected_ids=tuple(selected),
         sigma_c_sq=float(energies.max()),
-        t_cal_s=config.t_cal_s,
-        cal_start_s=cal_start_s,
         snr_by_id=snrs,
     )
 

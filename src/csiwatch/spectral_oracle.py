@@ -45,6 +45,10 @@ __all__ = [
 
 # Two-sided line-mass completeness demanded of a truncated spectrum.
 MIN_LINE_MASS = 0.999
+# The highest truncation order n_max a spectrum may have, so that an input
+# is refused before an array is made; default_n_max stays within it up to
+# beta' = 9914.
+MAX_N_MAX = 10_000
 
 
 @dataclass(frozen=True)
@@ -119,15 +123,22 @@ def bessel_line_spectrum(
 ) -> LineSpectrum:
     """Line spectrum of A*cos(beta'*sin(2*pi*f_o*t) + dmu), truncated at n_max.
 
-    Raises ValueError if n_max leaves more than 0.1% of the line mass
-    uncaptured.
+    Raises ValueError, naming the input, for a non-finite input, a negative
+    beta' or n_max, an f_o that is not positive, an n_max (given, or
+    default_n_max's) above MAX_N_MAX, or an n_max that leaves more than 0.1%
+    of the line mass uncaptured.
     """
-    if beta_prime < 0:
-        raise ValueError(f"beta_prime must be >= 0, got {beta_prime}")
-    if f_o_hz <= 0:
-        raise ValueError(f"f_o_hz must be > 0, got {f_o_hz}")
+    _check_modulation(beta_prime, f_o_hz)
+    for name, value in (("delta_mu_rad", delta_mu_rad), ("amplitude", amplitude)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if n_max is None:
         n_max = default_n_max(beta_prime)
+        if n_max > MAX_N_MAX:
+            raise ValueError(f"beta_prime = {beta_prime:g} needs n_max = {n_max:g}, "
+                             f"more than {MAX_N_MAX}")
+    elif not 0 <= n_max <= MAX_N_MAX:
+        raise ValueError(f"n_max must be in [0, {MAX_N_MAX}], got {n_max}")
     if line_mass(beta_prime, n_max) < MIN_LINE_MASS:
         raise ValueError(
             f"n_max = {n_max} captures less than {MIN_LINE_MASS:.1%} of the line "
@@ -152,11 +163,17 @@ def bessel_line_spectrum(
 
 def carson_bandwidth(beta_prime: float, f_o_hz: float) -> float:
     """Carson-style bandwidth: (beta'+1)*f_o for beta' >= 1, else 2*f_o."""
-    if beta_prime < 0 or f_o_hz <= 0:
-        raise ValueError("beta_prime must be >= 0 and f_o_hz > 0")
+    _check_modulation(beta_prime, f_o_hz)
     if beta_prime >= 1.0:
         return (beta_prime + 1.0) * f_o_hz
     return 2.0 * f_o_hz
+
+
+def _check_modulation(beta_prime: float, f_o_hz: float) -> None:
+    if not (math.isfinite(beta_prime) and beta_prime >= 0):
+        raise ValueError(f"beta_prime must be finite and >= 0, got {beta_prime}")
+    if not (math.isfinite(f_o_hz) and f_o_hz > 0):
+        raise ValueError(f"f_o_hz must be finite and > 0, got {f_o_hz}")
 
 
 def grid_resolved_bandwidth(bandwidth_hz: float, f_o_hz: float) -> float:

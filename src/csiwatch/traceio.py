@@ -5,9 +5,10 @@ and subcarrier counts, record count, CSI dtype, scene geometry) followed by
 two arrays in NumPy ``.npy`` format: ``timestamps_s`` (float64, shape
 ``(n_records,)``) and ``csi`` (the header's dtype, shape
 ``(n_rx, n_sc, n_records)``). The arrays hold the raw in-memory bytes, so
-write-then-read reproduces the arrays bit for bit. Reading checks the
-arrays against the header and refuses pickled data, truncation and trailing
-bytes; `CsiTrace` itself rejects non-finite CSI and bad timestamps, and
+write-then-read reproduces the arrays bit for bit. Reading checks each
+array's ``.npy`` header against the trace header before it allocates the
+array, and refuses pickled data, truncation and trailing bytes; `CsiTrace`
+itself rejects non-finite CSI and bad timestamps, and
 returns read-only arrays. A ``.gz`` extension transparently gzip-compresses at level 1;
 written gzip members carry no timestamp or file name, so equal content
 gives equal bytes.
@@ -55,6 +56,8 @@ TRACE_FORMAT_VERSION = 2
 TRACE_SUFFIXES = (".csitrace", ".csitrace.gz")
 
 _MAX_HEADER_BYTES = 1 << 16
+# bytes read per call into an array: a gzip read makes a temporary of this size
+_READ_CHUNK = 1 << 18
 _LABELS_HEADER = "start_s,end_s,class,person_id"
 _EVENTS_HEADER = "start_s,end_s,class,b_pe_hz,decision_time_s"
 
@@ -130,17 +133,41 @@ def _read_header(f, path) -> dict:
 
 
 def _load_array(f, path, name: str, shape: tuple, dtype: np.dtype) -> np.ndarray:
+    """Read one ``.npy`` array that must have the shape and dtype the trace
+    header gives. Its ``.npy`` header is checked against them before
+    anything is allocated, so a file that claims more data than the trace
+    header costs nothing; then exactly the announced bytes are read."""
+    fmt = np.lib.format
     try:
-        arr = np.load(f, allow_pickle=False)
-    except (ValueError, EOFError) as e:
+        version = fmt.read_magic(f)
+        if version not in ((1, 0), (2, 0)):
+            raise ValueError(f"unsupported .npy format version {version}")
+        read_header = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
+        npy_shape, fortran_order, npy_dtype = read_header(f)
+    except ValueError as e:
         raise ValueError(f"{path}: {name} array is truncated or malformed ({e})") from e
-    if not isinstance(arr, np.ndarray) or arr.shape != shape or arr.dtype != dtype:
+    if npy_dtype.hasobject:
+        raise ValueError(f"{path}: {name} array holds pickled objects, which are not "
+                         "loaded (allow_pickle=False)")
+    if npy_shape != shape or npy_dtype != dtype:
         raise ValueError(
             f"{path}: header announces {name} of shape {shape} and dtype {dtype}, "
-            f"file holds shape {getattr(arr, 'shape', None)} and "
-            f"dtype {getattr(arr, 'dtype', None)}"
+            f"file holds shape {npy_shape} and dtype {npy_dtype}"
         )
-    return arr
+    # a Fortran-order array is stored as its transpose in C order
+    try:
+        arr = np.empty(shape[::-1] if fortran_order else shape, dtype)
+    except MemoryError as e:
+        raise ValueError(f"{path}: {name} of shape {shape} does not fit in memory") from e
+    data = arr.reshape(-1).view(np.uint8)
+    done = 0
+    while done < data.size:
+        got = f.readinto(data[done : done + _READ_CHUNK])
+        if not got:
+            raise ValueError(f"{path}: {name} array is truncated or malformed "
+                             f"({done} of {data.size} bytes)")
+        done += got
+    return arr.T if fortran_order else arr
 
 
 def read_trace(path) -> CsiTrace:

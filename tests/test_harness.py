@@ -193,6 +193,22 @@ BAD_GRIDS = [
     ("nan:12:1", "bad --grid 'nan:12:1'; start, stop and step must be finite"),
     ("6:12:nan", "bad --grid '6:12:nan'; start, stop and step must be finite"),
     ("6:inf:1", "bad --grid '6:inf:1'; start, stop and step must be finite"),
+    ("6:12:1e-12", "bad --grid '6:12:1e-12'; more than 10000 values"),
+]
+
+# `csiwatch oracle --beta-prime 2 --f-o 3` arguments it refuses (exit 2)
+# before it prints anything, and the input its message names; the huge
+# beta' and n_max are refused before an array is made
+BAD_ORACLE_INPUTS = [
+    (["--n-max", "-1"], "n_max must be in [0, 10000], got -1"),
+    (["--n-max", "1000000000000"], "n_max must be in [0, 10000], got 1000000000000"),
+    (["--beta-prime", "inf"], "beta_prime must be finite and >= 0, got inf"),
+    (["--beta-prime", "nan"], "beta_prime must be finite and >= 0, got nan"),
+    (["--beta-prime", "1e300"], "beta_prime = 1e+300 needs n_max = 1e+300, more than 10000"),
+    (["--f-o", "inf"], "f_o_hz must be finite and > 0, got inf"),
+    (["--amplitude", "nan"], "amplitude must be finite, got nan"),
+    (["--delta-mu", "inf"], "delta_mu_rad must be finite, got inf"),
+    (["--psi", "3"], "psi must be in [0, 2], got 3.0"),
 ]
 
 
@@ -337,6 +353,43 @@ class TestTraceIO:
         edit_trace_file(path, edit)
         with pytest.raises(ValueError, match="allow_pickle"):
             read_trace(path)
+
+    @pytest.mark.parametrize("suffix", ["csitrace", "csitrace.gz"])
+    @pytest.mark.parametrize("claim, match", [
+        ("timestamps", "header announces timestamps_s of shape (1000,)"),
+        ("csi", "header announces csi of shape (2, 3, 1000)"),
+        ("both", "timestamps_s"),  # the trace header claims them too
+    ])
+    def test_huge_array_claim_refused(self, tmp_path, capsys, suffix, claim, match):
+        # .npy headers that claim 10**12 records, 7.28 TiB of timestamps,
+        # which np.load allocated before any shape check
+        trace, huge = tiny_trace(), 10**12
+        n = trace.n_samples
+
+        def npy_header(shape, dtype):
+            buf = io.BytesIO()
+            np.lib.format.write_array_header_1_0(buf, {
+                "descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False,
+                "shape": shape})
+            return buf.getvalue()
+
+        def edit(data):
+            header = json.loads(data.split(b"\n", 1)[0])
+            if claim == "both":
+                header["n_records"] = huge
+            n_ts = n if claim == "csi" else huge
+            n_csi = huge if claim == "csi" else n
+            return (json.dumps(header).encode() + b"\n"
+                    + npy_header((n_ts,), trace.timestamps_s.dtype) + trace.timestamps_s.tobytes()
+                    + npy_header((2, 3, n_csi), trace.csi.dtype) + trace.csi.tobytes())
+
+        path = tmp_path / f"t.{suffix}"
+        write_trace(trace, path)
+        edit_trace_file(path, edit)
+        assert main(["detect", "--trace", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert match in err
 
     def test_version_1_text_file_rejected(self, tmp_path, capsys):
         path = tmp_path / "old.csitrace"
@@ -1114,19 +1167,21 @@ class TestCli:
 
     # SHA-256 of what simulate + detect write for two one-minute scenarios
     # shaped like the benchmark's cli_files op, recorded while the CLI still
-    # read and wrote the labels sidecar itself
+    # read and wrote the labels sidecar itself; report.json was recorded again
+    # when the report's config gained cal_start_s, and equals the old bytes
+    # without that key
     RECORDED_OUTPUTS = {
         (3, 0.72, 2.4, 1.0): {
             "night.csitrace": "9e03c8d23f22551f6a2329bbf7c54313bb5774e69a85f5af5d78319983c2b20d",
             "night.labels.csv": "42916ae6cdea35f000013ab26eef258066aa332836a9dc1bb6f92add75c761f5",
             "night.events.csv": "380762b185cfe1fb621dcde9b254e8d9f59dbe227ea5be91a9f98b716bffcf57",
-            "report.json": "724d5502e6af1f36730fc25d3ced55b5a4e0df2acd31c13eb5d5aeddc26f4265",
+            "report.json": "7d49db9034e69544b8017630c37b015bb2557efcbcc002161e6f7e00eaa087b9",
         },
         (17, 0.78, 3.3, 4.5): {
             "night.csitrace": "82e3fbebf08089d4559b691f3ded33fb038fa88eb5f4a0e8be86bbc5bd6d001e",
             "night.labels.csv": "42916ae6cdea35f000013ab26eef258066aa332836a9dc1bb6f92add75c761f5",
             "night.events.csv": "92cc0f4e7d732712f8b461c45cd17014b3d9631862b8ac48a1b0c762eef1ac77",
-            "report.json": "da8d083e1b5db36d4f4007bc91d9dd4627b487eed5c024de96c31d38a8fb8130",
+            "report.json": "046220c5122e372a16190f8eb7bd3c63e02f177c221ddfe5796cb44f5d13bd8f",
         },
     }
 
@@ -1414,6 +1469,19 @@ class TestCli:
             config = json.loads(report_path.read_text())["config"]
             assert (config["t_cal_s"], config["k_streams"]) == (t_cal_s, 5)
 
+    def test_report_records_calibration_start(self, tmp_path):
+        scenario = self._write_scenario(tmp_path, duration_s=30.0, events=[])
+        trace_path = tmp_path / "night.csitrace"
+        assert main(["simulate", "--config", str(scenario), "--out", str(trace_path)]) == 0
+        configs = []
+        for start in ("0", "5"):
+            report_path = tmp_path / f"report{start}.json"
+            assert main(["detect", "--trace", str(trace_path), "--cal-start", start,
+                         "--report-out", str(report_path)]) == 0
+            configs.append(json.loads(report_path.read_text())["config"])
+        assert configs[1]["cal_start_s"] == 5.0
+        assert {k for k in configs[0] if configs[0][k] != configs[1][k]} == {"cal_start_s"}
+
     @pytest.mark.parametrize("grid, match", BAD_GRIDS)
     def test_bad_grid_exit_code(self, tmp_path, capsys, grid, match):
         rc = main(["sweep", "--trace-dir", str(tmp_path), "--param", "t_min",
@@ -1438,6 +1506,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "bandwidth: 3.0000 Hz" in out
         assert "f_th = 8.83 Hz" in out
+
+    @pytest.mark.parametrize("args, match", BAD_ORACLE_INPUTS)
+    def test_bad_oracle_input_exit_code(self, capsys, args, match):
+        assert main(["oracle", "--beta-prime", "2", "--f-o", "3", *args]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert match in err
 
     def test_sweep_cli(self, tmp_path, capsys):
         scenario = self._write_scenario(tmp_path)
