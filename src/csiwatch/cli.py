@@ -203,7 +203,7 @@ def cmd_oracle(args) -> int:
           f"delta_mu = {args.delta_mu:g} rad")
     print(f"{'n':>4} {'f (Hz)':>10} {'|amp|':>12} {'re':>12} {'im':>12}")
     for n, (f, a) in enumerate(zip(spectrum.frequencies_hz, spectrum.amplitudes)):
-        if abs(a) < 1e-12 * args.amplitude and n > 0:
+        if abs(a) < 1e-12 * abs(args.amplitude) and n > 0:
             continue
         print(f"{n:>4} {f:>10.4f} {abs(a):>12.5g} {a.real:>12.5g} {a.imag:>12.5g}")
     print(f"bandwidth: {bw:.4f} Hz "

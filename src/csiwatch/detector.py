@@ -4,7 +4,9 @@ Event detection slides a short rectangular window over the denoised stream
 p(t) and flags positions whose spectral energy above the (window-widened)
 breathing band exceeds gamma_th = q * sigma_c^2, the scaled noise floor
 measured during calibration. Flagged positions merge into events, closing
-only after a hysteresis gap of stillness.
+only after a hysteresis gap of stillness. Windows start on whole hops, so
+each window is a whole number of blocks of gcd(window, hop) samples, and
+the window sums come from running sums over blocks, not samples.
 
 Event classification gates out events shorter than T_min, then estimates the
 event bandwidth as the running median of per-window 90th-percentile
@@ -25,7 +27,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._lanes import split_in_two
 from .spectral_oracle import BREATHING_BAND_HZ
 
 if TYPE_CHECKING:
@@ -107,16 +108,16 @@ def sliding_out_of_band_energy(
     Returns (end_indices, energies): end_indices[i] is the index of the last
     sample in window i. The energy is the two-sided DFT power of the
     windowed segment minus its bins at f <= ED_BAND_HZ, computed exactly via
-    Parseval and rolling complex sums of p(t)*exp(-j*2*pi*k*t/L) for the few
-    low bins, which is O(N) instead of one FFT per window position.
+    Parseval from running sums of p(t)^2 and of p(t)*exp(-j*2*pi*k*t/L) for
+    the few low bins k, which is O(N) instead of one FFT per window position.
 
-    The low bins are split over two lanes: the caller takes the lower half
-    (bins 0 and 1 at the 2 s window, bin 0 a cheap real sum) and a worker
-    thread the rest (bin 2), joined before the bins' powers are summed in
-    bin order, so the energies do not depend on the thread. No thread
-    outlives the call. Against one lane (2 vCPUs): 70 against 117 ms on an
-    hour, 13 against 18 ms on 600 s, about the same on 60 s, and 0.3 ms
-    more on a 13 s calibration window, once per trace.
+    Windows start on whole hops, so with blocks of g = gcd(L, hop) samples
+    (10 at 200 Hz, 2 at 110 Hz) every window is L/g whole blocks, and the
+    running sums need only one row per block: one (n/g x g) @ (g x bins)
+    product gives each block's bin sums, which are then turned to the
+    phase of the block's first sample, t mod L. On a one-hour 200 Hz p(t)
+    (2 vCPUs) a call takes 17-23 ms, and its tracemalloc peak is 16.7 MB,
+    2.9 times p's 5.8 MB.
     """
     p = np.asarray(p, dtype=np.float64)
     fs = sample_rate_hz
@@ -127,34 +128,27 @@ def sliding_out_of_band_energy(
         return np.empty(0, dtype=np.int64), np.empty(0)
     ends = np.arange(L - 1, n, hop)
 
-    csq = np.concatenate([[0.0], np.cumsum(p * p)])
-    total = L * (csq[ends + 1] - csq[ends + 1 - L])
-
+    g = math.gcd(L, hop)
+    blocks = p[: ends[-1] + 1].reshape(-1, g)
     k_lo = int(math.floor(ED_BAND_HZ * L / fs + 1e-9))
-    t_idx = np.arange(n)
+    k = np.arange(k_lo + 1)
+    # a real product with the basis's interleaved (re, im) columns, read
+    # back as complex: the blocks are not cast to complex
+    basis = np.exp(-2j * math.pi * np.outer(np.arange(g), k) / L)
+    sums = (blocks @ basis.view(np.float64)).view(np.complex128)
+    # each block's sums turned to the phase of its first sample, t mod L
+    sums *= np.exp(-2j * math.pi * np.outer(np.arange(0, ends[-1] + 1, g) % L, k) / L)
+    running = np.zeros((blocks.shape[0] + 1, k.size), dtype=np.complex128)
+    np.cumsum(sums, axis=0, out=running[1:])
+    running_sq = np.zeros(blocks.shape[0] + 1)
+    np.cumsum(np.einsum("ij,ij->i", blocks, blocks), out=running_sq[1:])
 
-    def powers(bins: range) -> list[np.ndarray]:
-        return [_low_bin_power(p, k, L, ends, t_idx) for k in bins]
-
-    split = k_lo // 2 + 1
-    mine, theirs = split_in_two(lambda: powers(range(split)),
-                                lambda: powers(range(split, k_lo + 1)), "csiwatch-ed")
-    low = np.zeros(ends.size)
-    for k, mag_sq in enumerate(mine + theirs):
-        low += mag_sq if k == 0 else 2.0 * mag_sq
+    hi = (ends + 1) // g
+    lo = hi - L // g
+    total = L * (running_sq[hi] - running_sq[lo])
+    power = np.abs(running[hi] - running[lo]) ** 2
+    low = power[:, 0] + 2.0 * power[:, 1:].sum(axis=1)
     return ends, np.maximum(total - low, 0.0)
-
-
-def _low_bin_power(
-    p: np.ndarray, k: int, L: int, ends: np.ndarray, t_idx: np.ndarray
-) -> np.ndarray:
-    """|X_k|^2 of DFT bin k of every window of L samples ending at ends."""
-    if k == 0:
-        cq = np.concatenate([[0.0], np.cumsum(p)])
-        return (cq[ends + 1] - cq[ends + 1 - L]) ** 2
-    q = p * np.exp(-2j * math.pi * k * t_idx / L)
-    cq = np.concatenate([[0.0 + 0.0j], np.cumsum(q)])
-    return np.abs(cq[ends + 1] - cq[ends + 1 - L]) ** 2
 
 
 def detect_event_intervals(

@@ -1507,6 +1507,17 @@ class TestCli:
         assert "bandwidth: 3.0000 Hz" in out
         assert "f_th = 8.83 Hz" in out
 
+    def test_oracle_hides_the_same_zero_lines_for_a_negative_amplitude(self, capsys):
+        # at delta_mu = 0 every odd line of beta' = 2 has amplitude 0
+        printed = {}
+        for amplitude in ("1", "-1"):
+            assert main(["oracle", "--beta-prime", "2", "--f-o", "3",
+                         "--amplitude", amplitude]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            printed[amplitude] = [line.split()[0] for line in lines[2:-1]]
+        assert printed["-1"] == printed["1"]
+        assert printed["1"][:3] == ["0", "2", "4"]
+
     @pytest.mark.parametrize("args, match", BAD_ORACLE_INPUTS)
     def test_bad_oracle_input_exit_code(self, capsys, args, match):
         assert main(["oracle", "--beta-prime", "2", "--f-o", "3", *args]) == 2

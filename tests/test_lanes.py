@@ -84,7 +84,7 @@ def record(fn, calls):
 class TestWorkersRunPrivateCode:
     def test_every_public_call_runs_on_the_caller(self, monkeypatch):
         # a 25-minute 3x3 night with noise starts every lane: the noise,
-        # derive, Hampel, PCA and ED workers
+        # derive, Hampel and PCA workers
         started = []
 
         class Recording(threading.Thread):
@@ -104,7 +104,7 @@ class TestWorkersRunPrivateCode:
                                        n_rx=3, n_sc=3, dtype=np.complex64)
         harness.run_pipeline(trace, PipelineConfig())
         assert set(started) == {"csiwatch-noise", "csiwatch-derive", "csiwatch-hampel",
-                                "csiwatch-pca", "csiwatch-ed"}
+                                "csiwatch-pca"}
         names = {name for name, _ in calls}
         assert {"generate_trace", "run_pipeline", "derive_streams", "hampel_filter",
                 "pca_first_component", "sliding_out_of_band_energy"} <= names
