@@ -5,8 +5,7 @@ one item ahead of the caller, in two buffers that take turns: the
 simulator's noise draws (csiwatch-noise) and PCA's odd batches of blocks
 (csiwatch-pca). split_in_two is a OneAhead of one item, made while the
 caller runs other work: Hampel's halves of a long row (csiwatch-hampel)
-and a long window's second half of derived chunks, then half of its phase
-unwraps (csiwatch-derive).
+and a long window's second half of derived chunks (csiwatch-derive).
 
 No thread outlives the call that started it, and an error in the worker is
 raised in the caller. A worker runs only the callables it is given; a stage

@@ -623,6 +623,14 @@ def generate_trace(
     n = int(round(scenario.duration_s * sample_rate_hz))
     if n < 2:
         raise ValueError("scenario too short for the sample rate")
+    # before any draw or other array of trace length: a trace too large to
+    # hold is an input error
+    try:
+        csi = np.empty((n_rx, n_sc, n), dtype=dtype)
+    except (ValueError, MemoryError):
+        raise ValueError(f"a trace of duration_s={scenario.duration_s!r} at sample_rate_hz="
+                         f"{sample_rate_hz!r} with n_rx={n_rx} and n_sc={n_sc} does not fit "
+                         "in memory") from None
     real_dtype = np.float32 if dtype == np.complex64 else np.float64
 
     # Per-stream path parameters come first in the draw order so that
@@ -664,7 +672,6 @@ def generate_trace(
         # so a complex64 outlier stays a complex64 product.
         with_outliers = noise.outlier_rate_per_s > 0 and noise.outlier_magnitude > 0
         stream_std: list[float] = []
-        csi = np.empty((n_rx, n_sc, n), dtype=dtype)
         # s * z of a chunk in float64, as s is: each noisy sample is rounded
         # to the CSI dtype once, when the noise is added
         scaled = np.empty((2, min(SIM_CHUNK, n)))

@@ -21,9 +21,10 @@ pca_first_component). Streams are derived in chunks of grid samples: each
 chunk's packet search and slope denominators are shared by every raw series
 it resamples, and phase differences are unwrapped in pieces of DERIVE_CHUNK.
 A window longer than about 22 min at 200 Hz is walked in larger chunks on
-two lanes, the second half of its chunks and then half of its unwraps on a
-worker thread (see derive_streams). All three give the output of one thread
-bit for bit, and all start their worker through the helpers of _lanes.
+two lanes, the second half of its chunks on a worker thread; the caller
+then unwraps every phase difference (see derive_streams). All three give
+the output of one thread bit for bit, and all start their worker through
+the helpers of _lanes.
 CsiTrace checks CSI, so only hampel_filter checks its input here. Needs
 numpy only.
 """
@@ -31,7 +32,6 @@ numpy only.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -250,11 +250,6 @@ def _derive_span(trace: CsiTrace, ids, cols: np.ndarray, a: int, b: int, chunk: 
         _derive_chunk(trace, ids, _interp_plan(trace, i, end), cols[:, i - a : end - a])
 
 
-def _unwrap_rows(rows: Iterable[np.ndarray]) -> None:
-    for row in rows:
-        _unwrap_in_place(row)
-
-
 def derive_streams(
     trace: CsiTrace,
     ids: list[StreamId] | None = None,
@@ -279,24 +274,23 @@ def derive_streams(
     max(DERIVE_CHUNK, n // DERIVE_LANE_DIVISOR). Where that exceeds
     DERIVE_CHUNK, from n = 64 * 4097 samples (21.9 min at 200 Hz) on, the
     window is walked on two lanes: the caller takes the first half of the
-    chunks and a csiwatch-derive worker thread the second, then each
-    unwraps half of the phase-difference rows (a single one on the caller).
-    The lanes write apart, so the output does not depend on the thread, and
-    no thread outlives the call. A shorter window (the 13 s calibration
-    window, 60 s and 600 s rows) is walked in DERIVE_CHUNK chunks on the
-    caller, with no thread, and needs a few chunks' memory beside the
-    output.
+    chunks and a csiwatch-derive worker thread the second. The lanes write
+    apart, so the output does not depend on the thread, and the worker is
+    joined before the caller unwraps every phase-difference row. A shorter
+    window (the 13 s calibration window, 60 s and 600 s rows) is walked in
+    DERIVE_CHUNK chunks on the caller, with no thread.
 
     Memory: a chunk's plan and a phase difference's series take about 145
     bytes per grid sample on each lane, so at n // 64 the two lanes hold
     about 4.5 bytes per output sample beside the output: 3.3 MB on an hour,
-    within one 5.8 MB output row, where n // 32 would hold 6.5 MB.
-    Cost (one process, 2 vCPUs, the 15 selected rows of an hour-long night,
-    7 of them phase differences, interleaved runs): 210 ms against 293 ms
-    on one lane in DERIVE_CHUNK chunks; n // 128 took 280 ms and n // 32
-    179 ms. Two lanes of chunks near DERIVE_CHUNK took longer than one lane
-    (290 against 250 ms): each numpy call then lasts a few microseconds,
-    and the lanes spend their time passing the interpreter lock.
+    within one 5.8 MB output row, where n // 32 would hold 6.5 MB. A
+    shorter window and the unwrap need a few DERIVE_CHUNK pieces.
+    Cost: on an hour, two lanes of n // 64 chunks take less time than one
+    lane, and smaller chunks give back part of the gain. Two lanes of
+    chunks near DERIVE_CHUNK take longer than one: each numpy call then
+    lasts a few microseconds, and the lanes spend their time passing the
+    interpreter lock. The unwrap walks DERIVE_CHUNK pieces, so for the same
+    reason it runs on the caller alone.
     """
     if end_s is None:
         end_s = trace.duration_s
@@ -309,20 +303,15 @@ def derive_streams(
     chunk = max(DERIVE_CHUNK, n // DERIVE_LANE_DIVISOR)
     if chunk == DERIVE_CHUNK:
         _derive_span(trace, ids, data, i0, i1, chunk)
-        _unwrap_rows(row for row, sid in zip(data, ids) if sid.kind == "pd")
     else:
         # the caller's half holds the middle chunk of an odd count
         mid = (-(-n // chunk) + 1) // 2 * chunk
         split_in_two(lambda: _derive_span(trace, ids, data[:, :mid], i0, i0 + mid, chunk),
                      lambda: _derive_span(trace, ids, data[:, mid:], i0 + mid, i1, chunk),
                      "csiwatch-derive")
-        pd_rows = [row for row, sid in zip(data, ids) if sid.kind == "pd"]
-        half = (len(pd_rows) + 1) // 2
-        if half < len(pd_rows):
-            split_in_two(lambda: _unwrap_rows(pd_rows[:half]),
-                         lambda: _unwrap_rows(pd_rows[half:]), "csiwatch-derive")
-        else:  # one row or none: no worker
-            _unwrap_rows(pd_rows)
+    for row, sid in zip(data, ids):
+        if sid.kind == "pd":
+            _unwrap_in_place(row)
     return StreamSet(tuple(ids), data, fs, start_s=i0 / fs if i1 > i0 else start_s)
 
 

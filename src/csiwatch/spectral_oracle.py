@@ -109,8 +109,11 @@ def line_mass(beta_prime: float, n_max: int) -> float:
     """Two-sided Bessel mass J_0^2 + 2*sum_{n=1..n_max} J_n^2 (total is 1)."""
     from scipy.special import jv  # here, so that `import csiwatch` loads no scipy
 
-    n = np.arange(n_max + 1)
-    j = jv(n, beta_prime)
+    return _mass(jv(np.arange(n_max + 1), beta_prime))
+
+
+def _mass(j: np.ndarray) -> float:
+    """line_mass from the Bessel values J_0..J_n_max."""
     return float(j[0] ** 2 + 2.0 * np.sum(j[1:] ** 2))
 
 
@@ -139,15 +142,15 @@ def bessel_line_spectrum(
                              f"more than {MAX_N_MAX}")
     elif not 0 <= n_max <= MAX_N_MAX:
         raise ValueError(f"n_max must be in [0, {MAX_N_MAX}], got {n_max}")
-    if line_mass(beta_prime, n_max) < MIN_LINE_MASS:
-        raise ValueError(
-            f"n_max = {n_max} captures less than {MIN_LINE_MASS:.1%} of the line "
-            f"mass for beta' = {beta_prime}; need n_max >= {default_n_max(beta_prime)}"
-        )
     from scipy.special import jv
 
     n = np.arange(n_max + 1)
     j = jv(n, beta_prime)
+    if _mass(j) < MIN_LINE_MASS:
+        raise ValueError(
+            f"n_max = {n_max} captures less than {MIN_LINE_MASS:.1%} of the line "
+            f"mass for beta' = {beta_prime}; need n_max >= {default_n_max(beta_prime)}"
+        )
     amps = np.where(
         n % 2 == 0,
         amplitude * math.cos(delta_mu_rad) * j,

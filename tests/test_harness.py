@@ -139,6 +139,9 @@ BAD_SCENARIO_CONFIGS = [
     ({"duration_s": 60.0, "n_rx": 1, "n_sc": 2,
       "second_person": {"auto_events": {"n_normal_events": 1, "normal_events_per_hour": 0}}},
      "n_normal_events cannot be combined with normal_events_per_hour"),
+    # numpy refuses the CSI array's shape before it asks for memory
+    ({"duration_s": 1e15}, "a trace of duration_s=1000000000000000.0 at sample_rate_hz=200.0 "
+                           "with n_rx=3 and n_sc=30 does not fit in memory"),
 ]
 
 # config files that are not JSON objects, and what the CLI calls them; every

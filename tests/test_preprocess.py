@@ -696,7 +696,8 @@ def off_grid_window(i0, n):
 class TestDeriveLanes:
     """A window of LANES_FROM grid samples or more walks chunks of
     n // DERIVE_LANE_DIVISOR on two lanes, the second on a worker thread that
-    no call outlives; a shorter one walks DERIVE_CHUNK chunks on the caller."""
+    no call outlives; a shorter one walks DERIVE_CHUNK chunks on the caller.
+    Every phase difference is unwrapped on the caller."""
 
     IDS = [StreamId("pd", 1, 0), StreamId("mag", 0, 1), StreamId("pd", 1, 1)]
 
@@ -769,8 +770,8 @@ class TestDeriveLanes:
             assert streams.data.tobytes() == expected.tobytes()
 
     def test_longer_window_has_one_worker(self, monkeypatch):
-        # one worker walks the second half of the chunks, then one unwraps
-        # the second half of the phase-difference rows
+        # one worker walks the second half of the chunks; the caller unwraps
+        # every phase-difference row
         unwrapped = []
         real_unwrap = preprocess._unwrap_in_place
 
@@ -785,10 +786,10 @@ class TestDeriveLanes:
         before = threading.active_count()
         derive_streams(trace, ids=self.IDS)
         assert threading.active_count() == before
-        assert started == ["csiwatch-derive", "csiwatch-derive"]
+        assert started == ["csiwatch-derive"]
         caller = threading.current_thread().name
         assert {name for name, _ in chunks} == {caller, "csiwatch-derive"}
-        assert sorted(unwrapped) == sorted([caller, "csiwatch-derive"])
+        assert unwrapped == [caller, caller]
 
     def test_one_phase_difference_unwrapped_on_the_caller(self, monkeypatch):
         started = thread_starts(monkeypatch)
@@ -798,12 +799,13 @@ class TestDeriveLanes:
         assert streams.data.tobytes() == reference_derive_streams(trace, ids)[0].tobytes()
         assert started == ["csiwatch-derive"]
 
-    @pytest.mark.parametrize("step", ["derive", "unwrap"])
-    @pytest.mark.parametrize("failing", ["worker", "both"])
-    def test_error_reaches_caller_and_no_thread_outlives_it(self, monkeypatch, step, failing):
-        # the worker fails on its first piece of work; with both failing,
-        # the caller fails on its second once the worker has failed, and
-        # the caller's error wins
+    @pytest.mark.parametrize(
+        "failing, step", [("worker", "derive"), ("both", "derive"), ("caller", "unwrap")])
+    def test_error_reaches_caller_and_no_thread_outlives_it(self, monkeypatch, failing, step):
+        # the worker fails on its first chunk; with both failing, the caller
+        # fails on its second chunk once the worker has failed, and the
+        # caller's error wins; the caller's first unwrap fails after the
+        # worker has been joined
         worker_failed = threading.Event()
         seen = []
 
@@ -815,6 +817,9 @@ class TestDeriveLanes:
                 raise FloatingPointError("worker failed")
             if failing == "both" and seen.count(name) == 2:
                 assert worker_failed.wait(timeout=60)
+                raise FloatingPointError("caller failed")
+            if failing == "caller":
+                assert threading.active_count() == before
                 raise FloatingPointError("caller failed")
 
         if step == "derive":
@@ -830,7 +835,7 @@ class TestDeriveLanes:
         trace = lane_trace(LANES_FROM, seed=4)
         ids = [StreamId("pd", 1, sc) for sc in (0, 1, 0, 1)]
         before = threading.active_count()
-        match = "caller failed" if failing == "both" else "worker failed"
+        match = "worker failed" if failing == "worker" else "caller failed"
         with pytest.raises(FloatingPointError, match=f"^{match}$"):
             derive_streams(trace, ids=ids)
         assert threading.active_count() == before
