@@ -82,12 +82,20 @@ class PipelineResult:
 
 def run_pipeline(trace: CsiTrace, config: PipelineConfig) -> PipelineResult:
     """Preprocess and detect on one trace; timed end to end. The calibration
-    window is config's [cal_start_s, cal_start_s + t_cal_s]."""
+    window is config's [cal_start_s, cal_start_s + t_cal_s]. An f_th at or
+    above the trace's Nyquist frequency, which no bandwidth can exceed, is
+    refused."""
     t0 = time.perf_counter()
     f_th = config.resolve_f_th(trace.geometry)
     calibration = calibrate(trace, config)
+    fs = trace.sample_rate_hz
+    if f_th >= fs / 2:
+        raise ValueError(
+            f"f_th = {f_th:.2f} Hz is at or above the Nyquist frequency {fs / 2:g} Hz "
+            f"of a trace sampled at {fs:g} Hz"
+        )
     p = extract_pipeline_stream(trace, calibration)
-    events = run_detection(p, trace.sample_rate_hz, calibration, config, f_th)
+    events = run_detection(p, fs, calibration, config, f_th)
     elapsed = time.perf_counter() - t0
     return PipelineResult(
         events=events,

@@ -40,7 +40,7 @@ import numpy as np
 from ._lanes import OneAhead, split_in_two
 from .config import PipelineConfig
 from .csi_sim import CsiTrace
-from .detector import sliding_out_of_band_energy
+from .detector import ED_BAND_HZ, sliding_out_of_band_energy
 from .spectral_oracle import BREATHING_BAND_HZ
 
 __all__ = [
@@ -392,16 +392,19 @@ def hampel_filter(stream: np.ndarray, window_samples: int) -> np.ndarray:
     zero median of a window holding both +0.0 and -0.0 may carry either
     sign.
 
-    Cost: two window sorts per centre, one for the order statistics and one
-    for the MAD, then one per candidate. Detection rows have 1-3 %
-    candidates, so the centres' sorts take most of the time; when most
-    samples are candidates, as on integer-quantized CSI, theirs do. Work
-    arrays hold at most HAMPEL_CHUNK windows per lane. A row of more than
-    HAMPEL_CHUNK centres is cut into two halves of equal centre count, each
-    with the samples its centres own: the caller filters one half and a
-    worker thread the other. The halves write apart, so the output does not
-    depend on the thread, and no thread outlives the call. A shorter row
-    starts no thread.
+    Cost: one window sort per centre, then one per candidate. The centre's
+    sorted window s gives the MAD too: the m + 1 deviations nearest m_c
+    belong to m + 1 neighbours s[t..t+m], so the MAD is the least over
+    t = 0..m of max(m_c - s[t], s[t+m] - m_c), the same floats a sort of
+    the deviations would order. Detection rows have 1-3 % candidates, so
+    the centres' sorts take most of the time; when most samples are
+    candidates, as on integer-quantized CSI, theirs do. Work arrays hold at
+    most HAMPEL_CHUNK windows per lane. A row of more than HAMPEL_CHUNK
+    centres is cut into two halves of equal centre count, each with the
+    samples its centres own: the caller filters one half and a worker
+    thread the other. The halves write apart, so the output does not depend
+    on the thread, and no thread outlives the call. A shorter row starts no
+    thread.
 
     window_samples must be odd and >= 3. The stream must be finite (a NaN
     or Inf sample raises ValueError) and is not modified; returns a new
@@ -459,15 +462,16 @@ def _centre_chunk(row: _HampelRow, k0: int, k1: int) -> tuple[np.ndarray, np.nda
     # within reach of c_k
     lo = buf[:, m - reach : m - reach + 1].copy()
     hi = buf[:, m + reach : m + reach + 1].copy()
-    # the MAD, then the screen's deviations, reuse the window buffer
-    np.subtract(buf, med, out=buf)
-    np.abs(buf, out=buf)
-    buf.sort(axis=1)
-    thr = HAMPEL_N_SIGMAS * MAD_SCALE * buf[:, m : m + 1]
+    # the MAD is the least spread max(med - s[t], s[t+m] - med) over
+    # t = 0..m (a zero MAD may be -0.0 here; thresholds are only compared)
+    spread = np.subtract(med, buf[:, :hop])
+    np.maximum(spread, np.subtract(buf[:, m:], med, out=buf[:, m:]), out=spread)
+    thr = HAMPEL_N_SIGMAS * MAD_SCALE * spread.min(axis=1, keepdims=True)
 
     first = reach + k0 * hop
     block = row.x[first : first + (k1 - k0) * hop].reshape(k1 - k0, hop)
-    dev = np.subtract(block, lo)
+    # the screen's deviations reuse the MAD's buffers
+    dev = np.subtract(block, lo, out=spread)
     np.abs(dev, out=dev)
     dev_hi = np.subtract(block, hi, out=buf[:, :hop])
     np.abs(dev_hi, out=dev_hi)
@@ -695,9 +699,16 @@ def calibrate(trace: CsiTrace, config: PipelineConfig) -> CalibrationState:
     The window is config's [cal_start_s, cal_start_s + t_cal_s] and must
     contain breathing only; that is the caller's protocol responsibility.
     sigma_c^2 is the maximum out-of-band energy of the PCA-denoised
-    calibration stream over sliding detection windows.
+    calibration stream over sliding detection windows. A trace whose
+    Nyquist frequency is at or below ED_BAND_HZ has no band above it, so
+    no event could be detected: it is refused.
     """
     fs = trace.sample_rate_hz
+    if fs / 2 <= ED_BAND_HZ:
+        raise ValueError(
+            f"a trace sampled at {fs:g} Hz has its Nyquist frequency {fs / 2:g} Hz at or "
+            f"below the {ED_BAND_HZ:g} Hz band event detection leaves out"
+        )
     cal_end = config.cal_start_s + config.t_cal_s
     if cal_end > trace.duration_s + 0.5 / fs:
         raise ValueError(

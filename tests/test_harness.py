@@ -1377,6 +1377,25 @@ class TestCli:
         assert rc == 3
         assert "internal error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, match", [
+        # f_th at psi = 2 lies above the 12.5 Hz Nyquist frequency
+        ({"sample_rate_hz": 25.0, "geometry": {"psi": 2.0}},
+         "f_th = 15.90 Hz is at or above the Nyquist frequency 12.5 Hz of a trace "
+         "sampled at 25 Hz"),
+        # no band is left above event detection's
+        ({"sample_rate_hz": 2.0},
+         "a trace sampled at 2 Hz has its Nyquist frequency 1 Hz at or below the "
+         "1.1 Hz band event detection leaves out")],
+        ids=["f_th-above-nyquist", "nyquist-below-ed-band"])
+    def test_sample_rate_detector_cannot_work_at_exit_code(
+            self, tmp_path, capsys, overrides, match):
+        scenario = self._write_scenario(tmp_path, **overrides)
+        trace_path = tmp_path / "night.csitrace"
+        assert main(["simulate", "--config", str(scenario), "--out", str(trace_path)]) == 0
+        capsys.readouterr()
+        assert main(["detect", "--trace", str(trace_path)]) == 2
+        assert match in capsys.readouterr().err
+
     def test_pipeline_config_sample_rate_rejected(self, tmp_path, capsys):
         # the pipeline takes its rate from the trace, so the config has no rate
         trace_path = tmp_path / "t.csitrace"

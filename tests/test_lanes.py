@@ -3,14 +3,19 @@
 import functools
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import csiwatch
 from csiwatch import csi_sim, harness
-from csiwatch._lanes import split_in_two
+from csiwatch._lanes import OneAhead, split_in_two
 from csiwatch.config import PipelineConfig
 from csiwatch.signal_model import SceneGeometry
 
@@ -25,7 +30,7 @@ class TestSplitInTwo:
         caller = threading.current_thread().name
         got = split_in_two(lambda: ("first", threading.current_thread().name),
                            lambda: ("second", threading.current_thread().name), "csiwatch-test")
-        assert got == (("first", caller), ("second", "csiwatch-test"))
+        assert got == (("first", caller), ("second", "csiwatch-test_0"))
         assert threading.active_count() == before
 
     def test_worker_error_raised_in_caller(self):
@@ -50,6 +55,33 @@ class TestSplitInTwo:
         with pytest.raises(FloatingPointError, match="^caller failed$"):
             split_in_two(first, second, "csiwatch-test")
         assert threading.active_count() == before
+
+
+class TestOneAhead:
+    def test_caller_leaving_early_stops_the_worker(self):
+        # the caller takes item 0 of 10 and leaves: the items not yet
+        # started are cancelled and the worker is joined
+        before = threading.active_count()
+        made = []
+
+        def make(k, buf):
+            made.append(k)
+
+        with OneAhead(make, 10, [None, None], "csiwatch-test") as ahead:
+            ahead.take()
+        assert threading.active_count() == before
+        assert made == list(range(len(made))) and 1 <= len(made) <= 3
+
+
+def test_import_loads_no_concurrent_futures():
+    # in a fresh interpreter: a lane imports its pool when it starts
+    src = str(Path(csiwatch.__file__).resolve().parents[1])
+    code = "import sys, csiwatch; print([m for m in sys.modules if m.startswith('concurrent')])"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def wrap_public_functions(monkeypatch, calls):
@@ -103,8 +135,8 @@ class TestWorkersRunPrivateCode:
         trace = csi_sim.generate_trace(scenario, SceneGeometry(), noise, seed=3,
                                        n_rx=3, n_sc=3, dtype=np.complex64)
         harness.run_pipeline(trace, PipelineConfig())
-        assert set(started) == {"csiwatch-noise", "csiwatch-derive", "csiwatch-hampel",
-                                "csiwatch-pca"}
+        assert set(started) == {"csiwatch-noise_0", "csiwatch-derive_0", "csiwatch-hampel_0",
+                                "csiwatch-pca_0"}
         names = {name for name, _ in calls}
         assert {"generate_trace", "run_pipeline", "derive_streams", "hampel_filter",
                 "pca_first_component", "sliding_out_of_band_energy"} <= names

@@ -280,7 +280,7 @@ class TestHampelLanes:
         before = threading.active_count()
         hampel_filter(self.stream(HAMPEL_CHUNK + 1), 101)
         assert threading.active_count() == before
-        assert sorted(names) == sorted([threading.current_thread().name, "csiwatch-hampel"])
+        assert sorted(names) == sorted([threading.current_thread().name, "csiwatch-hampel_0"])
 
     @pytest.mark.parametrize("failing, k_fail", [("worker", 2 * HAMPEL_CHUNK),
                                                  ("caller", HAMPEL_CHUNK)])
@@ -753,7 +753,7 @@ class TestDeriveLanes:
             assert len(mine) == n_chunks
         else:
             assert mine == list(range(i0, i0 + (n_chunks + 1) // 2 * chunk, chunk))
-            assert {name for name, _ in chunks} == {caller, "csiwatch-derive"}
+            assert {name for name, _ in chunks} == {caller, "csiwatch-derive_0"}
 
     def test_shorter_window_starts_no_thread(self, monkeypatch):
         # the 13 s calibration window, 60 s and 600 s rows, and the longest
@@ -786,9 +786,9 @@ class TestDeriveLanes:
         before = threading.active_count()
         derive_streams(trace, ids=self.IDS)
         assert threading.active_count() == before
-        assert started == ["csiwatch-derive"]
+        assert started == ["csiwatch-derive_0"]
         caller = threading.current_thread().name
-        assert {name for name, _ in chunks} == {caller, "csiwatch-derive"}
+        assert {name for name, _ in chunks} == {caller, "csiwatch-derive_0"}
         assert unwrapped == [caller, caller]
 
     def test_one_phase_difference_unwrapped_on_the_caller(self, monkeypatch):
@@ -797,7 +797,7 @@ class TestDeriveLanes:
         ids = [StreamId("mag", 1, 1), StreamId("pd", 1, 0)]
         streams = derive_streams(trace, ids=ids)
         assert streams.data.tobytes() == reference_derive_streams(trace, ids)[0].tobytes()
-        assert started == ["csiwatch-derive"]
+        assert started == ["csiwatch-derive_0"]
 
     @pytest.mark.parametrize(
         "failing, step", [("worker", "derive"), ("both", "derive"), ("caller", "unwrap")])
@@ -812,7 +812,7 @@ class TestDeriveLanes:
         def fail():
             name = threading.current_thread().name
             seen.append(name)
-            if name == "csiwatch-derive":
+            if name == "csiwatch-derive_0":
                 worker_failed.set()
                 raise FloatingPointError("worker failed")
             if failing == "both" and seen.count(name) == 2:
@@ -1258,7 +1258,7 @@ class TestPcaLanes:
         for name, first in calls:
             by_thread.setdefault(name, []).append(first // (18 * 400))
         assert by_thread == {threading.current_thread().name: list(range(0, 100, 2)),
-                             "csiwatch-pca": list(range(1, 100, 2))}
+                             "csiwatch-pca_0": list(range(1, 100, 2))}
 
     @pytest.mark.parametrize("failing, batch", [("worker", 1), ("worker", 3),
                                                 ("caller", 0), ("caller", 2)])
