@@ -1,13 +1,15 @@
 """How a pipeline stage puts work on a second core.
 
-OneAhead makes a sequence of items on a one-thread
-concurrent.futures.ThreadPoolExecutor, in order and at most one item ahead
-of the caller, in two buffers that take turns: the simulator's noise draws
-(csiwatch-noise) and PCA's odd batches of blocks (csiwatch-pca).
-split_in_two runs one callable on such a pool while the caller runs
-another: Hampel's halves of a long row (csiwatch-hampel) and a long
-window's second half of derived chunks (csiwatch-derive). A pool names its
-thread after the lane, with the pool's "_0" suffix (csiwatch-noise_0).
+Three lanes each run on a one-thread concurrent.futures.ThreadPoolExecutor.
+OneAhead makes a sequence of items in order, at most one ahead of the
+caller, in two buffers that take turns: the simulator's noise draws
+(csiwatch-noise). split_in_two runs one callable on such a pool while the
+caller runs another: Hampel's halves of a long row (csiwatch-hampel) and a
+long window's second half of derived chunks (csiwatch-derive). A pool names
+its thread after the lane, with the pool's "_0" suffix (csiwatch-noise_0).
+Each lane's docstring gives its measured gain on a one-hour night. PCA has
+no lane: its batch worker gained least there and held two more batch
+buffers at the pipeline's memory peak.
 
 No thread outlives the call that started it, and an error in the worker is
 raised in the caller. A worker runs only the callables it is given; a stage

@@ -604,7 +604,9 @@ def generate_trace(
     noise one stream ahead of that pass (a _lanes.OneAhead over the noisy
     streams, in two buffers of one stream's draws that take turns); the
     draws, their order and every sample are those of a serial run, so the
-    trace does not depend on the thread. No thread outlives the call.
+    trace does not depend on the thread. No thread outlives the call. On a
+    one-hour night (2 vCPUs) it won 11 of 11 interleaved pairs against the
+    same draws made on the caller: 2.16 against 2.90 s (medians).
 
     dtype complex64 halves memory; on a one-hour 3x30 night with noise it is
     only ~10 % faster than complex128, as drawing the noise sets the pace

@@ -80,20 +80,23 @@ class PipelineResult:
         return self.processing_s / self.trace_duration_s
 
 
+def _check_f_th(f_th_hz: float, fs: float) -> None:
+    """Refuse an f_th at or above the Nyquist frequency of a trace sampled at
+    fs Hz, which no bandwidth measured on it can exceed."""
+    if f_th_hz >= fs / 2:
+        raise ValueError(f"f_th = {f_th_hz:.2f} Hz is at or above the Nyquist frequency "
+                         f"{fs / 2:g} Hz of a trace sampled at {fs:g} Hz")
+
+
 def run_pipeline(trace: CsiTrace, config: PipelineConfig) -> PipelineResult:
     """Preprocess and detect on one trace; timed end to end. The calibration
-    window is config's [cal_start_s, cal_start_s + t_cal_s]. An f_th at or
-    above the trace's Nyquist frequency, which no bandwidth can exceed, is
-    refused."""
+    window is config's [cal_start_s, cal_start_s + t_cal_s]. An f_th the
+    trace cannot reach is refused (_check_f_th)."""
     t0 = time.perf_counter()
     f_th = config.resolve_f_th(trace.geometry)
     calibration = calibrate(trace, config)
     fs = trace.sample_rate_hz
-    if f_th >= fs / 2:
-        raise ValueError(
-            f"f_th = {f_th:.2f} Hz is at or above the Nyquist frequency {fs / 2:g} Hz "
-            f"of a trace sampled at {fs:g} Hz"
-        )
+    _check_f_th(f_th, fs)
     p = extract_pipeline_stream(trace, calibration)
     events = run_detection(p, fs, calibration, config, f_th)
     elapsed = time.perf_counter() - t0
@@ -114,6 +117,7 @@ class TraceAnalysis:
     labels: list[LabelInterval]
     geometry: SceneGeometry
     calibration: CalibrationState
+    sample_rate_hz: float
 
 
 def analyze_trace(trace: CsiTrace, config: PipelineConfig) -> TraceAnalysis:
@@ -128,6 +132,7 @@ def analyze_trace(trace: CsiTrace, config: PipelineConfig) -> TraceAnalysis:
         labels=list(trace.events),
         geometry=trace.geometry,
         calibration=calibration,
+        sample_rate_hz=trace.sample_rate_hz,
     )
 
 
@@ -140,6 +145,8 @@ def classify_analysis(
 def report_for(
     analysis: TraceAnalysis, f_th_hz: float, t_min_s: float
 ) -> RunReport:
+    """The trace's report at f_th_hz and t_min_s; refuses an f_th it cannot reach."""
+    _check_f_th(f_th_hz, analysis.sample_rate_hz)
     events = classify_analysis(analysis, f_th_hz, t_min_s)
     return compute_report(events, analysis.labels)
 
@@ -159,7 +166,7 @@ def sweep_parameter(
     (psi, wavelength) group of traces, at the group's resolved f_th and the
     configured T_min, sorted by psi then wavelength; each row is {"psi",
     "wavelength_m", "f_th_hz", "sdr_pct", "p_fa", "mrt_s"}. A metric whose
-    denominator is empty is None.
+    denominator is empty is None. report_for refuses an unreachable f_th.
     """
     # (row keys, (trace, f_th) pairs, T_min) per row
     if param == "f_th":

@@ -14,17 +14,15 @@ MAD centre and takes a sample's exact running median only where that median
 could flip its keep-or-replace decision: every other sample is cleared
 against order statistics of its centre's sorted window. A row of more than
 HAMPEL_CHUNK centres is filtered in two halves at once, the second on a
-worker thread that the call joins (see hampel_filter). PCA works on batches
-of blocks, with stacked covariances and eigenvectors; on a long input a
-worker thread computes every other batch one batch ahead of the caller (see
-pca_first_component). Streams are derived in chunks of grid samples: each
-chunk's packet search and slope denominators are shared by every raw series
-it resamples, and phase differences are unwrapped in pieces of DERIVE_CHUNK.
-A window longer than about 22 min at 200 Hz is walked in larger chunks on
-two lanes, the second half of its chunks on a worker thread; the caller
-then unwraps every phase difference (see derive_streams). All three give
-the output of one thread bit for bit, and all start their worker through
-the helpers of _lanes.
+worker thread that the call joins (see hampel_filter). Streams are derived
+in chunks of grid samples: each chunk's packet search and slope
+denominators are shared by every raw series it resamples, and phase
+differences are unwrapped in pieces of DERIVE_CHUNK. A window longer than
+about 22 min at 200 Hz is walked in larger chunks on two lanes, the second
+half of its chunks on a worker thread; the caller then unwraps every phase
+difference (see derive_streams). Both give the output of one thread bit for
+bit through split_in_two. PCA runs on the caller alone, in batches of
+blocks (see pca_first_component).
 CsiTrace checks CSI, so only hampel_filter checks its input here. Needs
 numpy only.
 """
@@ -37,10 +35,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._lanes import OneAhead, split_in_two
+from ._lanes import split_in_two
 from .config import PipelineConfig
 from .csi_sim import CsiTrace
-from .detector import ED_BAND_HZ, sliding_out_of_band_energy
+from .detector import ED_BAND_HZ, ED_WINDOW_S, sliding_out_of_band_energy
 from .spectral_oracle import BREATHING_BAND_HZ
 
 __all__ = [
@@ -285,8 +283,10 @@ def derive_streams(
     about 4.5 bytes per output sample beside the output: 3.3 MB on an hour,
     within one 5.8 MB output row, where n // 32 would hold 6.5 MB. A
     shorter window and the unwrap need a few DERIVE_CHUNK pieces.
-    Cost: on an hour, two lanes of n // 64 chunks take less time than one
-    lane, and smaller chunks give back part of the gain. Two lanes of
+    Cost: on the 15 selected streams of an hour (2 vCPUs), two lanes of
+    n // 64 chunks won 21 of 21 interleaved pairs against one, in two runs
+    (159 against 208 ms and 169 against 240 ms, medians); smaller chunks
+    give back part of the gain. Two lanes of
     chunks near DERIVE_CHUNK take longer than one: each numpy call then
     lasts a few microseconds, and the lanes spend their time passing the
     interpreter lock. The unwrap walks DERIVE_CHUNK pieces, so for the same
@@ -404,7 +404,9 @@ def hampel_filter(stream: np.ndarray, window_samples: int) -> np.ndarray:
     samples its centres own: the caller filters one half and a worker
     thread the other. The halves write apart, so the output does not depend
     on the thread, and no thread outlives the call. A shorter row starts no
-    thread.
+    thread. On the 15 selected rows of an hour (2 vCPUs), two halves won 21
+    of 21 interleaved pairs against one lane, in two runs (195 against 270
+    ms and 208 against 272 ms, medians).
 
     window_samples must be odd and >= 3. The stream must be finite (a NaN
     or Inf sample raises ValueError) and is not modified; returns a new
@@ -570,14 +572,12 @@ def pca_first_component(data: np.ndarray, sample_rate_hz: float) -> np.ndarray:
     region (first block: the largest-magnitude loading is made positive),
     which makes p(t) fully reproducible. All-constant blocks emit zeros.
 
-    The blocks are taken in batches. A batch's blocks are copied into one
-    buffer and centred there; their covariances come from one stacked
-    matmul and their eigenvectors from one stacked eigh, each bit for bit
-    what a single block's call gives. A worker thread computes every odd
-    batch, one batch ahead, into two buffers that take turns, while the
-    caller computes the even ones; the caller then fixes the signs and
-    cross-fades every block in block order, so the output does not depend
-    on the thread and equals a block-by-block loop's bit for bit.
+    The blocks are taken in batches, all on the caller. A batch's blocks
+    are copied into one buffer and centred there; their covariances come
+    from one stacked matmul and their eigenvectors from one stacked eigh,
+    each bit for bit what a single block's call gives. The signs are then
+    fixed and the blocks cross-faded in block order, so the output equals a
+    block-by-block loop's bit for bit.
 
     The projection needs one care. A block-by-block loop projects with its
     eigenvector as a strided column of eigh's output, or, where the sign
@@ -585,20 +585,19 @@ def pca_first_component(data: np.ndarray, sample_rate_hz: float) -> np.ndarray:
     for the two layouts. So the batch's projections are taken twice, once
     with each layout, and each block keeps the one its loop would take.
 
-    Memory: a batch holds n // (3*(K+1)*block) blocks, at least one, so the
-    caller's buffer and the worker's two (each block's K centred rows and
-    its output) fit in one row of p(t); with one block a batch no thread
-    starts. The cross-fade weights are whole numbers, so their sums are
-    exact in any order: they are summed over the current batch's span only,
-    and a sample is divided by its sum once no later block covers it.
-    Beside the input, a call needs p(t), the batch buffers and one batch's
-    work.
+    Memory: a batch holds n // (3*(K+1)*block) blocks, at least one, so its
+    buffer (each block's K centred rows and its output) holds at most a
+    third of one row of p(t). The cross-fade weights are whole numbers, so
+    their sums are exact in any order: they are summed over the current
+    batch's span only, and a sample is divided by its sum once no later
+    block covers it. Beside the input, a call needs p(t), the batch buffer
+    and one batch's work.
 
-    Cost, against a block-by-block loop (one process, 2 vCPUs, K = 15): an
-    hour (1799 blocks in batches of 18) takes half the time, 0.31 against
-    0.15 s; a 600 s row (batches of 3) about the same, 6 % more; a row of
-    60 s or less, in batches of one block and with no worker, a fifth more
-    (5.8 against 4.9 ms at 60 s), spent on the batch bookkeeping.
+    Cost, against a block-by-block loop (2 vCPUs, K = 15, medians of 21
+    interleaved runs on the rows of an hour): the hour (1799 blocks in
+    batches of 18) takes 178 against 217 ms, its first 600 s (batches of 3)
+    25.2 against 28.6 ms, its first 60 s (batches of one block) a fifth
+    more, 3.12 against 2.61 ms, spent on the batch bookkeeping.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 2:
@@ -612,12 +611,9 @@ def pca_first_component(data: np.ndarray, sample_rate_hz: float) -> np.ndarray:
     starts = list(range(0, max(n - block, 0) + 1, hop))
     if starts[-1] + block < n:
         starts.append(n - block)
-    # the caller's batch buffer and the worker's two (each block's K centred
-    # rows and its output) fit in one row of p(t)
+    # the batch buffer (each block's K centred rows and its output) holds at
+    # most a third of one row of p(t)
     size = max(1, n // (3 * (k + 1) * block))
-    batches = [starts[i : i + size] for i in range(0, len(starts), size)]
-    # the worker makes the odd batches, where a batch holds several blocks
-    n_ahead = len(batches) // 2 if size > 1 else 0
     windows = np.lib.stride_tricks.sliding_window_view(data, block, axis=1)
     # every block is `block` samples long
     w = np.minimum(np.arange(1, block + 1), np.arange(block, 0, -1)).astype(np.float64)
@@ -626,38 +622,29 @@ def pca_first_component(data: np.ndarray, sample_rate_hz: float) -> np.ndarray:
     # the weights on acc[done:], up to the end of the batch's last block
     wsum = np.zeros(size * hop + block)
     done = 0
-    own = np.empty((size, k + 1, block))
+    buf = np.empty((size, k + 1, block))
     tail = np.empty(block)  # the last block's output, kept past its batch
     prev: np.ndarray | None = None
     prev_start = 0
-
-    def make(i: int, buf: np.ndarray) -> None:
-        _pca_batch(windows, hop, batches[2 * i + 1], buf)
-
-    ahead_buffers = np.empty((2, size, k + 1, block)) if n_ahead else ()
-    with OneAhead(make, n_ahead, ahead_buffers, "csiwatch-pca") as ahead:
-        for b, batch in enumerate(batches):
-            if b % 2 and n_ahead:
-                buf = ahead.take()
-            else:
-                buf = own
-                _pca_batch(windows, hop, batch, buf)
-            for comp, s in zip(buf[:, k], batch):
-                overlap = prev_start + block - s
-                if prev is not None and overlap > 0:
-                    if float(np.dot(prev[s - prev_start :], comp[:overlap])) < 0:
-                        np.negative(comp, out=comp)
-                acc[s : s + block] += w * comp
-                wsum[s - done : s - done + block] += w
-                prev, prev_start = comp, s
-            np.copyto(tail, prev)
-            prev = tail
-            # no later block covers the samples before the last one's start
-            d = prev_start - done
-            acc[done:prev_start] /= wsum[:d]
-            wsum[:block] = wsum[d : d + block]
-            wsum[block:] = 0.0
-            done = prev_start
+    for i in range(0, len(starts), size):
+        batch = starts[i : i + size]
+        _pca_batch(windows, hop, batch, buf)
+        for comp, s in zip(buf[:, k], batch):
+            overlap = prev_start + block - s
+            if prev is not None and overlap > 0:
+                if float(np.dot(prev[s - prev_start :], comp[:overlap])) < 0:
+                    np.negative(comp, out=comp)
+            acc[s : s + block] += w * comp
+            wsum[s - done : s - done + block] += w
+            prev, prev_start = comp, s
+        np.copyto(tail, prev)
+        prev = tail
+        # no later block covers the samples before the last one's start
+        d = prev_start - done
+        acc[done:prev_start] /= wsum[:d]
+        wsum[:block] = wsum[d : d + block]
+        wsum[block:] = 0.0
+        done = prev_start
 
     # the blocks cover every sample, each with a weight of at least 1
     acc[done:] /= wsum[: n - done]
@@ -723,7 +710,8 @@ def calibrate(trace: CsiTrace, config: PipelineConfig) -> CalibrationState:
     p_cal = pca_first_component(streams.data[rows], fs)
     _, energies = sliding_out_of_band_energy(p_cal, fs)
     if energies.size == 0:
-        raise ValueError("calibration window shorter than one detection window")
+        raise ValueError(f"the {config.t_cal_s:g} s calibration window is shorter than one "
+                         f"{ED_WINDOW_S:g} s detection window")
     return CalibrationState(
         selected_ids=tuple(selected),
         sigma_c_sq=float(energies.max()),

@@ -1396,6 +1396,70 @@ class TestCli:
         assert main(["detect", "--trace", str(trace_path)]) == 2
         assert match in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sweep, f_th", [
+        # psi = 2 puts the group's f_th above the 12.5 Hz Nyquist frequency
+        (["--param", "psi"], "15.90"),
+        # the grid's last value, 14 Hz, lies above it too
+        (["--param", "f_th", "--grid", "6:14:4"], "14.00")], ids=["psi", "f_th"])
+    def test_sweep_refuses_f_th_the_trace_cannot_reach(self, tmp_path, capsys, sweep, f_th):
+        scenario = self._write_scenario(tmp_path, sample_rate_hz=25.0, geometry={"psi": 2.0})
+        tdir = tmp_path / "traces"
+        tdir.mkdir()
+        assert main(["simulate", "--config", str(scenario),
+                     "--out", str(tdir / "night.csitrace")]) == 0
+        capsys.readouterr()
+        out_csv = tmp_path / "sweep.csv"
+        assert main(["sweep", "--trace-dir", str(tdir), *sweep, "--out", str(out_csv)]) == 2
+        assert (f"f_th = {f_th} Hz is at or above the Nyquist frequency 12.5 Hz of a trace "
+                "sampled at 25 Hz") in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    def test_detect_calibration_shorter_than_a_detection_window(self, tmp_path, capsys):
+        trace_path = tmp_path / "night.csitrace"
+        assert main(["simulate", "--config", str(self._write_scenario(tmp_path)),
+                     "--out", str(trace_path)]) == 0
+        capsys.readouterr()
+        assert main(["detect", "--trace", str(trace_path), "--cal-len", "1"]) == 2
+        assert ("the 1 s calibration window is shorter than one 2 s detection window"
+                in capsys.readouterr().err)
+
+    def test_config_that_is_not_json_named(self, tmp_path, capsys):
+        config = tmp_path / "night.json"
+        config.write_text("{duration_s: 60}")
+        assert main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / "night.csitrace")]) == 2
+        assert f"{config}: invalid JSON" in capsys.readouterr().err
+
+    def test_simulate_seed_overrides_the_config_seed(self, tmp_path):
+        scenario = self._write_scenario(tmp_path)
+        trace_path = tmp_path / "night.csitrace"
+        assert main(["simulate", "--config", str(scenario), "--out", str(trace_path),
+                     "--seed", "9"]) == 0
+        cfg = json.loads(scenario.read_text())
+        got = read_trace(trace_path).content_hash()
+        assert got == simulate_from_config({**cfg, "seed": 9}).content_hash()
+        assert got != simulate_from_config(cfg).content_hash()
+
+    def test_sweep_without_traces_exit_code(self, tmp_path, capsys):
+        tdir = tmp_path / "traces"
+        tdir.mkdir()
+        (tdir / "notes.txt").write_text("no trace here")
+        assert main(["sweep", "--trace-dir", str(tdir), "--param", "psi",
+                     "--out", str(tmp_path / "psi.csv")]) == 2
+        assert f"no *.csitrace files in {tdir}" in capsys.readouterr().err
+
+    def test_f_th_sweep_without_grid_exit_code(self, tmp_path, capsys):
+        assert main(["sweep", "--trace-dir", str(tmp_path), "--param", "f_th",
+                     "--out", str(tmp_path / "f_th.csv")]) == 2
+        assert "--grid is required for a f_th sweep" in capsys.readouterr().err
+
+    def test_auto_events_that_do_not_fit_exit_code(self, tmp_path, capsys):
+        config = tmp_path / "crowded.json"
+        config.write_text(json.dumps({"duration_s": 60, "auto_events": {"n_seizures": 3}}))
+        assert main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / "crowded.csitrace")]) == 2
+        assert "could not place all events" in capsys.readouterr().err
+
     def test_pipeline_config_sample_rate_rejected(self, tmp_path, capsys):
         # the pipeline takes its rate from the trace, so the config has no rate
         trace_path = tmp_path / "t.csitrace"

@@ -116,7 +116,7 @@ def record(fn, calls):
 class TestWorkersRunPrivateCode:
     def test_every_public_call_runs_on_the_caller(self, monkeypatch):
         # a 25-minute 3x3 night with noise starts every lane: the noise,
-        # derive, Hampel and PCA workers
+        # derive and Hampel workers
         started = []
 
         class Recording(threading.Thread):
@@ -135,8 +135,7 @@ class TestWorkersRunPrivateCode:
         trace = csi_sim.generate_trace(scenario, SceneGeometry(), noise, seed=3,
                                        n_rx=3, n_sc=3, dtype=np.complex64)
         harness.run_pipeline(trace, PipelineConfig())
-        assert set(started) == {"csiwatch-noise_0", "csiwatch-derive_0", "csiwatch-hampel_0",
-                                "csiwatch-pca_0"}
+        assert set(started) == {"csiwatch-noise_0", "csiwatch-derive_0", "csiwatch-hampel_0"}
         names = {name for name, _ in calls}
         assert {"generate_trace", "run_pipeline", "derive_streams", "hampel_filter",
                 "pca_first_component", "sliding_out_of_band_energy"} <= names

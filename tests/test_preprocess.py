@@ -609,6 +609,36 @@ class TestDeriveStreams:
         assert streams.data.tobytes() == expected.tobytes()
         assert streams.start_s == expected_start_s
 
+    def test_packets_one_ulp_after_grid_points(self):
+        # packet i one ulp after grid point i / FS: where its product with FS
+        # rounds down to i, ceil(t * FS) is one index early and the packet
+        # search steps it up (11 % of indices at 200 Hz)
+        n = 12_000
+        ts = np.nextafter(np.arange(n) / FS, np.inf)
+        ts[0] = 0.0
+        assert 0.05 < np.mean(np.ceil(ts[1:] * FS) == np.arange(1, n)) < 0.2
+        rng = np.random.default_rng(11)
+        csi = rng.normal(size=(2, 2, n)) + 1j * rng.normal(size=(2, 2, n))
+        trace = CsiTrace(FS, csi, ts, events=(), geometry=G)
+        streams = derive_streams(trace)
+        assert streams.data.tobytes() == reference_derive_streams(trace)[0].tobytes()
+
+    @pytest.mark.parametrize("given_out", [False, True], ids=["new", "out"])
+    def test_resample_uniform_equals_np_interp_on_a_chunk(self, given_out):
+        # the chunk starts before the first packet and ends after the last,
+        # and a third of the packets sit on grid points
+        trace = lane_trace(3_000, seed=12)
+        i0, i1 = -40, 3_200
+        values = trace.csi[1, 0]
+        out = np.empty(i1 - i0, dtype=np.complex128) if given_out else None
+        re, im = preprocess.resample_uniform(
+            values, preprocess._interp_plan(trace, i0, i1), out)
+        grid = np.arange(i0, i1) / FS
+        assert re.tobytes() == np.interp(grid, trace.timestamps_s, values.real).tobytes()
+        assert im.tobytes() == np.interp(grid, trace.timestamps_s, values.imag).tobytes()
+        if given_out:
+            assert np.shares_memory(re, out) and np.shares_memory(im, out)
+
     @pytest.mark.parametrize(
         "ids, named",
         [(["mag:0:1", "mag:1:1"], "mag:0:1: non-finite CSI sample at 50.000 s"),
@@ -1179,8 +1209,8 @@ class TestPcaOracle:
 
     @pytest.mark.parametrize("where", ["start", "end", "batch_boundary"])
     def test_constant_blocks(self, where):
-        # 600 s of two streams: batches of 16 blocks, the first the caller's
-        # and the second the worker's; blocks 15 and 16 lie on both sides
+        # 600 s of two streams: batches of 16 blocks; blocks 15 and 16 lie
+        # on both sides of the first batch boundary
         n = 120_000
         assert pca_batch_size(2, n) == 16
         data = pca_rows(2, n, seed=6)
@@ -1214,8 +1244,8 @@ class TestPcaOracle:
 
 
 class TestPcaLanes:
-    """Batches of more than one block split over the caller and one
-    csiwatch-pca worker that no call outlives."""
+    """Every batch is made on the caller, in block order: no PCA call
+    starts a thread."""
 
     @staticmethod
     def batch_spy(monkeypatch, before=None):
@@ -1233,35 +1263,28 @@ class TestPcaLanes:
         monkeypatch.setattr(preprocess, "_pca_batch", spy)
         return calls
 
-    @pytest.mark.parametrize("n", [2_600, 12_000, 2 * 3 * 16 * 800 - 1])
+    @pytest.mark.parametrize("n", [2_600, 12_000, 2 * 3 * 16 * 800 - 1, 720_000])
     def test_batch_of_one_block_starts_no_thread(self, monkeypatch, n):
-        # calibration rows (13 s), 60 s rows and the longest row of
-        # one-block batches at K = 15
+        # calibration rows (13 s), 60 s rows, the longest row of one-block
+        # batches at K = 15, and an hour in batches of 18
         def no_thread(*args, **kwargs):
             raise AssertionError("a thread was started")
 
-        assert pca_batch_size(15, n) == 1
+        assert pca_batch_size(15, n) == (18 if n == 720_000 else 1)
         calls = self.batch_spy(monkeypatch)
         monkeypatch.setattr(threading, "Thread", no_thread)
         data = pca_rows(15, n, seed=n)
         assert pca_first_component(data, FS).tobytes() == reference_pca(data, FS).tobytes()
         assert {name for name, _ in calls} == {threading.current_thread().name}
 
-    def test_hour_has_one_worker_for_the_odd_batches(self, monkeypatch):
+    def test_hour_runs_every_batch_on_the_caller_in_order(self, monkeypatch):
         calls = self.batch_spy(monkeypatch)
-        before = threading.active_count()
         pca_first_component(pca_rows(15, 720_000, seed=9), FS)
-        assert threading.active_count() == before
         # 1799 blocks in 100 batches of 18
-        assert len(calls) == 100
-        by_thread = {}
-        for name, first in calls:
-            by_thread.setdefault(name, []).append(first // (18 * 400))
-        assert by_thread == {threading.current_thread().name: list(range(0, 100, 2)),
-                             "csiwatch-pca_0": list(range(1, 100, 2))}
+        caller = threading.current_thread().name
+        assert calls == [(caller, b * 18 * 400) for b in range(100)]
 
-    @pytest.mark.parametrize("failing, batch", [("worker", 1), ("worker", 3),
-                                                ("caller", 0), ("caller", 2)])
+    @pytest.mark.parametrize("failing, batch", [("caller", 0), ("caller", 2)])
     def test_error_reaches_caller_and_no_thread_outlives_it(
             self, monkeypatch, failing, batch):
         # 600 s of two streams: 19 batches of 16 blocks
