@@ -172,6 +172,9 @@ def cmd_sweep(args) -> int:
         if not traceio.sidecar_path(path, "labels").exists():
             raise ValueError(f"missing labels sidecar for {path}")
         trace = traceio.read_trace(path)
+        # the f_th values the sweep reports this trace at, before it is analysed
+        for f_th in values if args.param == "f_th" else [config.resolve_f_th(trace.geometry)]:
+            harness._check_f_th(f_th, trace.sample_rate_hz)
         _check_calibration_clear(path, trace, config)
         analyses.append(harness.analyze_trace(trace, config))
 

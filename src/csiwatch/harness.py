@@ -281,13 +281,17 @@ def _number(value):
 def _event_from(spec: dict, index: int, base_seed: int, rate_hz: float) -> ScenarioEvent:
     if not isinstance(spec, dict):
         raise ValueError(f"event {index} must be an object, got {spec!r}")
-    params = _given(spec, f"event {index}", **dict.fromkeys(spec, float) | {"kind": EventKind})
+    params = _given(spec, f"event {index}", **dict.fromkeys(spec, _finite)
+                    | {"kind": EventKind, "start_s": float, "duration_s": float})
     try:  # what is left are the motion's parameters
         kind, start, dur = params.pop("kind"), params.pop("start_s"), params.pop("duration_s")
     except KeyError as e:
         raise ValueError(f"event {index} has no {e} key") from None
     rng = np.random.default_rng(base_seed + 7919 * (index + 1))
-    motion = event_motion(kind, dur, rng, rate_hz, **params)
+    try:
+        motion = event_motion(kind, dur, rng, rate_hz, **params)
+    except ValueError as e:
+        raise ValueError(f"event {index}: {e}") from e
     return ScenarioEvent(kind, start, dur, motion)
 
 

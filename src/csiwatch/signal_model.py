@@ -135,12 +135,13 @@ class SinusoidProfile:
     phase_rad: float = 0.0
 
     def __post_init__(self):
-        if self.v_max_mps < 0:
-            raise ValueError(f"v_max_mps must be >= 0, got {self.v_max_mps}")
-        if self.f_o_hz <= 0:
-            raise ValueError(f"f_o_hz must be > 0, got {self.f_o_hz}")
-        if self.duration_s <= 0:
-            raise ValueError(f"duration_s must be > 0, got {self.duration_s}")
+        if not 0 <= self.v_max_mps < math.inf:
+            raise ValueError(f"v_max_mps must be finite and non-negative, got {self.v_max_mps!r}")
+        for name in ("f_o_hz", "duration_s"):
+            if not 0 < (value := getattr(self, name)) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not math.isfinite(self.phase_rad):
+            raise ValueError(f"phase_rad must be finite, got {self.phase_rad!r}")
 
     def velocity_at(self, t: np.ndarray) -> np.ndarray:
         w = 2.0 * math.pi * self.f_o_hz

@@ -344,15 +344,19 @@ class TestNoiseWorker:
     @pytest.mark.parametrize("failing", ["worker", "caller"])
     def test_error_reaches_caller_and_no_thread_outlives_it(self, monkeypatch, failing):
         # the worker fails on its third stream, or the caller on its second
-        # while the worker draws ahead
+        # while the worker draws ahead; a caller that leaves early stops the
+        # worker by the third of the 12 streams
+        draws = []
         if failing == "worker":
             before_each_draw(monkeypatch, fail_at(3, "worker failed"))
         else:
+            before_each_draw(monkeypatch, draws.append)
             before_each_spread(monkeypatch, fail_at(2, "caller failed"))
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match=f"^{failing} failed$"):
             self.trace_within_60_s(noise=self.NOISE)
         assert threading.active_count() == before
+        assert draws == list(range(1, len(draws) + 1)) and len(draws) <= 3
 
     def test_trace_without_awgn_starts_no_thread(self, monkeypatch):
         def no_thread(*args, **kwargs):
@@ -599,6 +603,13 @@ class TestNightScenarioBuilder:
                     dur, rng=rng
                 )
                 assert np.max(np.abs(profile.samples_mps)) <= 0.33
+
+    @pytest.mark.parametrize("duration_s", [0.5, 1.0])
+    def test_posture_shift_of_a_second_or_less_still_moves(self, duration_s):
+        # too short for the drawn pushes: one lobe at v_max_mps fills it
+        profile = posture_shift_profile(duration_s, 0.3, rng=np.random.default_rng(0))
+        assert profile.samples_mps.size == round(duration_s * 200)
+        assert np.max(profile.samples_mps) == pytest.approx(0.3, rel=1e-3)
 
 
 class TestPackageImport:

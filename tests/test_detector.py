@@ -1,6 +1,7 @@
 """Event detection, bandwidth estimation, and classification."""
 
 import dataclasses
+import logging
 import math
 import statistics
 import tracemalloc
@@ -377,6 +378,20 @@ class TestClassification:
         assert len(profile.window_bs) == 1
         det = classify_event(profile, 8.85, 2.0)
         assert det.event_class is EventClass.SEIZURE
+
+    def test_zero_power_windows_skipped_with_a_warning(self, caplog):
+        # the event's first two 4 s windows end before the tone starts at 8 s
+        p = np.zeros(3000)
+        p[1600:] = np.sin(2 * math.pi * 12.0 * np.arange(1400) / FS)
+        interval = DetectedInterval(2.0, 14.0)
+        with caplog.at_level(logging.WARNING, logger=detector.logger.name):
+            profile = build_event_profile(p, FS, interval)
+        assert profile.completion_times_s == (10.0, 12.0, 14.0)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"zero-power classification window at {t:.2f} s skipped" for t in (2.0, 4.0)]
+        # with no window left, the profile has no final median
+        silent = build_event_profile(np.zeros(3000), FS, interval)
+        assert silent.window_bs == () and silent.final_median() is None
 
     def test_ongoing_event_at_trace_end(self):
         interval = DetectedInterval(10.0, 20.0, open_at_end=True)

@@ -142,6 +142,23 @@ BAD_SCENARIO_CONFIGS = [
     # numpy refuses the CSI array's shape before it asks for memory
     ({"duration_s": 1e15}, "a trace of duration_s=1000000000000000.0 at sample_rate_hz=200.0 "
                            "with n_rx=3 and n_sc=30 does not fit in memory"),
+    # motion values, refused before the motion is sampled
+    ({"duration_s": 60.0, "events": [{"kind": "seizure", "start_s": 10.0, "duration_s": 22.0,
+                                      "tonic_s": 1e12}]},
+     "event 0: tonic_s must lie in [0, 22.0) s, got 1000000000000.0"),
+    ({"duration_s": 60.0, "events": [{"kind": "seizure", "start_s": 10.0, "duration_s": 22.0,
+                                      "tonic_s": 30.0}]},
+     "event 0: tonic_s must lie in [0, 22.0) s, got 30.0"),
+    ({"duration_s": 60.0, "events": [{"kind": "seizure", "start_s": 10.0, "duration_s": 22.0,
+                                      "tonic_s": math.nan}]},
+     "event 0 key 'tonic_s': must be finite, got nan"),
+    ({"duration_s": 60.0, "events": [{"kind": "cough", "start_s": 5.0, "duration_s": 1.5},
+                                     {"kind": "seizure", "start_s": 10.0, "duration_s": 22.0,
+                                      "v_max_mps": math.nan}]},
+     "event 1 key 'v_max_mps': must be finite, got nan"),
+    ({"duration_s": 60.0, "events": [{"kind": "seizure", "start_s": 10.0, "duration_s": 22.0,
+                                      "f_o_hz": math.inf}]},
+     "event 0 key 'f_o_hz': must be finite, got inf"),
 ]
 
 # config files that are not JSON objects, and what the CLI calls them; every
@@ -243,6 +260,11 @@ def write_trace_by_hand(path, csi, sample_rate_hz, timestamps_s):
         np.save(f, timestamps_s)
         np.save(f, csi)
 
+
+# a well-formed trace header line, for files whose .npy arrays are not
+HEADER_LINE = json.dumps({"version": 2, "sample_rate_hz": 200.0, "n_rx": 1, "n_sc": 1,
+                          "n_records": 2, "dtype": "complex128",
+                          "geometry": {"wavelength_m": 0.057225, "psi": 1.0}}).encode() + b"\n"
 
 BAD_TIMESTAMPS = [
     ("nan_timestamp", "non-finite timestamp"),
@@ -410,6 +432,14 @@ class TestTraceIO:
         (b"[2]\n", "unsupported trace format version None"),
         (b"not a header\n", "trace header is not a JSON line"),
         ("gzip", "trace header is not a JSON line"),
+        pytest.param(b" " * (1 << 16) + b"\n", "missing or oversized trace header line",
+                     id="header-line-over-64-KiB"),
+        pytest.param(HEADER_LINE + b"\x93NUMPY\x03\x00",
+                     "timestamps_s array is truncated or malformed "
+                     "(unsupported .npy format version (3, 0))", id="npy-version-3.0"),
+        pytest.param(HEADER_LINE + b"\x93NUMPY\x01\x00\x10",
+                     "timestamps_s array is truncated or malformed "
+                     "(EOF: reading array header length", id="npy-header-truncated"),
     ])
     def test_bad_header_named_by_path(self, tmp_path, capsys, content, message):
         path = tmp_path / "bad.csitrace"
@@ -1400,19 +1430,26 @@ class TestCli:
         # psi = 2 puts the group's f_th above the 12.5 Hz Nyquist frequency
         (["--param", "psi"], "15.90"),
         # the grid's last value, 14 Hz, lies above it too
-        (["--param", "f_th", "--grid", "6:14:4"], "14.00")], ids=["psi", "f_th"])
-    def test_sweep_refuses_f_th_the_trace_cannot_reach(self, tmp_path, capsys, sweep, f_th):
+        (["--param", "f_th", "--grid", "6:14:4"], "14.00"),
+        # a T_min sweep reports the trace at its own f_th
+        (["--param", "t_min", "--grid", "3:5:1"], "15.90")], ids=["psi", "f_th", "t_min"])
+    def test_sweep_refuses_f_th_the_trace_cannot_reach(
+            self, tmp_path, capsys, monkeypatch, sweep, f_th):
         scenario = self._write_scenario(tmp_path, sample_rate_hz=25.0, geometry={"psi": 2.0})
         tdir = tmp_path / "traces"
         tdir.mkdir()
         assert main(["simulate", "--config", str(scenario),
                      "--out", str(tdir / "night.csitrace")]) == 0
         capsys.readouterr()
+        analysed = []
+        monkeypatch.setattr(harness, "analyze_trace",
+                            lambda trace, config: analysed.append(trace))
         out_csv = tmp_path / "sweep.csv"
         assert main(["sweep", "--trace-dir", str(tdir), *sweep, "--out", str(out_csv)]) == 2
         assert (f"f_th = {f_th} Hz is at or above the Nyquist frequency 12.5 Hz of a trace "
                 "sampled at 25 Hz") in capsys.readouterr().err
         assert not out_csv.exists()
+        assert analysed == []  # refused before the trace is analysed
 
     def test_detect_calibration_shorter_than_a_detection_window(self, tmp_path, capsys):
         trace_path = tmp_path / "night.csitrace"

@@ -15,7 +15,7 @@ import pytest
 
 import csiwatch
 from csiwatch import csi_sim, harness
-from csiwatch._lanes import OneAhead, split_in_two
+from csiwatch._lanes import split_in_two
 from csiwatch.config import PipelineConfig
 from csiwatch.signal_model import SceneGeometry
 
@@ -55,22 +55,6 @@ class TestSplitInTwo:
         with pytest.raises(FloatingPointError, match="^caller failed$"):
             split_in_two(first, second, "csiwatch-test")
         assert threading.active_count() == before
-
-
-class TestOneAhead:
-    def test_caller_leaving_early_stops_the_worker(self):
-        # the caller takes item 0 of 10 and leaves: the items not yet
-        # started are cancelled and the worker is joined
-        before = threading.active_count()
-        made = []
-
-        def make(k, buf):
-            made.append(k)
-
-        with OneAhead(make, 10, [None, None], "csiwatch-test") as ahead:
-            ahead.take()
-        assert threading.active_count() == before
-        assert made == list(range(len(made))) and 1 <= len(made) <= 3
 
 
 def test_import_loads_no_concurrent_futures():

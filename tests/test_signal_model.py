@@ -1,6 +1,7 @@
 """Baseband synthesis, displacement integration, and the derived streams."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,19 @@ class TestIntegrateVelocity:
     def test_sampled_rejects_non_finite(self):
         with pytest.raises(ValueError):
             SampledProfile(np.array([0.0, np.nan, 1.0]), 10.0)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("v_max_mps", math.nan, "v_max_mps must be finite and non-negative, got nan"),
+        ("v_max_mps", -0.1, "v_max_mps must be finite and non-negative, got -0.1"),
+        ("f_o_hz", math.inf, "f_o_hz must be finite and positive, got inf"),
+        ("f_o_hz", 0.0, "f_o_hz must be finite and positive, got 0.0"),
+        ("duration_s", math.nan, "duration_s must be finite and positive, got nan"),
+        ("phase_rad", -math.inf, "phase_rad must be finite, got -inf"),
+    ])
+    def test_sinusoid_refuses_bad_value_by_name(self, field, value, match):
+        args = {"v_max_mps": 0.7, "f_o_hz": 3.0, "duration_s": 22.0, field: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
+            SinusoidProfile(**args)
 
     def test_sinusoid_matches_numeric_quadrature(self):
         # independent oracle: trapezoid on a fine grid
