@@ -8,8 +8,8 @@ buffers that take turns (csi_sim.generate_trace). split_in_two runs one
 callable on such a pool while the caller runs another: Hampel's halves of a
 long row (csiwatch-hampel) and a long window's second half of derived
 chunks (csiwatch-derive). Each lane's docstring gives its measured gain on
-a one-hour night. PCA has no lane: its batch worker gained least there and
-held two more batch buffers at the pipeline's memory peak.
+a one-hour night. PCA has no lane: it takes its blocks one at a time on the
+caller.
 
 No thread outlives the call that started it, and an error in the worker is
 raised in the caller. A worker runs only the callables it is given; a stage

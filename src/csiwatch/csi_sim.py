@@ -305,7 +305,8 @@ def seizure_profile(
     rate_hz: float = SAMPLE_RATE_HZ,
 ) -> MotionProfile:
     """Clonic-phase jerking: sinusoid at 1.5-5 Hz, optionally preceded by a
-    low-motion tonic stiffening segment of tonic_s in [0, duration_s)."""
+    tonic stiffening segment of tonic_s in [0, duration_s) in which the
+    body holds still (zero velocity)."""
     if not 0.0 <= tonic_s < duration_s:
         raise ValueError(f"tonic_s must lie in [0, {duration_s!r}) s, got {tonic_s!r}")
     if tonic_s == 0.0:
@@ -313,8 +314,7 @@ def seizure_profile(
     n_tonic = int(round(tonic_s * rate_hz))
     t_clonic = np.arange(int(round((duration_s - tonic_s) * rate_hz)) + 1) / rate_hz
     clonic = v_max_mps * np.cos(2.0 * math.pi * f_o_hz * t_clonic + phase_rad)
-    tonic = np.full(n_tonic, 0.02 * v_max_mps)
-    return SampledProfile(np.concatenate([tonic, clonic]), rate_hz)
+    return SampledProfile(np.concatenate([np.zeros(n_tonic), clonic]), rate_hz)
 
 
 def _smooth_lobe(duration_s: float, v_peak: float, rate_hz: float) -> np.ndarray:

@@ -345,6 +345,9 @@ def parse_scenario_config(cfg: dict):
     duration = given.pop("duration_s")
     sim_kwargs = {"seed": 0, **given}
     rate_hz = sim_kwargs.get("sample_rate_hz", SAMPLE_RATE_HZ)
+    # the events are sampled at this rate, so it is checked before them
+    if not (math.isfinite(rate_hz) and rate_hz > 0):
+        raise ValueError(f"sample_rate_hz must be finite and positive, got {rate_hz!r}")
     scenario = _scenario_from(cfg, duration, sim_kwargs["seed"], rate_hz)
     geometry = _geometry_from(cfg)
     noise = NoiseSpec(**_section(

@@ -16,13 +16,14 @@ against order statistics of its centre's sorted window. A row of more than
 HAMPEL_CHUNK centres is filtered in two halves at once, the second on a
 worker thread that the call joins (see hampel_filter). Streams are derived
 in chunks of grid samples: each chunk's packet search and slope
-denominators are shared by every raw series it resamples, and phase
-differences are unwrapped in pieces of DERIVE_CHUNK. A window longer than
-about 22 min at 200 Hz is walked in larger chunks on two lanes, the second
-half of its chunks on a worker thread; the caller then unwraps every phase
-difference (see derive_streams). Both give the output of one thread bit for
-bit through split_in_two. PCA runs on the caller alone, in batches of
-blocks (see pca_first_component).
+denominators are shared by every raw series it resamples, each raw series
+is resampled once per chunk, and phase differences are unwrapped in pieces
+of DERIVE_CHUNK. A window longer than about 22 min at 200 Hz is walked in
+larger chunks on two lanes, the second half of its chunks on a worker
+thread; the caller then unwraps every phase difference (see
+derive_streams). Both give the output of one thread bit for bit through
+split_in_two. PCA takes its blocks one at a time on the caller alone (see
+pca_first_component).
 CsiTrace checks CSI, so only hampel_filter checks its input here. Needs
 numpy only.
 """
@@ -222,21 +223,32 @@ def _resample(
 
 
 def _derive_chunk(trace: CsiTrace, ids, plan: _InterpPlan, cols: np.ndarray) -> None:
-    """Write the plan's chunk of every stream in ``ids`` into ``cols``."""
+    """Write the plan's chunk of every stream in ``ids`` into ``cols``, one
+    subcarrier at a time: each raw series its streams read is resampled
+    once and shared by them."""
+    by_sc: dict[int, list] = {}
     for row, sid in zip(cols, ids):
-        values = trace.csi[sid.rx, sid.sc]
-        if sid.kind == "mag":
-            re, im = _resample(values, plan)
-            np.multiply(re, re, out=row)
-            row += np.multiply(im, im, out=im)
-        else:
-            c, conj_c0 = np.empty((2, row.size), dtype=np.complex128)
-            _resample(values, plan, c)
-            _resample(trace.csi[0, sid.sc], plan, conj_c0)
-            np.conjugate(conj_c0, out=conj_c0)
-            # one operand order everywhere: conj_c0 * c rounds differently
-            np.multiply(c, conj_c0, out=conj_c0)
-            np.arctan2(conj_c0.imag, conj_c0.real, out=row)
+        by_sc.setdefault(sid.sc, []).append((row, sid))
+    for sc, streams in by_sc.items():
+        series = {}
+        for _, sid in streams:
+            for rx in (sid.rx, 0) if sid.kind == "pd" else (sid.rx,):
+                if rx not in series:
+                    series[rx] = np.empty(plan.n_points, dtype=np.complex128)
+                    _resample(trace.csi[rx, sc], plan, series[rx])
+        conj_c0 = None
+        for row, sid in streams:
+            c = series[sid.rx]
+            if sid.kind == "mag":
+                np.multiply(c.real, c.real, out=row)
+                row += c.imag * c.imag
+            else:
+                if conj_c0 is None:
+                    conj_c0 = np.empty(plan.n_points, dtype=np.complex128)
+                np.conjugate(series[0], out=conj_c0)
+                # one operand order everywhere: conj_c0 * c rounds differently
+                np.multiply(c, conj_c0, out=conj_c0)
+                np.arctan2(conj_c0.imag, conj_c0.real, out=row)
 
 
 def _derive_span(trace: CsiTrace, ids, cols: np.ndarray, a: int, b: int, chunk: int) -> None:
@@ -259,11 +271,13 @@ def derive_streams(
     The grid is walked in chunks. A chunk's interpolation plan (the packets
     around each grid point) is made once, and every raw series a requested
     stream reads is resampled on the chunk from it, as real and imaginary
-    parts, into the stream's columns. A magnitude is re*re + im*im. A phase
-    difference also reads antenna 0's series and is the angle of
-    c * conj(c_0), multiplied in that operand order; its row is unwrapped,
-    DERIVE_CHUNK samples at a time, once every chunk is in. A raw series is
-    read again by every stream that needs it and held for one chunk only.
+    parts. A magnitude is re*re + im*im. A phase difference also reads
+    antenna 0's series and is the angle of c * conj(c_0), multiplied in that
+    operand order; its row is unwrapped, DERIVE_CHUNK samples at a time,
+    once every chunk is in. The streams are taken one subcarrier at a time:
+    each raw series is resampled once per chunk and shared by that
+    subcarrier's magnitudes and phase differences, so at most n_rx series
+    are held, for one chunk only.
     Every row is bit for bit the one np.interp (and np.unwrap) gives on
     whole series, whatever the chunks are. The trace's CSI is finite, as
     CsiTrace checks, so every row is too.
@@ -278,11 +292,12 @@ def derive_streams(
     window (the 13 s calibration window, 60 s and 600 s rows) is walked in
     DERIVE_CHUNK chunks on the caller, with no thread.
 
-    Memory: a chunk's plan and a phase difference's series take about 145
-    bytes per grid sample on each lane, so at n // 64 the two lanes hold
-    about 4.5 bytes per output sample beside the output: 3.3 MB on an hour,
-    within one 5.8 MB output row, where n // 32 would hold 6.5 MB. A
-    shorter window and the unwrap need a few DERIVE_CHUNK pieces.
+    Memory: a chunk's plan and one subcarrier's series take at most about
+    175 bytes per grid sample on each lane (3 antennas), so at n // 64 the
+    two lanes hold at most about 5.5 bytes per output sample beside the
+    output: 3.9 MB on an hour, within one 5.8 MB output row, where n // 32
+    would hold 7.9 MB. A shorter window and the unwrap need a few
+    DERIVE_CHUNK pieces.
     Cost: on the 15 selected streams of an hour (2 vCPUs), two lanes of
     n // 64 chunks won 21 of 21 interleaved pairs against one, in two runs
     (159 against 208 ms and 169 against 240 ms, medians); smaller chunks
@@ -572,32 +587,21 @@ def pca_first_component(data: np.ndarray, sample_rate_hz: float) -> np.ndarray:
     region (first block: the largest-magnitude loading is made positive),
     which makes p(t) fully reproducible. All-constant blocks emit zeros.
 
-    The blocks are taken in batches, all on the caller. A batch's blocks
-    are copied into one buffer and centred there; their covariances come
-    from one stacked matmul and their eigenvectors from one stacked eigh,
-    each bit for bit what a single block's call gives. The signs are then
-    fixed and the blocks cross-faded in block order, so the output equals a
-    block-by-block loop's bit for bit.
+    The blocks are taken one at a time, in order, on the caller. Memory:
+    each block is copied into one reused (K, block) buffer and centred
+    there, and its weighted output goes through one reused buffer. The
+    cross-fade weights are whole numbers, so their sums are exact in any
+    order: they are held for a window of 2*block samples from the current
+    block's start only, and a sample is divided by its sum once no later
+    block covers it. Beside the input, a call needs p(t) and one block's
+    work.
 
-    The projection needs one care. A block-by-block loop projects with its
-    eigenvector as a strided column of eigh's output, or, where the sign
-    flips, as a new contiguous array, and the product rounds differently
-    for the two layouts. So the batch's projections are taken twice, once
-    with each layout, and each block keeps the one its loop would take.
-
-    Memory: a batch holds n // (3*(K+1)*block) blocks, at least one, so its
-    buffer (each block's K centred rows and its output) holds at most a
-    third of one row of p(t). The cross-fade weights are whole numbers, so
-    their sums are exact in any order: they are summed over the current
-    batch's span only, and a sample is divided by its sum once no later
-    block covers it. Beside the input, a call needs p(t), the batch buffer
-    and one batch's work.
-
-    Cost, against a block-by-block loop (2 vCPUs, K = 15, medians of 21
-    interleaved runs on the rows of an hour): the hour (1799 blocks in
-    batches of 18) takes 178 against 217 ms, its first 600 s (batches of 3)
-    25.2 against 28.6 ms, its first 60 s (batches of one block) a fifth
-    more, 3.12 against 2.61 ms, spent on the batch bookkeeping.
+    Cost, against the batches of blocks this loop replaced (2 vCPUs, K =
+    15, the rows of an hour, medians of interleaved runs): 0.51 against
+    0.62 ms on 13 s and 2.48 against 2.91 ms on 60 s (the loop faster in
+    31 of 31 runs each), 26.1 against 23.8 ms on 600 s and 152 against
+    132 ms on the hour, where one numpy call per block costs more than one
+    per batch of 18 blocks.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 2:
@@ -611,73 +615,43 @@ def pca_first_component(data: np.ndarray, sample_rate_hz: float) -> np.ndarray:
     starts = list(range(0, max(n - block, 0) + 1, hop))
     if starts[-1] + block < n:
         starts.append(n - block)
-    # the batch buffer (each block's K centred rows and its output) holds at
-    # most a third of one row of p(t)
-    size = max(1, n // (3 * (k + 1) * block))
-    windows = np.lib.stride_tricks.sliding_window_view(data, block, axis=1)
     # every block is `block` samples long
     w = np.minimum(np.arange(1, block + 1), np.arange(block, 0, -1)).astype(np.float64)
 
     acc = np.zeros(n)
-    # the weights on acc[done:], up to the end of the batch's last block
-    wsum = np.zeros(size * hop + block)
+    # the weights on acc[done:]; wsum[block:] stays zero
+    wsum = np.zeros(2 * block)
     done = 0
-    buf = np.empty((size, k + 1, block))
-    tail = np.empty(block)  # the last block's output, kept past its batch
+    xc = np.empty((k, block))
+    weighted = np.empty(block)
     prev: np.ndarray | None = None
-    prev_start = 0
-    for i in range(0, len(starts), size):
-        batch = starts[i : i + size]
-        _pca_batch(windows, hop, batch, buf)
-        for comp, s in zip(buf[:, k], batch):
-            overlap = prev_start + block - s
-            if prev is not None and overlap > 0:
-                if float(np.dot(prev[s - prev_start :], comp[:overlap])) < 0:
-                    np.negative(comp, out=comp)
-            acc[s : s + block] += w * comp
-            wsum[s - done : s - done + block] += w
-            prev, prev_start = comp, s
-        np.copyto(tail, prev)
-        prev = tail
-        # no later block covers the samples before the last one's start
-        d = prev_start - done
-        acc[done:prev_start] /= wsum[:d]
+    for s in starts:
+        np.copyto(xc, data[:, s : s + block])
+        xc -= xc.mean(axis=1, keepdims=True)
+        cov = xc @ xc.T
+        if not cov.any():
+            comp = np.zeros(block)
+        else:
+            v = np.linalg.eigh(cov)[1][:, -1]
+            # v @ xc rounds differently for a strided column of eigh's
+            # output and a new contiguous array: v keeps the oracle's layout
+            if v[np.argmax(np.abs(v))] < 0:
+                v = -v
+            comp = v @ xc
+            # the blocks start at most `block` apart
+            if prev is not None and float(np.dot(prev[s - done :], comp[: done + block - s])) < 0:
+                np.negative(comp, out=comp)
+        # no later block covers the samples before s
+        d = s - done
+        acc[done:s] /= wsum[:d]
         wsum[:block] = wsum[d : d + block]
-        wsum[block:] = 0.0
-        done = prev_start
+        wsum[:block] += w
+        acc[s : s + block] += np.multiply(w, comp, out=weighted)
+        prev, done = comp, s
 
     # the blocks cover every sample, each with a weight of at least 1
     acc[done:] /= wsum[: n - done]
     return acc
-
-
-def _pca_batch(windows: np.ndarray, hop: int, starts: list[int], buf: np.ndarray) -> None:
-    """Centre the blocks that begin at starts into buf[j, :K] and write each
-    one's first-component output into buf[j, K]. windows holds each of the
-    K streams' sliding windows of one block."""
-    k, nb = windows.shape[0], len(starts)
-    xc = buf[:nb, :k]
-    # the blocks start hop apart, except a stream's last one, which ends
-    # at the stream's end
-    regular = nb - (starts[-1] - starts[0] != (nb - 1) * hop)
-    xc[:regular] = windows[:, starts[0] : starts[regular - 1] + 1 : hop].transpose(1, 0, 2)
-    if regular < nb:
-        xc[regular] = windows[:, starts[-1]]
-    xc -= xc.mean(axis=2, keepdims=True)
-    cov = xc @ xc.transpose(0, 2, 1)
-    _, eigvecs = np.linalg.eigh(cov)
-    # each block keeps the product a block-by-block loop takes: with its
-    # eigenvector as a strided column of eigh's output, or, where the sign
-    # flips, as a new contiguous array (the two layouts round differently)
-    v = eigvecs[:, :, -1]
-    flip = v[np.arange(nb), np.argmax(np.abs(v), axis=1)] < 0
-    comps = buf[:nb, k : k + 1]
-    np.matmul(v[:, None], xc, out=comps)
-    if flip.any():
-        np.copyto(comps, -v[:, None] @ xc, where=flip[:, None, None])
-    varies = cov.any(axis=(1, 2))
-    if not varies.all():
-        comps[~varies] = 0.0
 
 
 def calibrate(trace: CsiTrace, config: PipelineConfig) -> CalibrationState:

@@ -456,6 +456,16 @@ class TestScenarioDisplacement:
         got = scenario_displacement(scenario, t)
         assert got.tobytes() == reference_displacement(scenario, t).tobytes()
 
+    def test_tonic_phase_holds_still(self):
+        # no displacement through the last sample of a 5 s tonic phase
+        events = (ScenarioEvent(EventKind.SEIZURE, 4.0, 22.0,
+                                seizure_profile(22.0, 0.75, 3.0, tonic_s=5.0)),)
+        scenario = Scenario(30.0, SinusoidProfile(0.0, 0.25, 30.0), events)
+        d = scenario_displacement(scenario, np.arange(6000) / 200.0)
+        # the tonic phase's last sample is at 8.995 s, the clonic onset at 9 s
+        assert np.all(d[:1800] == 0.0)
+        assert d[1801] != 0.0
+
 
 class TestSuperposePerson:
     def test_static_second_person_constant_offset(self):

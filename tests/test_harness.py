@@ -159,6 +159,16 @@ BAD_SCENARIO_CONFIGS = [
     ({"duration_s": 60.0, "events": [{"kind": "seizure", "start_s": 10.0, "duration_s": 22.0,
                                       "f_o_hz": math.inf}]},
      "event 0 key 'f_o_hz': must be finite, got inf"),
+    # the sample rate the events are sampled at, refused before them
+    ({"duration_s": 60, "sample_rate_hz": math.inf,
+      "events": [{"kind": "posture_shift", "start_s": 14, "duration_s": 6}]},
+     "sample_rate_hz must be finite and positive, got inf"),
+    ({"duration_s": 60, "sample_rate_hz": math.nan,
+      "events": [{"kind": "posture_shift", "start_s": 14, "duration_s": 6}]},
+     "sample_rate_hz must be finite and positive, got nan"),
+    ({"duration_s": 60, "sample_rate_hz": -5,
+      "events": [{"kind": "scratch", "start_s": 14, "duration_s": 4}]},
+     "sample_rate_hz must be finite and positive, got -5.0"),
 ]
 
 # config files that are not JSON objects, and what the CLI calls them; every
@@ -1765,6 +1775,17 @@ class TestPipelineEndToEnd:
         assert result.events[0].duration_s < config.t_min_s
         analysis = analyze_trace(trace, config)
         assert result.events == classify_analysis(analysis, result.f_th_hz, config.t_min_s)
+
+    def test_still_tonic_phase_opens_no_interval_before_clonic_onset(self):
+        # a 26 s seizure at 30 s whose tonic phase lasts 21.5 s: the body
+        # holds still until the clonic onset at 51.5 s
+        cfg = {"duration_s": 60, "seed": 1,
+               "noise": {"awgn_sigma": 0.02, "jitter_std_s": 0.0005},
+               "events": [{"kind": "seizure", "start_s": 30, "duration_s": 26,
+                           "tonic_s": 21.5}]}
+        result = run_pipeline(simulate_from_config(cfg), PipelineConfig())
+        assert result.events
+        assert min(e.start_s for e in result.events) >= 51.5
 
     def test_breathing_only_zero_events(self):
         trace = tiny_trace(duration=30.0)

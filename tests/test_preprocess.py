@@ -584,6 +584,26 @@ class TestDeriveStreams:
         series_bytes = trace.n_samples * np.dtype(np.complex128).itemsize
         assert peak < streams.data.nbytes + 4 * series_bytes
 
+    def test_each_raw_series_resampled_once_per_chunk(self, monkeypatch):
+        # the 13 s calibration window is one chunk: its 150 streams read the
+        # 3 x 30 raw series, and each is resampled once
+        calls = []
+        real = preprocess._resample
+
+        def spy(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(preprocess, "_resample", spy)
+        config = PipelineConfig()
+        trace = breathing_trace(duration=20.0, noise=JITTER, n_rx=3, n_sc=30)
+        end_s = config.cal_start_s + config.t_cal_s
+        streams = derive_streams(trace, start_s=config.cal_start_s, end_s=end_s)
+        assert streams.n_streams == 150 and streams.data.shape[1] <= DERIVE_CHUNK
+        assert len(calls) == 90
+        expected, _ = reference_derive_streams(trace, start_s=config.cal_start_s, end_s=end_s)
+        assert streams.data.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("duration", [60.0, 600.0])
     def test_peak_memory_bounded_by_chunk(self, duration):
         # raw series are resampled one chunk at a time, so what is held
@@ -1185,11 +1205,6 @@ def pca_rows(k, n, seed):
     return data
 
 
-def pca_batch_size(k, n):
-    """Blocks per batch, as pca_first_component sizes it at FS."""
-    return max(1, n // (3 * (k + 1) * 800))
-
-
 class TestPcaOracle:
     """pca_first_component equals the block-by-block loop bit for bit."""
 
@@ -1201,18 +1216,14 @@ class TestPcaOracle:
         assert pca_first_component(data, FS).tobytes() == reference_pca(data, FS).tobytes()
 
     def test_last_block_off_the_hop_grid_inside_a_batch(self):
-        # the last block starts 123 samples after the one before, in the
-        # last batch of many blocks
+        # the last block starts 123 samples after the one before
         data = pca_rows(2, 120_123, seed=5)
-        assert pca_batch_size(2, data.shape[1]) > 1
         assert pca_first_component(data, FS).tobytes() == reference_pca(data, FS).tobytes()
 
     @pytest.mark.parametrize("where", ["start", "end", "batch_boundary"])
     def test_constant_blocks(self, where):
-        # 600 s of two streams: batches of 16 blocks; blocks 15 and 16 lie
-        # on both sides of the first batch boundary
+        # 600 s of two streams; the middle span holds blocks 15 and 16
         n = 120_000
-        assert pca_batch_size(2, n) == 16
         data = pca_rows(2, n, seed=6)
         span = {"start": slice(0, 1200), "end": slice(n - 1200, n),
                 "batch_boundary": slice(15 * 400, 17 * 400 + 400)}[where]
@@ -1244,59 +1255,17 @@ class TestPcaOracle:
 
 
 class TestPcaLanes:
-    """Every batch is made on the caller, in block order: no PCA call
-    starts a thread."""
-
-    @staticmethod
-    def batch_spy(monkeypatch, before=None):
-        """(thread name, first block start) of each preprocess._pca_batch
-        call; before(first start) is called first in each."""
-        calls = []
-        real = preprocess._pca_batch
-
-        def spy(windows, hop, starts, buf):
-            calls.append((threading.current_thread().name, starts[0]))
-            if before is not None:
-                before(starts[0])
-            real(windows, hop, starts, buf)
-
-        monkeypatch.setattr(preprocess, "_pca_batch", spy)
-        return calls
+    """No PCA call starts a thread."""
 
     @pytest.mark.parametrize("n", [2_600, 12_000, 2 * 3 * 16 * 800 - 1, 720_000])
     def test_batch_of_one_block_starts_no_thread(self, monkeypatch, n):
-        # calibration rows (13 s), 60 s rows, the longest row of one-block
-        # batches at K = 15, and an hour in batches of 18
+        # calibration rows (13 s), 60 s rows, 76 799 samples and an hour
         def no_thread(*args, **kwargs):
             raise AssertionError("a thread was started")
 
-        assert pca_batch_size(15, n) == (18 if n == 720_000 else 1)
-        calls = self.batch_spy(monkeypatch)
         monkeypatch.setattr(threading, "Thread", no_thread)
         data = pca_rows(15, n, seed=n)
         assert pca_first_component(data, FS).tobytes() == reference_pca(data, FS).tobytes()
-        assert {name for name, _ in calls} == {threading.current_thread().name}
-
-    def test_hour_runs_every_batch_on_the_caller_in_order(self, monkeypatch):
-        calls = self.batch_spy(monkeypatch)
-        pca_first_component(pca_rows(15, 720_000, seed=9), FS)
-        # 1799 blocks in 100 batches of 18
-        caller = threading.current_thread().name
-        assert calls == [(caller, b * 18 * 400) for b in range(100)]
-
-    @pytest.mark.parametrize("failing, batch", [("caller", 0), ("caller", 2)])
-    def test_error_reaches_caller_and_no_thread_outlives_it(
-            self, monkeypatch, failing, batch):
-        # 600 s of two streams: 19 batches of 16 blocks
-        def fail(first):
-            if first == batch * 16 * 400:
-                raise FloatingPointError(f"{failing} failed")
-
-        self.batch_spy(monkeypatch, fail)
-        before = threading.active_count()
-        with pytest.raises(FloatingPointError, match=f"^{failing} failed$"):
-            pca_first_component(pca_rows(2, 120_000, seed=10), FS)
-        assert threading.active_count() == before
 
     def test_concurrent_callers_with_fast_thread_switching(self, fast_switching_callers):
         rows = [pca_rows(2, 120_000 + 7_001 * k, seed=k) for k in range(6)]
