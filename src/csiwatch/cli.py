@@ -106,6 +106,7 @@ def cmd_detect(args) -> int:
         list(trace.events),
         config_snapshot=harness.config_snapshot(config, result.f_th_hz),
         trace_checksum=traceio.file_sha256(trace_path),
+        calibration=harness.calibration_health(result.calibration),
     )
     events_out = args.events_out or traceio.sidecar_path(trace_path, "events")
     traceio.write_events_csv(result.events, events_out)
@@ -125,6 +126,8 @@ def cmd_detect(args) -> int:
               f"{report.n_normals_detected} detected normal events)")
     if report.mrt_s is not None:
         print(f"MRT = {report.mrt_s:.2f} s")
+    if report.n_unmatched_seizure_verdicts:
+        print(f"{report.n_unmatched_seizure_verdicts} seizure verdicts matched no label")
     print(f"processing: {result.processing_per_trace_second * 1e3:.1f} ms "
           f"per trace-second")
     return 0

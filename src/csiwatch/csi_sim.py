@@ -7,7 +7,7 @@ subcarrier) stream gets independently drawn path parameters; receiver noise,
 impulsive magnitude outliers, and packet-timing jitter are applied on top.
 
 Trace generation is deterministic in (scenario, geometry, noise, seed). It
-walks each stream once, in SIM_CHUNK-sample chunks; when a trace has
+builds each stream by whole-row operations; when a trace has
 receiver noise, the csiwatch-noise lane's one worker thread draws each noisy
 stream's normals from the trace's generator, in stream order and at most one
 stream ahead, so the same draws land on the same samples as in a serial run
@@ -57,8 +57,6 @@ __all__ = [
 
 # the packet rate of a trace, and of the sampled motion profiles, unless set
 SAMPLE_RATE_HZ = 200.0
-# generate_trace: stream samples synthesized and given their noise per batch
-SIM_CHUNK = 8192
 # reflected-to-direct path amplitude ratio, drawn per stream and per person
 PATH_RATIO_RANGE = (0.05, 0.15)
 # build_night_scenario: an event-free lead-in for calibration, and the
@@ -600,16 +598,20 @@ def generate_trace(
     same body displacement; only the per-stream constants differ, so the
     synthesis multiplies a single motion phasor by per-stream coefficients.
 
-    Each stream is synthesized and given its receiver noise in one pass of
-    SIM_CHUNK-sample chunks; where outliers are on, its magnitude spread is
-    taken right after. With receiver noise on, the csiwatch-noise lane's
-    worker draws the noise one stream ahead of that pass, into two buffers
-    of one stream's draws that take turns: noisy stream k + 1 is drawn into
-    stream k - 1's buffer once the pass takes stream k. The draws, their
-    order and every sample are those of a serial run, so the trace does not
-    depend on the thread. No thread outlives the call. On a
-    one-hour night (2 vCPUs) it won 11 of 11 interleaved pairs against the
-    same draws made on the caller: 2.16 against 2.90 s (medians).
+    Each stream is built by whole-row operations: the motion phasor times
+    the reflected-path coefficient, plus the direct-path one, plus on a
+    noisy stream sigma / sqrt(2) times its normals in float64, so that each
+    noisy sample is rounded to the CSI dtype once; where outliers are on,
+    its magnitude spread is taken right after. With receiver noise on, the
+    csiwatch-noise lane's worker draws the noise one stream ahead of that
+    pass, into two buffers of one stream's draws that take turns: noisy
+    stream k + 1 is drawn into stream k - 1's buffer once the pass takes
+    stream k. The draws, their order and every sample are those of a serial
+    run, so the trace does not depend on the thread. No thread outlives the
+    call. Against the same draws made on the caller (3x30 complex64 streams,
+    2 vCPUs, interleaved pairs, medians) the lane won 5/5 pairs on an hour
+    (1.53 against 2.43 s) and 5/11 on 600 s (409 against 401 ms), and lost
+    20/21 on 60 s (46.9 against 44.5 ms): 2.4 ms, too little for a size rule.
 
     dtype complex64 halves memory; on a one-hour 3x30 night with noise it is
     only ~10 % faster than complex128, as drawing the noise sets the pace
@@ -676,9 +678,6 @@ def generate_trace(
         # so a complex64 outlier stays a complex64 product.
         with_outliers = noise.outlier_rate_per_s > 0 and noise.outlier_magnitude > 0
         stream_std: list[float] = []
-        # s * z of a chunk in float64, as s is: each noisy sample is rounded
-        # to the CSI dtype once, when the noise is added
-        scaled = np.empty((2, min(SIM_CHUNK, n)))
         k = 0  # the noisy streams taken
         for i, j in np.ndindex(n_rx, n_sc):
             z = None
@@ -689,19 +688,15 @@ def generate_trace(
                 drawn[k % 2].result()
                 z = buffers[k % 2]
                 k += 1
-            s = sigma[i, j] / math.sqrt(2.0)
-            for c0 in range(0, n, SIM_CHUNK):
-                c1 = min(c0 + SIM_CHUNK, n)
-                out = csi[i, j, c0:c1]
-                np.multiply(base[c0:c1], coef_r[i, j], out=out)
-                out += coef_d[i, j]
-                if z is not None:
-                    s_z = scaled[:, : c1 - c0]
-                    np.multiply(s, z[:, c0:c1], out=s_z)
-                    out.real += s_z[0]
-                    out.imag += s_z[1]
+            row = csi[i, j]
+            np.multiply(base, coef_r[i, j], out=row)
+            row += coef_d[i, j]
+            if z is not None:
+                s = sigma[i, j] / math.sqrt(2.0)
+                row.real += np.multiply(s, z[0], dtype=np.float64)
+                row.imag += np.multiply(s, z[1], dtype=np.float64)
             if with_outliers:
-                stream_std.append(_stream_magnitude_std(csi[i, j]))
+                stream_std.append(_stream_magnitude_std(row))
 
     # Impulsive magnitude outliers (isolated spikes, as hardware glitches).
     outlier_log: list[tuple[int, int, int]] = []

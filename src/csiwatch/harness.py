@@ -401,3 +401,14 @@ def config_snapshot(config: PipelineConfig, f_th_hz: float) -> dict:
     snap = dataclasses.asdict(config)
     snap["f_th_hz_resolved"] = f_th_hz
     return snap
+
+
+def calibration_health(calibration: CalibrationState) -> dict:
+    """The report's calibration block: sigma_c^2 and the selected streams,
+    best first, each with its calibration SNR (+inf for a stream with no
+    out-of-band power)."""
+    return {
+        "sigma_c_sq": calibration.sigma_c_sq,
+        "streams": [{"id": str(sid), "snr": calibration.snr_by_id[sid]}
+                    for sid in calibration.selected_ids],
+    }

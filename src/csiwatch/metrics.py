@@ -4,7 +4,9 @@ A detection matches a ground-truth label when their intervals overlap.
 Multiple detections overlapping one seizure count once. SDR is the fraction
 of seizures covered by a seizure-classified detection; P_FA is the fraction
 of *detected* normal events wrongly classified as seizures; response time is
-measured from the labeled seizure onset to the verdict time.
+measured from the labeled seizure onset to the verdict time. A seizure
+verdict that overlaps no label at all is none of these; it is counted as
+unmatched.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ class RunReport:
     sdr_pct / p_fa / mrt_s are None when their denominators are empty
     (e.g. a breathing-only trace has no seizures and no detected normal
     events). The raw counts allow exact aggregation across traces.
+    n_unmatched_seizure_verdicts counts the seizure-classified detections
+    that overlap no label. calibration holds the run's calibration health
+    where the caller gives it.
     """
 
     sdr_pct: float | None
@@ -39,8 +44,10 @@ class RunReport:
     n_normal_events: int
     n_normals_detected: int
     n_false_alarms: int
+    n_unmatched_seizure_verdicts: int
     events: list[dict] = field(default_factory=list)
     config: dict = field(default_factory=dict)
+    calibration: dict = field(default_factory=dict)
     trace_checksum: str = ""
 
 
@@ -49,6 +56,7 @@ def compute_report(
     labels: list[LabelInterval],
     config_snapshot: dict | None = None,
     trace_checksum: str = "",
+    calibration: dict | None = None,
 ) -> RunReport:
     """Join detections with ground truth and compute SDR / P_FA / RT.
 
@@ -64,12 +72,15 @@ def compute_report(
     verdict_times: dict[int, list[float]] = {}  # seizure label -> its verdict times
     detected: set[int] = set()
     false_alarms: set[int] = set()
+    n_unmatched = 0
     for d, matched in zip(detections, matches):
         detected.update(matched)
         if d.event_class is not EventClass.SEIZURE:
             continue
         seizures = [i for i in matched if labels[i].is_seizure]
-        if not seizures:
+        if not matched:
+            n_unmatched += 1
+        elif not seizures:
             false_alarms.update(matched)
         elif d.decision_time_s is not None:
             for i in seizures:
@@ -97,17 +108,19 @@ def compute_report(
         n_normal_events=len(labels) - len(seizure_ids),
         n_normals_detected=sum(not labels[i].is_seizure for i in detected),
         n_false_alarms=len(false_alarms),
+        n_unmatched_seizure_verdicts=n_unmatched,
         rt_list_s=[
             min(verdict_times[i]) - labels[i].start_s for i in seizure_ids if i in verdict_times
         ],
         events=event_rows,
         config=config_snapshot or {},
         trace_checksum=trace_checksum,
+        calibration=calibration or {},
     )
 
 
 _COUNTS = ("n_seizures", "n_seizures_detected", "n_normal_events", "n_normals_detected",
-           "n_false_alarms")
+           "n_false_alarms", "n_unmatched_seizure_verdicts")
 
 
 def combine_reports(reports: list[RunReport]) -> RunReport:

@@ -560,7 +560,7 @@ class CalibrationState:
 
     selected_ids: tuple[StreamId, ...]
     sigma_c_sq: float
-    snr_by_id: dict | None = None
+    snr_by_id: dict[StreamId, float]  # every derived stream's calibration SNR
 
 
 def select_streams(streams: StreamSet, k: int) -> tuple[list[StreamId], dict]:

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import csiwatch
 from csiwatch.csi_sim import (
@@ -266,6 +268,68 @@ class TestGenerateTrace:
             trace = simulate_from_config(self.CLI_CONFIG)
         assert trace.csi.dtype == np.complex64
         assert (trace.content_hash(), len(trace.outlier_log)) == self.RECORDED_COMPLEX64[case]
+
+    # content_hash and outlier count of traces with AWGN, outliers and jitter
+    # on, at lengths around and past 8192 samples, recorded while the
+    # synthesis still walked each stream in 8192-sample chunks, so that these
+    # lengths ended in a partial chunk or in none
+    EDGE_SIGMAS = np.array([[0.02, 0.0, 0.05], [0.0, 0.01, 0.0]])
+    RECORDED_EDGES = {
+        (8191, "complex64"): ("52fd8c5c25db03542934191d9a747b215a20519cf26b5540449630cb573327d3", 46),
+        (8191, "complex128"): ("e226bc8d106f128776756188b50a205ca8e15a23c963c21b12614dcbbf1cbe80", 57),
+        (8191, "stream_sigmas"): ("9696e46ed604f59c5ca94c09bc9b0c88d3dcf38b71c827ab41782bba5a120179", 48),
+        (8192, "complex64"): ("6e1aea71c7a6194d69705a7382d856d6357cf1b7ebc50900f5b33812b7d19ed1", 57),
+        (8192, "complex128"): ("566cae6582eed5b10cd75d66c5e3e8920ff5913f44dd193d9b5489099fa8e083", 50),
+        (8192, "stream_sigmas"): ("89fadc297693a8e55c7eb5d31064652e64c2969b4ee6ff42acf72161633140d9", 34),
+        (8193, "complex64"): ("6120e9b68be2d8347183868cc2a3f4dc6ea2d945f97974dea5a16734002cd98a", 43),
+        (8193, "complex128"): ("dcdd8c0cae4db0bfc06c4f5d9952c2747f52e180babb16a9d70f82bf948ae377", 48),
+        (8193, "stream_sigmas"): ("36e9827bf8e0c9c0cfba51cbf7e8d9a2880cafc064e57ac2a8158a621cd25261", 51),
+        (12288, "complex64"): ("4832923460d8fe7bc51d6681023535f1eb6abed84231d9815cfb03d1a76ec247", 75),
+        (12288, "complex128"): ("d06ac024cde23e0f01733032142484b4b7f35025d63293999fc037d3bfdb6aff", 56),
+        (12288, "stream_sigmas"): ("62b4c454e92d4b40056d5cb712baf826000cdfdba4a382648e2620225fc7d86a", 78),
+    }
+
+    @pytest.mark.parametrize("n, case", sorted(RECORDED_EDGES))
+    def test_edge_length_content_matches_recorded(self, n, case):
+        duration = n / 200.0
+        seizure = ScenarioEvent(EventKind.SEIZURE, 15.0, 20.0, seizure_profile(20.0, 0.75, 3.0))
+        scenario = Scenario(duration, breathing_profile(duration), (seizure,))
+        sigma = self.EDGE_SIGMAS if case == "stream_sigmas" else 0.02
+        noise = NoiseSpec(awgn_sigma=sigma, outlier_rate_per_s=0.2, jitter_std_s=0.0005)
+        dtype = np.complex128 if case == "complex128" else np.complex64
+        trace = generate_trace(scenario, G, noise, seed=n, n_rx=2, n_sc=3, dtype=dtype)
+        assert (trace.n_samples, trace.csi.dtype) == (n, dtype)
+        assert (trace.content_hash(), len(trace.outlier_log)) == self.RECORDED_EDGES[n, case]
+
+
+def reference_magnitude_std(stream):
+    """_stream_magnitude_std one sample at a time: each part squared as a
+    Python float (float64), their sum's square root, then numpy's std."""
+    parts = [(float(v.real), float(v.imag)) for v in stream]
+    mags = [math.sqrt(re * re + im * im) for re, im in parts]
+    return float(np.array(mags).std())
+
+
+# zeros, subnormals, and parts up to the largest float32, or up to 1e150 in
+# float64, whose squares still sum to a finite float64
+_PARTS = {
+    np.complex64: st.one_of(st.just(0.0), st.floats(width=32, allow_nan=False,
+                                                    allow_infinity=False)),
+    np.complex128: st.one_of(st.just(0.0), st.floats(-1e150, 1e150)),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_stream_magnitude_std_matches_reference(dtype):
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(parts=st.lists(st.tuples(_PARTS[dtype], _PARTS[dtype]), min_size=1, max_size=64))
+    def check(parts):
+        stream = np.empty(len(parts), dtype=dtype)
+        stream.real, stream.imag = np.array(parts).T
+        got = csiwatch.csi_sim._stream_magnitude_std(stream)
+        assert float.hex(got) == float.hex(reference_magnitude_std(stream))
+
+    check()
 
 
 def before_each_draw(monkeypatch, hook):

@@ -776,6 +776,33 @@ class TestMetrics:
         assert combined.sdr_pct == 100.0
         assert combined.p_fa is None  # the cough was never detected
 
+    def test_seizure_verdict_matching_no_label_counted(self):
+        unmatched = DetectedEvent(400.0, 421.0, EventClass.SEIZURE, 11.0, 405.0)
+        rep = compute_report([unmatched], [])
+        assert rep.n_unmatched_seizure_verdicts == 1
+        assert (rep.n_false_alarms, rep.sdr_pct, rep.p_fa, rep.mrt_s) == (0, None, None, None)
+        # a normal verdict that matches nothing is not a seizure verdict
+        assert compute_report(
+            [DetectedEvent(400.0, 405.0, EventClass.NORMAL, 4.0, None)], []
+        ).n_unmatched_seizure_verdicts == 0
+
+    def test_matched_seizure_verdict_not_unmatched(self):
+        matched = DetectedEvent(100.3, 121.0, EventClass.SEIZURE, 12.0, 105.3)
+        false_alarm = DetectedEvent(200.2, 207.5, EventClass.SEIZURE, 9.5, 205.2)
+        rep = compute_report([matched, false_alarm], self._labels())
+        assert rep.n_unmatched_seizure_verdicts == 0
+        assert (rep.n_seizures_detected, rep.n_false_alarms) == (1, 1)
+
+    def test_combine_reports_sums_unmatched_seizure_verdicts(self):
+        verdict = DetectedEvent(400.0, 421.0, EventClass.SEIZURE, 11.0, 405.0)
+        matched = compute_report([DetectedEvent(100.3, 121.0, EventClass.SEIZURE, 12.0, 105.3),
+                                  verdict], self._labels())
+        alone = compute_report([verdict, verdict], [])
+        assert (matched.n_unmatched_seizure_verdicts, alone.n_unmatched_seizure_verdicts) == (1, 2)
+        combined = combine_reports([matched, alone])
+        assert combined.n_unmatched_seizure_verdicts == 3
+        assert combined.sdr_pct == 100.0 and combined.n_false_alarms == 0
+
 
 def _overlaps(a0, a1, b0, b1):
     return min(a1, b1) - max(a0, b0) > 0.0
@@ -783,7 +810,8 @@ def _overlaps(a0, a1, b0, b1):
 
 def reference_compute_report(detections, labels):
     """compute_report as it was when it tested each detection against the
-    labels three times: the oracle for the one-pass matching."""
+    labels three times, with the seizure verdicts that overlap no label
+    counted: the oracle for the one-pass matching."""
     seizure_labels = [l for l in labels if l.is_seizure]
     normal_labels = [l for l in labels if not l.is_seizure]
 
@@ -823,6 +851,12 @@ def reference_compute_report(detections, labels):
         ):
             n_false_alarms += 1
 
+    n_unmatched = sum(
+        d.event_class is EventClass.SEIZURE
+        and not any(_overlaps(d.start_s, d.end_s, l.start_s, l.end_s) for l in labels)
+        for d in detections
+    )
+
     sdr = 100.0 * n_detected_seizures / len(seizure_labels) if seizure_labels else None
     p_fa = n_false_alarms / n_normals_detected if n_normals_detected else None
     mrt = sum(rt_list) / len(rt_list) if rt_list else None
@@ -857,6 +891,7 @@ def reference_compute_report(detections, labels):
         n_normal_events=len(normal_labels),
         n_normals_detected=n_normals_detected,
         n_false_alarms=n_false_alarms,
+        n_unmatched_seizure_verdicts=n_unmatched,
         events=event_rows,
     )
 
@@ -868,6 +903,7 @@ def reference_combine_reports(reports):
     n_nm = sum(r.n_normal_events for r in reports)
     n_nm_det = sum(r.n_normals_detected for r in reports)
     n_fa = sum(r.n_false_alarms for r in reports)
+    n_unmatched = sum(r.n_unmatched_seizure_verdicts for r in reports)
     rt = [t for r in reports for t in r.rt_list_s]
     return RunReport(
         sdr_pct=100.0 * n_sz_det / n_sz if n_sz else None,
@@ -879,6 +915,7 @@ def reference_combine_reports(reports):
         n_normal_events=n_nm,
         n_normals_detected=n_nm_det,
         n_false_alarms=n_fa,
+        n_unmatched_seizure_verdicts=n_unmatched,
     )
 
 
@@ -1178,17 +1215,44 @@ class TestCli:
         events = read_events_csv(events_path)
         assert any(e.event_class is EventClass.SEIZURE for e in events)
 
-    def test_detect_without_labels_sidecar(self, tmp_path):
+    def test_detect_without_labels_sidecar(self, tmp_path, capsys):
         scenario = self._write_scenario(tmp_path)
         trace_path = tmp_path / "night.csitrace"
         assert main(["simulate", "--config", str(scenario), "--out", str(trace_path)]) == 0
         (tmp_path / "night.labels.csv").unlink()
         report_path = tmp_path / "report.json"
+        capsys.readouterr()
         assert main(["detect", "--trace", str(trace_path),
                      "--report-out", str(report_path)]) == 0
         report = json.loads(report_path.read_text())
         assert report["n_seizures"] == 0 and report["sdr_pct"] is None
-        assert read_events_csv(tmp_path / "night.events.csv")
+        events = read_events_csv(tmp_path / "night.events.csv")
+        assert events
+        # with no labels, every seizure verdict matches none
+        n_verdicts = sum(e.event_class is EventClass.SEIZURE for e in events)
+        assert n_verdicts >= 1
+        assert report["n_unmatched_seizure_verdicts"] == n_verdicts
+        assert f"{n_verdicts} seizure verdicts matched no label" in capsys.readouterr().out
+
+    def test_report_holds_calibration_health(self, tmp_path, capsys):
+        scenario = self._write_scenario(tmp_path)
+        trace_path = tmp_path / "night.csitrace"
+        assert main(["simulate", "--config", str(scenario), "--out", str(trace_path)]) == 0
+        report_path = tmp_path / "report.json"
+        assert main(["detect", "--trace", str(trace_path),
+                     "--report-out", str(report_path)]) == 0
+        assert "matched no label" not in capsys.readouterr().out
+        report = json.loads(report_path.read_text())
+        assert report["n_unmatched_seizure_verdicts"] == 0
+        calibration = harness.run_pipeline(read_trace(trace_path), PipelineConfig()).calibration
+        assert report["calibration"] == {
+            "sigma_c_sq": calibration.sigma_c_sq,
+            "streams": [{"id": str(sid), "snr": calibration.snr_by_id[sid]}
+                        for sid in calibration.selected_ids],
+        }
+        snrs = [stream["snr"] for stream in report["calibration"]["streams"]]
+        assert len(snrs) == PipelineConfig().k_streams
+        assert snrs == sorted(snrs, reverse=True) and snrs[-1] > 0
 
     def test_sweep_without_labels_sidecar_exit_code(self, tmp_path, capsys):
         tdir = tmp_path / "traces"
@@ -1211,20 +1275,21 @@ class TestCli:
     # SHA-256 of what simulate + detect write for two one-minute scenarios
     # shaped like the benchmark's cli_files op, recorded while the CLI still
     # read and wrote the labels sidecar itself; report.json was recorded again
-    # when the report's config gained cal_start_s, and equals the old bytes
-    # without that key
+    # when the report's config gained cal_start_s, and again when the report
+    # gained n_unmatched_seizure_verdicts and its calibration block, each time
+    # equal to the old report without the new keys
     RECORDED_OUTPUTS = {
         (3, 0.72, 2.4, 1.0): {
             "night.csitrace": "9e03c8d23f22551f6a2329bbf7c54313bb5774e69a85f5af5d78319983c2b20d",
             "night.labels.csv": "42916ae6cdea35f000013ab26eef258066aa332836a9dc1bb6f92add75c761f5",
             "night.events.csv": "380762b185cfe1fb621dcde9b254e8d9f59dbe227ea5be91a9f98b716bffcf57",
-            "report.json": "7d49db9034e69544b8017630c37b015bb2557efcbcc002161e6f7e00eaa087b9",
+            "report.json": "d99547df172035e0b24f6b7a5ca675bd39718b5b9b7ae57d63f638af6dbfdca5",
         },
         (17, 0.78, 3.3, 4.5): {
             "night.csitrace": "82e3fbebf08089d4559b691f3ded33fb038fa88eb5f4a0e8be86bbc5bd6d001e",
             "night.labels.csv": "42916ae6cdea35f000013ab26eef258066aa332836a9dc1bb6f92add75c761f5",
             "night.events.csv": "92cc0f4e7d732712f8b461c45cd17014b3d9631862b8ac48a1b0c762eef1ac77",
-            "report.json": "046220c5122e372a16190f8eb7bd3c63e02f177c221ddfe5796cb44f5d13bd8f",
+            "report.json": "d59c8860c23103536a859ff67ec45acd0477dd729c3e6e2e7d67cf11c3117189",
         },
     }
 
