@@ -26,7 +26,7 @@ import numpy as np
 
 from . import harness, traceio
 from .config import PipelineConfig
-from .detector import ED_THRESHOLD_Q, EventClass
+from .detector import EventClass, detection_threshold
 from .metrics import compute_report
 from .signal_model import SceneGeometry
 from .spectral_oracle import (
@@ -115,7 +115,7 @@ def cmd_detect(args) -> int:
 
     n_sz = sum(1 for e in result.events if e.event_class is EventClass.SEIZURE)
     print(f"f_th = {result.f_th_hz:.2f} Hz, gamma_th = "
-          f"{ED_THRESHOLD_Q * result.calibration.sigma_c_sq:.3e}")
+          f"{detection_threshold(result.calibration):.3e}")
     print(f"{len(result.events)} events detected ({n_sz} classified seizure); "
           f"events written to {events_out}")
     if report.sdr_pct is not None:

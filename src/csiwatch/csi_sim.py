@@ -478,7 +478,9 @@ def build_night_scenario(
     """Compose a night: breathing throughout, randomized non-overlapping events.
 
     The leading NIGHT_START_CLEAR_S seconds stay event-free for calibration,
-    and consecutive events are at least NIGHT_MIN_GAP_S apart. The
+    each event ends at least 1 s before the night does, and consecutive
+    events are at least NIGHT_MIN_GAP_S apart; a night too short for an
+    event's drawn duration is refused before any start is drawn. The
     default seizure draw ranges sit inside the clonic-phase parameter ranges
     but away from the detectability boundary, so every generated seizure's
     spectral signature clears the classification threshold regardless of the
@@ -496,6 +498,14 @@ def build_night_scenario(
         normal_kinds[i % len(normal_kinds)] for i in range(n_normal_events)
     ]
     durations = [float(rng.uniform(*_MOTION_KINDS[kind].night_duration_s)) for kind in kinds]
+    # each event starts after the lead-in and ends 1 s before the night does
+    for kind, dur in zip(kinds, durations):
+        if duration_s - dur - 1.0 < NIGHT_START_CLEAR_S:
+            raise ValueError(
+                f"{kind.value} event of {dur:.1f} s does not fit a {duration_s:g} s night: "
+                f"after the {NIGHT_START_CLEAR_S:g} s event-free lead-in it needs "
+                f"{NIGHT_START_CLEAR_S + dur + 1.0:.1f} s"
+            )
 
     # Rejection-sample non-overlapping start times with the required gaps.
     placed: list[tuple[float, float]] = []

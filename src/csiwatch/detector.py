@@ -39,6 +39,8 @@ __all__ = [
     "DetectedEvent",
     "EventBandwidthProfile",
     "sliding_out_of_band_energy",
+    "check_sample_rate",
+    "detection_threshold",
     "detect_event_intervals",
     "window_percentile_bandwidth",
     "build_event_profile",
@@ -151,6 +153,23 @@ def sliding_out_of_band_energy(
     return ends, np.maximum(total - low, 0.0)
 
 
+def check_sample_rate(sample_rate_hz: float) -> None:
+    """Refuse a sample rate whose Nyquist frequency is at or below ED_BAND_HZ:
+    no band is left above it, so no event could be detected."""
+    fs = sample_rate_hz
+    if fs / 2 <= ED_BAND_HZ:
+        raise ValueError(
+            f"a trace sampled at {fs:g} Hz has its Nyquist frequency {fs / 2:g} Hz at or "
+            f"below the {ED_BAND_HZ:g} Hz band event detection leaves out"
+        )
+
+
+def detection_threshold(calibration: CalibrationState) -> float:
+    """gamma_th = q * sigma_c^2, the out-of-band energy above which a window
+    position holds H1."""
+    return ED_THRESHOLD_Q * calibration.sigma_c_sq
+
+
 def detect_event_intervals(
     p: np.ndarray,
     sample_rate_hz: float,
@@ -159,17 +178,17 @@ def detect_event_intervals(
     """Threshold the sliding out-of-band energy and merge triggers into events.
 
     H1 holds at a window position when its out-of-band energy exceeds
-    gamma_th = q * sigma_c^2. The H1 positions split into runs wherever
-    more than the hysteresis of H0 positions lies between two of them, so
-    brief amplitude nulls inside one movement do not split it. Each run is
-    one event: it starts where its first window ends and ends ED_WINDOW_S
-    before its last window ends, and it is open at the end when its last
-    window is the trace's last.
+    gamma_th = q * sigma_c^2 (detection_threshold). The H1 positions split
+    into runs wherever more than the hysteresis of H0 positions lies between
+    two of them, so brief amplitude nulls inside one movement do not split
+    it. Each run is one event: it starts where its first window ends and
+    ends ED_WINDOW_S before its last window ends, and it is open at the end
+    when its last window is the trace's last.
     """
     if calibration is None:
         raise ValueError("event detection requires a calibration state")
     ends, energies = sliding_out_of_band_energy(p, sample_rate_hz)
-    h1 = np.flatnonzero(energies > ED_THRESHOLD_Q * calibration.sigma_c_sq)
+    h1 = np.flatnonzero(energies > detection_threshold(calibration))
     if h1.size == 0:
         return []
 

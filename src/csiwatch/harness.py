@@ -37,6 +37,7 @@ from .detector import (
     DetectedEvent,
     EventBandwidthProfile,
     build_event_profile,
+    check_sample_rate,
     classify_event,
     detect_event_intervals,
     run_detection,
@@ -81,8 +82,10 @@ class PipelineResult:
 
 
 def _check_f_th(f_th_hz: float, fs: float) -> None:
-    """Refuse an f_th at or above the Nyquist frequency of a trace sampled at
-    fs Hz, which no bandwidth measured on it can exceed."""
+    """Refuse a trace sampled at fs Hz that event detection cannot work on
+    (check_sample_rate), then an f_th at or above its Nyquist frequency,
+    which no bandwidth measured on it can exceed."""
+    check_sample_rate(fs)
     if f_th_hz >= fs / 2:
         raise ValueError(f"f_th = {f_th_hz:.2f} Hz is at or above the Nyquist frequency "
                          f"{fs / 2:g} Hz of a trace sampled at {fs:g} Hz")
@@ -91,12 +94,12 @@ def _check_f_th(f_th_hz: float, fs: float) -> None:
 def run_pipeline(trace: CsiTrace, config: PipelineConfig) -> PipelineResult:
     """Preprocess and detect on one trace; timed end to end. The calibration
     window is config's [cal_start_s, cal_start_s + t_cal_s]. An f_th the
-    trace cannot reach is refused (_check_f_th)."""
+    trace cannot reach is refused (_check_f_th) before calibration."""
     t0 = time.perf_counter()
     f_th = config.resolve_f_th(trace.geometry)
-    calibration = calibrate(trace, config)
     fs = trace.sample_rate_hz
     _check_f_th(f_th, fs)
+    calibration = calibrate(trace, config)
     p = extract_pipeline_stream(trace, calibration)
     events = run_detection(p, fs, calibration, config, f_th)
     elapsed = time.perf_counter() - t0
@@ -246,10 +249,11 @@ def _section(cfg: dict, name: str, **settings) -> dict:
 
 def _geometry_from(cfg: dict) -> SceneGeometry:
     g = _section(cfg, "geometry", wavelength_m=float, psi=float, phi_rad=float)
-    if "phi_rad" in g and "psi" not in g:
-        return SceneGeometry.from_phi(**g)
-    g.pop("phi_rad", None)  # when both are given, psi wins
-    return SceneGeometry(**g)
+    if "phi_rad" not in g:
+        return SceneGeometry(**g)
+    if "psi" in g:
+        raise ValueError("geometry gives both psi and phi_rad; give one of them")
+    return SceneGeometry.from_phi(**g)
 
 
 def _non_negative(value) -> float:

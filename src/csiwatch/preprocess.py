@@ -39,7 +39,7 @@ import numpy as np
 from ._lanes import split_in_two
 from .config import PipelineConfig
 from .csi_sim import CsiTrace
-from .detector import ED_BAND_HZ, ED_WINDOW_S, sliding_out_of_band_energy
+from .detector import ED_WINDOW_S, check_sample_rate, sliding_out_of_band_energy
 from .spectral_oracle import BREATHING_BAND_HZ
 
 __all__ = [
@@ -661,15 +661,10 @@ def calibrate(trace: CsiTrace, config: PipelineConfig) -> CalibrationState:
     contain breathing only; that is the caller's protocol responsibility.
     sigma_c^2 is the maximum out-of-band energy of the PCA-denoised
     calibration stream over sliding detection windows. A trace whose
-    Nyquist frequency is at or below ED_BAND_HZ has no band above it, so
-    no event could be detected: it is refused.
+    Nyquist frequency is at or below ED_BAND_HZ is refused (check_sample_rate).
     """
     fs = trace.sample_rate_hz
-    if fs / 2 <= ED_BAND_HZ:
-        raise ValueError(
-            f"a trace sampled at {fs:g} Hz has its Nyquist frequency {fs / 2:g} Hz at or "
-            f"below the {ED_BAND_HZ:g} Hz band event detection leaves out"
-        )
+    check_sample_rate(fs)
     cal_end = config.cal_start_s + config.t_cal_s
     if cal_end > trace.duration_s + 0.5 / fs:
         raise ValueError(

@@ -169,6 +169,18 @@ BAD_SCENARIO_CONFIGS = [
     ({"duration_s": 60, "sample_rate_hz": -5,
       "events": [{"kind": "scratch", "start_s": 14, "duration_s": 4}]},
      "sample_rate_hz must be finite and positive, got -5.0"),
+    # a night too short for an event's drawn duration, refused before any
+    # start is drawn
+    ({"duration_s": 40, "auto_events": {"n_seizures": 1}},
+     "seizure event of 23.8 s does not fit a 40 s night: after the 20 s event-free lead-in "
+     "it needs 44.8 s"),
+    ({"duration_s": 25, "auto_events": {"n_normal_events": 1}},
+     "posture_shift event of 8.5 s does not fit a 25 s night: after the 20 s event-free "
+     "lead-in it needs 29.5 s"),
+    ({"duration_s": 60, "geometry": {"psi": 1.0, "phi_rad": 0.5}},
+     "geometry gives both psi and phi_rad; give one of them"),
+    ({"duration_s": 60, "n_rx": 0}, "n_rx and n_sc must be >= 1"),
+    ({"duration_s": 0.004}, "scenario too short for the sample rate"),
 ]
 
 # config files that are not JSON objects, and what the CLI calls them; every
@@ -1177,6 +1189,35 @@ def two_wavelength_traces(tmp_path_factory):
 
 
 class TestCli:
+    # nights with one seizure, each simulated and detected through the CLI:
+    # the plain 60 s 3x3 night; one whose awgn_sigma mixes noisy and
+    # noiseless streams; one at 110 Hz, whose event-detection blocks are 2
+    # samples (the gcd of its 220-sample window and 6-sample hop); one at
+    # 25 Hz, whose f_th at psi = 1 lies below its 12.5 Hz Nyquist frequency;
+    # and a 25-minute one, long enough for derive_streams to walk its window
+    # on two lanes
+    NIGHTS = {
+        "60s": {},
+        "mixed-noise": {"noise": {"awgn_sigma": [[0.02, 0, 0.03], [0, 0.01, 0], [0.02, 0.02, 0]],
+                                  "jitter_std_s": 0.0005}},
+        "110Hz": {"sample_rate_hz": 110},
+        "25Hz": {"sample_rate_hz": 25},
+        "25min": {"duration_s": 1500,
+                  "events": [{"kind": "seizure", "start_s": 900, "duration_s": 22}]},
+    }
+
+    @pytest.mark.parametrize("night", list(NIGHTS))
+    def test_night_seizure_detected(self, tmp_path, capsys, night):
+        cfg = {"duration_s": 60, "seed": 1, "n_rx": 3, "n_sc": 3,
+               "noise": {"awgn_sigma": 0.02, "jitter_std_s": 0.0005},
+               "events": [{"kind": "seizure", "start_s": 30, "duration_s": 22}]}
+        config = tmp_path / "night.json"
+        config.write_text(json.dumps(cfg | self.NIGHTS[night]))
+        trace_path = tmp_path / "night.csitrace"
+        assert main(["simulate", "--config", str(config), "--out", str(trace_path)]) == 0
+        assert main(["detect", "--trace", str(trace_path)]) == 0
+        assert "SDR = 100.00%  (1/1 seizures)" in capsys.readouterr().out
+
     def _write_scenario(self, tmp_path, **overrides):
         cfg = {
             "duration_s": 120.0,
@@ -1493,11 +1534,17 @@ class TestCli:
          "1.1 Hz band event detection leaves out")],
         ids=["f_th-above-nyquist", "nyquist-below-ed-band"])
     def test_sample_rate_detector_cannot_work_at_exit_code(
-            self, tmp_path, capsys, overrides, match):
+            self, tmp_path, capsys, monkeypatch, overrides, match):
         scenario = self._write_scenario(tmp_path, **overrides)
         trace_path = tmp_path / "night.csitrace"
         assert main(["simulate", "--config", str(scenario), "--out", str(trace_path)]) == 0
         capsys.readouterr()
+
+        # refused before derive and Hampel run on every stream
+        def calibrate(*args, **kwargs):
+            raise AssertionError("calibrate was called")
+
+        monkeypatch.setattr(harness, "calibrate", calibrate)
         assert main(["detect", "--trace", str(trace_path)]) == 2
         assert match in capsys.readouterr().err
 
