@@ -1,13 +1,13 @@
 """Command-line entry points: simulate, detect, sweep, oracle.
 
-detect and sweep read pipeline settings from a --config file of one of two
-shapes. A scenario config (the file simulate reads) gives them in its
-"pipeline" section; every other key must still be a scenario config key. Any
-other file holds only the settings t_cal_s, k_streams, t_min_s and f_th_hz.
-detect's --cal-len, --t-min and --f-th override the file. harness.pipeline_config
-reads both shapes; a key nothing reads is an input error. The calibration
-window, from --cal-start (default 0 s) for t_cal_s, must hold breathing
-only: a labeled event in it is an input error.
+simulate reads a scenario config; its seed is the config's "seed" key. detect
+and sweep read pipeline settings from a --config file that holds only the
+settings t_cal_s, k_streams, t_min_s and f_th_hz (harness.pipeline_config).
+detect's --cal-len, --t-min and --f-th override the file. In either file a
+key nothing reads is an input error. The calibration window, from
+--cal-start (default 0 s) for t_cal_s, must hold breathing only: a labeled
+event in it is an input error. detect prints a warning line for each
+response time below T_min: that detection began before its seizure did.
 
 Exit codes: 0 on success, 2 on input errors (any ValueError or OSError: bad
 config, missing or malformed files, invalid calibration placement), 3 on
@@ -54,10 +54,7 @@ _JSON_TYPES = {bool: "a boolean", int: "a number", float: "a number", str: "a st
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_json(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    trace = harness.simulate_from_config(cfg)
+    trace = harness.simulate_from_config(_load_json(args.config))
     out = Path(args.out)
     traceio.write_trace(trace, out)
     f_th = derive_f_th(trace.geometry)
@@ -126,6 +123,9 @@ def cmd_detect(args) -> int:
               f"{report.n_normals_detected} detected normal events)")
     if report.mrt_s is not None:
         print(f"MRT = {report.mrt_s:.2f} s")
+    for rt in report.rt_list_s:
+        if rt < config.t_min_s:
+            print(f"warning: response time {rt:.2f} s is below T_min = {config.t_min_s:g} s")
     if report.n_unmatched_seizure_verdicts:
         print(f"{report.n_unmatched_seizure_verdicts} seizure verdicts matched no label")
     print(f"processing: {result.processing_per_trace_second * 1e3:.1f} ms "
@@ -177,7 +177,7 @@ def cmd_sweep(args) -> int:
         trace = traceio.read_trace(path)
         # the f_th values the sweep reports this trace at, before it is analysed
         for f_th in values if args.param == "f_th" else [config.resolve_f_th(trace.geometry)]:
-            harness._check_f_th(f_th, trace.sample_rate_hz)
+            harness.check_f_th(f_th, trace.sample_rate_hz)
         _check_calibration_clear(path, trace, config)
         analyses.append(harness.analyze_trace(trace, config))
 
@@ -223,10 +223,9 @@ def cmd_oracle(args) -> int:
 
 
 PIPELINE_CONFIG_HELP = (
-    "pipeline config JSON: t_cal_s, k_streams, t_min_s and f_th_hz, either at "
-    'the top level and alone, or in the "pipeline" section of a scenario config; '
-    "detect's --cal-len, --t-min and --f-th override the file; --cal-start sets "
-    "the calibration window's start, which the file does not hold"
+    "pipeline config JSON, one object that holds only t_cal_s, k_streams, t_min_s "
+    "and f_th_hz; detect's --cal-len, --t-min and --f-th override the file; "
+    "--cal-start sets the calibration window's start, which the file does not hold"
 )
 CAL_START_HELP = "calibration window start (s, default 0); the window must hold breathing only"
 
@@ -242,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a labeled CSI trace")
     p.add_argument("--config", required=True, help="scenario config JSON")
     p.add_argument("--out", required=True, help="output trace path (.csitrace[.gz])")
-    p.add_argument("--seed", type=int, help="override the config seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("detect", help="run the detection pipeline on a trace")

@@ -238,11 +238,6 @@ class EventBandwidthProfile:
     window_bs: tuple[float, ...]
     completion_times_s: tuple[float, ...]
 
-    def final_median(self) -> float | None:
-        if not self.window_bs:
-            return None
-        return float(statistics.median(self.window_bs))
-
 
 def build_event_profile(
     p: np.ndarray,

@@ -61,6 +61,7 @@ __all__ = [
     "report_for",
     "sweep_parameter",
     "selected_stream_event_snr",
+    "check_f_th",
     "parse_scenario_config",
     "simulate_from_config",
 ]
@@ -81,7 +82,7 @@ class PipelineResult:
         return self.processing_s / self.trace_duration_s
 
 
-def _check_f_th(f_th_hz: float, fs: float) -> None:
+def check_f_th(f_th_hz: float, fs: float) -> None:
     """Refuse a trace sampled at fs Hz that event detection cannot work on
     (check_sample_rate), then an f_th at or above its Nyquist frequency,
     which no bandwidth measured on it can exceed."""
@@ -94,11 +95,11 @@ def _check_f_th(f_th_hz: float, fs: float) -> None:
 def run_pipeline(trace: CsiTrace, config: PipelineConfig) -> PipelineResult:
     """Preprocess and detect on one trace; timed end to end. The calibration
     window is config's [cal_start_s, cal_start_s + t_cal_s]. An f_th the
-    trace cannot reach is refused (_check_f_th) before calibration."""
+    trace cannot reach is refused (check_f_th) before calibration."""
     t0 = time.perf_counter()
     f_th = config.resolve_f_th(trace.geometry)
     fs = trace.sample_rate_hz
-    _check_f_th(f_th, fs)
+    check_f_th(f_th, fs)
     calibration = calibrate(trace, config)
     p = extract_pipeline_stream(trace, calibration)
     events = run_detection(p, fs, calibration, config, f_th)
@@ -149,7 +150,7 @@ def report_for(
     analysis: TraceAnalysis, f_th_hz: float, t_min_s: float
 ) -> RunReport:
     """The trace's report at f_th_hz and t_min_s; refuses an f_th it cannot reach."""
-    _check_f_th(f_th_hz, analysis.sample_rate_hz)
+    check_f_th(f_th_hz, analysis.sample_rate_hz)
     events = classify_analysis(analysis, f_th_hz, t_min_s)
     return compute_report(events, analysis.labels)
 
@@ -199,11 +200,12 @@ def sweep_parameter(
     return rows
 
 
+# selected_stream_event_snr counts a stream's power at 0 < f <= this as event signal
+EVENT_SIGNAL_BAND_HZ = 20.0
+
+
 def selected_stream_event_snr(
-    trace: CsiTrace,
-    calibration: CalibrationState,
-    label: LabelInterval,
-    signal_band_hz: float = 20.0,
+    trace: CsiTrace, calibration: CalibrationState, label: LabelInterval
 ) -> float:
     """Median in-band/out-of-band power ratio of the selected streams during
     an event window; the premise check for "moderate noise" corpora."""
@@ -212,7 +214,8 @@ def selected_stream_event_snr(
         start_s=label.start_s, end_s=label.end_s,
     )
     return float(np.median([
-        compute_stream_snr(row, streams.sample_rate_hz, signal_band_hz) for row in streams.data
+        compute_stream_snr(row, streams.sample_rate_hz, EVENT_SIGNAL_BAND_HZ)
+        for row in streams.data
     ]))
 
 
@@ -245,21 +248,6 @@ def _section(cfg: dict, name: str, **settings) -> dict:
     section = cfg.get(name, {})
     _check_keys(section, tuple(settings), name)
     return _given(section, name, **settings)
-
-
-def _geometry_from(cfg: dict) -> SceneGeometry:
-    g = _section(cfg, "geometry", wavelength_m=float, psi=float, phi_rad=float)
-    if "phi_rad" not in g:
-        return SceneGeometry(**g)
-    if "psi" in g:
-        raise ValueError("geometry gives both psi and phi_rad; give one of them")
-    return SceneGeometry.from_phi(**g)
-
-
-def _non_negative(value) -> float:
-    if not (math.isfinite(value := float(value)) and value >= 0):
-        raise ValueError(f"must be finite and non-negative, got {value!r}")
-    return value
 
 
 def _finite(value) -> float:
@@ -307,15 +295,10 @@ def _scenario_from(cfg: dict, duration_s: float, seed: int, rate_hz: float) -> S
         if "events" in cfg:
             raise ValueError("events cannot be combined with auto_events")
         auto = _section(cfg, "auto_events", n_seizures=whole_number,
-                        n_normal_events=whole_number, normal_events_per_hour=_non_negative)
-        if "normal_events_per_hour" in auto:
-            if "n_normal_events" in auto:
-                raise ValueError("n_normal_events cannot be combined with normal_events_per_hour")
-            n_normal = int(round(auto["normal_events_per_hour"] * duration_s / 3600.0))
-        else:
-            n_normal = auto.get("n_normal_events", 0)
-        return build_night_scenario(duration_s, auto.get("n_seizures", 0), n_normal,
-                                    seed, breathing, rate_hz=rate_hz)
+                        n_normal_events=whole_number)
+        return build_night_scenario(duration_s, auto.get("n_seizures", 0),
+                                    auto.get("n_normal_events", 0), seed, breathing,
+                                    rate_hz=rate_hz)
     specs = cfg.get("events", [])
     if not isinstance(specs, list):
         raise ValueError(f"events must be a list, got {specs!r}")
@@ -331,15 +314,14 @@ def parse_scenario_config(cfg: dict):
     config gives; generate_trace's defaults hold for the others.
     second_person is None, or the (scenario, seed) of the second person
     the config describes. Every value is checked here, before anything is
-    generated, the "pipeline" section's too: that section holds the settings
-    `csiwatch detect --config` reads from this file (see pipeline_config),
-    and the detect flags --cal-len, --t-min and --f-th override them.
+    generated. Pipeline settings are not scenario settings: they go in the
+    file `csiwatch detect --config` reads (see pipeline_config).
     """
     if "duration_s" not in cfg:
         raise ValueError("scenario config needs duration_s")
-    _check_scenario_keys(cfg)
-    if "pipeline" in cfg:
-        pipeline_config(cfg)
+    _check_keys(cfg, ("duration_s", "seed", "sample_rate_hz", "n_rx", "n_sc", "dtype",
+                      "ratio_range", "noise", "geometry", "breathing", "events",
+                      "auto_events", "second_person"), "scenario config")
     second = cfg.get("second_person")
     if second is not None:
         _check_keys(second, ("seed", "breathing", "events", "auto_events"), "second_person")
@@ -353,7 +335,7 @@ def parse_scenario_config(cfg: dict):
     if not (math.isfinite(rate_hz) and rate_hz > 0):
         raise ValueError(f"sample_rate_hz must be finite and positive, got {rate_hz!r}")
     scenario = _scenario_from(cfg, duration, sim_kwargs["seed"], rate_hz)
-    geometry = _geometry_from(cfg)
+    geometry = SceneGeometry(**_section(cfg, "geometry", wavelength_m=float, psi=float))
     noise = NoiseSpec(**_section(
         cfg, "noise", awgn_sigma=lambda v: v,  # a number, or nested lists per stream
         outlier_rate_per_s=float, outlier_magnitude=float, jitter_std_s=float))
@@ -363,29 +345,16 @@ def parse_scenario_config(cfg: dict):
     return scenario, geometry, noise, sim_kwargs, second
 
 
-def _check_scenario_keys(cfg: dict) -> None:
-    _check_keys(cfg, ("duration_s", "seed", "sample_rate_hz", "n_rx", "n_sc", "dtype",
-                      "ratio_range", "noise", "geometry", "breathing", "events",
-                      "auto_events", "second_person", "pipeline"), "scenario config")
-
-
 def pipeline_config(cfg: dict, **overrides) -> PipelineConfig:
-    """The PipelineConfig a config file gives, with overrides set over it.
+    """The PipelineConfig a pipeline config file gives, with overrides set over it.
 
-    A file with a "pipeline" section is a scenario config: the section holds
-    the pipeline settings, and every other key must be a scenario config key
-    (parse_scenario_config reads them; this reads none). A file without one
-    holds only pipeline settings. The settings are t_cal_s, k_streams,
-    t_min_s and f_th_hz; an omitted one keeps PipelineConfig's default, and
-    an override (the CLI's --cal-len, --t-min, --f-th) replaces the file's.
-    cal_start_s is set only by an override (the CLI's --cal-start).
+    The file is one JSON object that holds only the settings t_cal_s,
+    k_streams, t_min_s and f_th_hz. An omitted one keeps PipelineConfig's
+    default, and an override (the CLI's --cal-len, --t-min, --f-th) replaces
+    the file's. cal_start_s is set only by an override (the CLI's --cal-start).
     """
-    if "pipeline" in cfg:
-        _check_scenario_keys(cfg)
-    else:
-        cfg = {"pipeline": cfg}
-    settings = _section(cfg, "pipeline", t_cal_s=_number, k_streams=_number, t_min_s=_number,
-                        f_th_hz=lambda v: None if v is None else _number(v))
+    settings = _section({"pipeline": cfg}, "pipeline", t_cal_s=_number, k_streams=_number,
+                        t_min_s=_number, f_th_hz=lambda v: None if v is None else _number(v))
     return PipelineConfig(**settings | overrides)
 
 

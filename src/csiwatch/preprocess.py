@@ -595,13 +595,6 @@ def pca_first_component(data: np.ndarray, sample_rate_hz: float) -> np.ndarray:
     block's start only, and a sample is divided by its sum once no later
     block covers it. Beside the input, a call needs p(t) and one block's
     work.
-
-    Cost, against the batches of blocks this loop replaced (2 vCPUs, K =
-    15, the rows of an hour, medians of interleaved runs): 0.51 against
-    0.62 ms on 13 s and 2.48 against 2.91 ms on 60 s (the loop faster in
-    31 of 31 runs each), 26.1 against 23.8 ms on 600 s and 152 against
-    132 ms on the hour, where one numpy call per block costs more than one
-    per batch of 18 blocks.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 2:

@@ -65,7 +65,6 @@ class SceneGeometry:
 
     wavelength_m: float = DEFAULT_WAVELENGTH_M
     psi: float = 1.0
-    phi_rad: float | None = None
     beta_rad_per_m: float = field(init=False)
 
     def __post_init__(self):
@@ -76,11 +75,6 @@ class SceneGeometry:
         object.__setattr__(
             self, "beta_rad_per_m", 2.0 * math.pi * self.psi / self.wavelength_m
         )
-
-    @classmethod
-    def from_phi(cls, phi_rad: float, wavelength_m: float = DEFAULT_WAVELENGTH_M):
-        """Build the geometry from the reflection-ellipse angle phi."""
-        return cls(wavelength_m=wavelength_m, psi=2.0 * math.cos(phi_rad), phi_rad=phi_rad)
 
 
 @dataclass(frozen=True)

@@ -108,7 +108,6 @@ def write_trace(trace: CsiTrace, path) -> None:
         "geometry": {
             "wavelength_m": trace.geometry.wavelength_m,
             "psi": trace.geometry.psi,
-            "phi_rad": trace.geometry.phi_rad,
         },
     }
     with _open(path, "wb") as f:
@@ -188,10 +187,8 @@ def read_trace(path) -> CsiTrace:
                 n_rx, n_sc = int(header["n_rx"]), int(header["n_sc"])
                 n = int(header["n_records"])
                 dtype = np.dtype(header["dtype"])
-                g = header["geometry"]
-                geometry = SceneGeometry(
-                    wavelength_m=g["wavelength_m"], psi=g["psi"], phi_rad=g.get("phi_rad")
-                )
+                g = header["geometry"]  # older files also carry "phi_rad", which is not read
+                geometry = SceneGeometry(wavelength_m=g["wavelength_m"], psi=g["psi"])
             except (KeyError, TypeError, AttributeError) as e:
                 raise ValueError(f"{path}: malformed trace header ({e!r})") from e
             timestamps = _load_array(f, path, "timestamps_s", (n,), np.dtype(np.float64))

@@ -389,9 +389,9 @@ class TestClassification:
         assert profile.completion_times_s == (10.0, 12.0, 14.0)
         assert [r.getMessage() for r in caplog.records] == [
             f"zero-power classification window at {t:.2f} s skipped" for t in (2.0, 4.0)]
-        # with no window left, the profile has no final median
+        # with no window left, the profile has no bandwidth to take a median of
         silent = build_event_profile(np.zeros(3000), FS, interval)
-        assert silent.window_bs == () and silent.final_median() is None
+        assert silent.window_bs == ()
 
     def test_ongoing_event_at_trace_end(self):
         interval = DetectedInterval(10.0, 20.0, open_at_end=True)
@@ -521,9 +521,9 @@ class TestInvariantsAndMonotonicity:
         for corrupt in ([0.1, 0.2], [500.0, 900.0]):
             vals = clean[:3] + corrupt
             prof = EventBandwidthProfile(interval, tuple(vals), times)
-            med = prof.final_median()
+            med = statistics.median(prof.window_bs)
             assert min(clean[:3]) <= med <= max(clean[:3])
-        assert base.final_median() == pytest.approx(10.5)
+        assert statistics.median(base.window_bs) == pytest.approx(10.5)
 
     def test_determinism(self):
         evs = [ScenarioEvent(EventKind.SEIZURE, 40.0, 22.0,

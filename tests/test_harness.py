@@ -95,10 +95,11 @@ BAD_SCENARIO_CONFIGS = [
     ({"duration_s": math.inf}, "duration_s must be finite and positive, got inf"),
     ({"duration_s": 60.0, "events": [{"kind": "cough", "start_s": math.nan, "duration_s": 1.5}]},
      "event must have finite start_s >= 0"),
-    ({"duration_s": 600.0, "auto_events": {"normal_events_per_hour": -3}},
-     "auto_events key 'normal_events_per_hour': must be finite and non-negative, got -3.0"),
-    ({"duration_s": 3600.0, "auto_events": {"normal_events_per_hour": -3}},
-     "auto_events key 'normal_events_per_hour': must be finite and non-negative, got -3.0"),
+    # a rate is not a count: auto_events takes n_normal_events only
+    ({"duration_s": 600.0, "auto_events": {"normal_events_per_hour": 6}},
+     "auto_events key 'normal_events_per_hour' (allowed: n_seizures, n_normal_events)"),
+    ({"duration_s": 3600.0, "second_person": {"auto_events": {"normal_events_per_hour": 6}}},
+     "auto_events key 'normal_events_per_hour' (allowed: n_seizures, n_normal_events)"),
     ({"duration_s": 60.0, "events": [{"kind": "cough", "start_s": "ten", "duration_s": 1.5}]},
      "event 0 key 'start_s': could not convert"),
     ({"duration_s": 60.0, "events": [{"kind": "cough", "start_s": 5.0, "duration_s": 1.5},
@@ -134,11 +135,10 @@ BAD_SCENARIO_CONFIGS = [
     ({"duration_s": 60.0, "n_rx": 1, "n_sc": 2,
       "second_person": {"breathing": {"f_o_hz": math.nan}}},
      "breathing key 'f_o_hz': must be finite, got nan"),
-    ({"duration_s": 3600, "auto_events": {"n_normal_events": 2, "normal_events_per_hour": 6}},
-     "n_normal_events cannot be combined with normal_events_per_hour"),
-    ({"duration_s": 60.0, "n_rx": 1, "n_sc": 2,
-      "second_person": {"auto_events": {"n_normal_events": 1, "normal_events_per_hour": 0}}},
-     "n_normal_events cannot be combined with normal_events_per_hour"),
+    # pipeline settings go in detect's --config file, psi = 2*cos(phi) in geometry's psi
+    ({"duration_s": 60, "pipeline": {"t_cal_s": 10}}, "unknown scenario config key 'pipeline'"),
+    ({"duration_s": 60, "geometry": {"phi_rad": 1.0472}},
+     "unknown geometry key 'phi_rad' (allowed: wavelength_m, psi)"),
     # numpy refuses the CSI array's shape before it asks for memory
     ({"duration_s": 1e15}, "a trace of duration_s=1000000000000000.0 at sample_rate_hz=200.0 "
                            "with n_rx=3 and n_sc=30 does not fit in memory"),
@@ -178,7 +178,7 @@ BAD_SCENARIO_CONFIGS = [
      "posture_shift event of 8.5 s does not fit a 25 s night: after the 20 s event-free "
      "lead-in it needs 29.5 s"),
     ({"duration_s": 60, "geometry": {"psi": 1.0, "phi_rad": 0.5}},
-     "geometry gives both psi and phi_rad; give one of them"),
+     "unknown geometry key 'phi_rad' (allowed: wavelength_m, psi)"),
     ({"duration_s": 60, "n_rx": 0}, "n_rx and n_sc must be >= 1"),
     ({"duration_s": 0.004}, "scenario too short for the sample rate"),
 ]
@@ -205,8 +205,9 @@ BAD_PIPELINE_SETTINGS = [
     (["--cal-start", "nan"], "cal_start_s must be finite and at least 0 s, got nan"),
 ]
 
-# "pipeline" sections a scenario config may not hold, and the message naming
-# the fault; simulate refuses them before it generates anything
+# pipeline settings a pipeline config file may not hold, and the message
+# naming the fault; as a scenario config's "pipeline" section, which no
+# scenario config has, simulate refuses them before it generates anything
 BAD_PIPELINE_SECTIONS = [
     ({"k_stream": 3}, "unknown pipeline key 'k_stream'"),
     ({"t_cal_s": -1}, "t_cal_s must be finite and positive, got -1"),
@@ -215,15 +216,12 @@ BAD_PIPELINE_SECTIONS = [
     ([1], "pipeline must be an object, got [1]"),
 ]
 
-# pipeline config files in both shapes, and the PipelineConfig each gives
+# pipeline config files, and the PipelineConfig each gives
 PIPELINE_FILES = [
     ({}, PipelineConfig()),
     ({"t_cal_s": 10, "k_streams": 5.0, "t_min_s": 4.5, "f_th_hz": 9.0},
      PipelineConfig(t_cal_s=10, k_streams=5, t_min_s=4.5, f_th_hz=9.0)),
     ({"f_th_hz": None}, PipelineConfig()),
-    ({"pipeline": {}}, PipelineConfig()),
-    ({"duration_s": 30, "noise": {"awgn_sigma": 0.1}, "pipeline": {"t_cal_s": 10}},
-     PipelineConfig(t_cal_s=10)),
 ]
 
 # --grid values `csiwatch sweep` refuses (exit 2), and the message
@@ -276,7 +274,7 @@ def write_trace_by_hand(path, csi, sample_rate_hz, timestamps_s):
     n_rx, n_sc, n = csi.shape
     header = {"version": 2, "sample_rate_hz": sample_rate_hz, "n_rx": n_rx,
               "n_sc": n_sc, "n_records": n, "dtype": str(csi.dtype),
-              "geometry": {"wavelength_m": G.wavelength_m, "psi": G.psi, "phi_rad": G.phi_rad}}
+              "geometry": {"wavelength_m": G.wavelength_m, "psi": G.psi}}
     with open(path, "wb") as f:
         f.write(json.dumps(header).encode() + b"\n")
         np.save(f, timestamps_s)
@@ -337,6 +335,25 @@ class TestTraceIO:
         assert read_trace(path).events == trace.events
         (tmp_path / "t.labels.csv").unlink()
         assert read_trace(path).events == ()
+
+    @pytest.mark.parametrize("suffix", ["csitrace", "csitrace.gz"])
+    def test_header_with_phi_rad_read(self, tmp_path, suffix):
+        # older trace files carry "phi_rad": null as the header's last geometry entry
+        trace = dataclasses.replace(tiny_trace(), events=(
+            LabelInterval(1.25, 3.1, EventKind.SEIZURE, 1),))
+        path = tmp_path / f"t.{suffix}"
+        write_trace(trace, path)
+
+        def add_phi_rad(data):
+            assert data.count(b'"psi": 1.0}}\n') == 1
+            return data.replace(b'"psi": 1.0}}\n', b'"psi": 1.0, "phi_rad": null}}\n')
+
+        edit_trace_file(path, add_phi_rad)
+        back = read_trace(path)
+        assert back.geometry == trace.geometry
+        assert np.array_equal(back.csi, trace.csi)
+        assert np.array_equal(back.timestamps_s, trace.timestamps_s)
+        assert back.events == trace.events
 
     def test_gzip_written_at_level_1(self, tmp_path):
         # XFL, byte 8 of the gzip header: 4 for the fastest level, 2 for level 9
@@ -1013,17 +1030,12 @@ class TestScenarioConfig:
             "sample_rate_hz": 4.0,
             "n_rx": 2,
             "n_sc": 2,
-            "auto_events": {"n_seizures": 2, "normal_events_per_hour": 3},
+            "auto_events": {"n_seizures": 2, "n_normal_events": 24},
         }
         trace = simulate_from_config(cfg)
         n_sz = sum(1 for ev in trace.events if ev.is_seizure)
         assert n_sz == 2
         assert len(trace.events) - n_sz == 24
-
-    def test_geometry_from_phi(self):
-        cfg = {"duration_s": 10.0, "geometry": {"phi_rad": math.pi / 3}}
-        _, geometry, *_ = parse_scenario_config(cfg)
-        assert geometry.psi == pytest.approx(1.0)
 
     def test_missing_duration_rejected(self):
         with pytest.raises(ValueError, match="duration_s"):
@@ -1064,9 +1076,9 @@ class TestScenarioConfig:
         del (cfg["second_person"] if second else cfg)["breathing"]
         assert simulate_from_config(cfg).content_hash() != got
 
-    def test_second_person_and_pipeline_sections_load(self):
+    def test_second_person_section_loads(self):
         cfg = {
-            "duration_s": 30.0, "n_rx": 1, "n_sc": 2, "pipeline": {"t_min_s": 5.0},
+            "duration_s": 30.0, "n_rx": 1, "n_sc": 2,
             "second_person": {"seed": 3, "breathing": {"f_o_hz": 0.2}, "events": [
                 {"kind": "cough", "start_s": 10.0, "duration_s": 1.5}]},
         }
@@ -1189,34 +1201,46 @@ def two_wavelength_traces(tmp_path_factory):
 
 
 class TestCli:
-    # nights with one seizure, each simulated and detected through the CLI:
-    # the plain 60 s 3x3 night; one whose awgn_sigma mixes noisy and
-    # noiseless streams; one at 110 Hz, whose event-detection blocks are 2
-    # samples (the gcd of its 220-sample window and 6-sample hop); one at
-    # 25 Hz, whose f_th at psi = 1 lies below its 12.5 Hz Nyquist frequency;
-    # and a 25-minute one, long enough for derive_streams to walk its window
-    # on two lanes
+    NIGHT = {"duration_s": 60, "seed": 1, "n_rx": 3, "n_sc": 3,
+             "noise": {"awgn_sigma": 0.02, "jitter_std_s": 0.0005},
+             "events": [{"kind": "seizure", "start_s": 30, "duration_s": 22}]}
+    ONE_SEIZURE = "SDR = 100.00%  (1/1 seizures)"
+    # nights simulated and detected through the CLI, each with its SDR line
+    # and the warning lines detect prints: the plain 60 s 3x3 night; one
+    # whose awgn_sigma mixes noisy and noiseless streams; one at 110 Hz,
+    # whose event-detection blocks are 2 samples (the gcd of its 220-sample
+    # window and 6-sample hop); one at 25 Hz, whose f_th at psi = 1 lies
+    # below its 12.5 Hz Nyquist frequency; a 25-minute one, long enough for
+    # derive_streams to walk its window on two lanes; and a noiseless
+    # 15-minute one, whose first detection spans two seizures, so that the
+    # second's response time lies 61.76 s before its start
     NIGHTS = {
-        "60s": {},
-        "mixed-noise": {"noise": {"awgn_sigma": [[0.02, 0, 0.03], [0, 0.01, 0], [0.02, 0.02, 0]],
-                                  "jitter_std_s": 0.0005}},
-        "110Hz": {"sample_rate_hz": 110},
-        "25Hz": {"sample_rate_hz": 25},
-        "25min": {"duration_s": 1500,
-                  "events": [{"kind": "seizure", "start_s": 900, "duration_s": 22}]},
+        "60s": (NIGHT, ONE_SEIZURE, []),
+        "mixed-noise": (NIGHT | {"noise": {
+            "awgn_sigma": [[0.02, 0, 0.03], [0, 0.01, 0], [0.02, 0.02, 0]],
+            "jitter_std_s": 0.0005}}, ONE_SEIZURE, []),
+        "110Hz": (NIGHT | {"sample_rate_hz": 110}, ONE_SEIZURE, []),
+        "25Hz": (NIGHT | {"sample_rate_hz": 25}, ONE_SEIZURE, []),
+        "25min": (NIGHT | {"duration_s": 1500, "events": [
+            {"kind": "seizure", "start_s": 900, "duration_s": 22}]}, ONE_SEIZURE, []),
+        "noiseless-15min": (
+            {"duration_s": 900, "seed": 6000,
+             "auto_events": {"n_seizures": 4, "n_normal_events": 6}},
+            "SDR = 100.00%  (4/4 seizures)",
+            ["warning: response time -61.76 s is below T_min = 5 s"]),
     }
 
     @pytest.mark.parametrize("night", list(NIGHTS))
     def test_night_seizure_detected(self, tmp_path, capsys, night):
-        cfg = {"duration_s": 60, "seed": 1, "n_rx": 3, "n_sc": 3,
-               "noise": {"awgn_sigma": 0.02, "jitter_std_s": 0.0005},
-               "events": [{"kind": "seizure", "start_s": 30, "duration_s": 22}]}
+        cfg, sdr, warnings = self.NIGHTS[night]
         config = tmp_path / "night.json"
-        config.write_text(json.dumps(cfg | self.NIGHTS[night]))
+        config.write_text(json.dumps(cfg))
         trace_path = tmp_path / "night.csitrace"
         assert main(["simulate", "--config", str(config), "--out", str(trace_path)]) == 0
         assert main(["detect", "--trace", str(trace_path)]) == 0
-        assert "SDR = 100.00%  (1/1 seizures)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert sdr in out
+        assert [line for line in out.splitlines() if line.startswith("warning:")] == warnings
 
     def _write_scenario(self, tmp_path, **overrides):
         cfg = {
@@ -1305,32 +1329,39 @@ class TestCli:
         assert rc == 2
         assert "missing labels sidecar" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [["detect", "--trace", "t.csitrace"],
-                                         ["simulate", "--config", "s.json",
-                                          "--out", "t.csitrace"]])
-    def test_labels_flag_removed(self, command):
+    # flags the CLI no longer has: the labels travel in the trace's sidecar,
+    # and the seed is the scenario config's "seed" key
+    @pytest.mark.parametrize("command, flag", [
+        (["detect", "--trace", "t.csitrace"], ["--labels", "x.labels.csv"]),
+        (["simulate", "--config", "s.json", "--out", "t.csitrace"], ["--labels", "x.labels.csv"]),
+        (["simulate", "--config", "s.json", "--out", "t.csitrace"], ["--seed", "9"])])
+    def test_removed_flag_refused(self, capsys, command, flag):
         with pytest.raises(SystemExit) as exc:
-            main(command + ["--labels", "x.labels.csv"])
+            main(command + flag)
         assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     # SHA-256 of what simulate + detect write for two one-minute scenarios
     # shaped like the benchmark's cli_files op, recorded while the CLI still
     # read and wrote the labels sidecar itself; report.json was recorded again
     # when the report's config gained cal_start_s, and again when the report
     # gained n_unmatched_seizure_verdicts and its calibration block, each time
-    # equal to the old report without the new keys
+    # equal to the old report without the new keys; both files were recorded
+    # again when the trace header lost its "phi_rad": null entry, the trace
+    # equal to the old one without it and the report to the old one but for
+    # trace_checksum
     RECORDED_OUTPUTS = {
         (3, 0.72, 2.4, 1.0): {
-            "night.csitrace": "9e03c8d23f22551f6a2329bbf7c54313bb5774e69a85f5af5d78319983c2b20d",
+            "night.csitrace": "6a8ef3061d3e6204f9da6a59688df52dd26f9bef2d389103e0b8dc9c30f42e74",
             "night.labels.csv": "42916ae6cdea35f000013ab26eef258066aa332836a9dc1bb6f92add75c761f5",
             "night.events.csv": "380762b185cfe1fb621dcde9b254e8d9f59dbe227ea5be91a9f98b716bffcf57",
-            "report.json": "d99547df172035e0b24f6b7a5ca675bd39718b5b9b7ae57d63f638af6dbfdca5",
+            "report.json": "4d737c51a7054f2d256f97501c65a1d157fb6c6474bee9160d4feb6e8109d37c",
         },
         (17, 0.78, 3.3, 4.5): {
-            "night.csitrace": "82e3fbebf08089d4559b691f3ded33fb038fa88eb5f4a0e8be86bbc5bd6d001e",
+            "night.csitrace": "b9f0457c468693d9dccba41d238908bc349d1b4ea4aacbc417017e9f76dd9c3e",
             "night.labels.csv": "42916ae6cdea35f000013ab26eef258066aa332836a9dc1bb6f92add75c761f5",
             "night.events.csv": "92cc0f4e7d732712f8b461c45cd17014b3d9631862b8ac48a1b0c762eef1ac77",
-            "report.json": "d59c8860c23103536a859ff67ec45acd0477dd729c3e6e2e7d67cf11c3117189",
+            "report.json": "c9ef74c93b08eeedf0b5543aaf465529e98c9e852d24f5175948712be71b42d9",
         },
     }
 
@@ -1468,8 +1499,8 @@ class TestCli:
         ({"auto_events": {"n_seizures": 1},
           "events": [{"kind": "cough", "start_s": 50.0, "duration_s": 1.5}]},
          "events cannot be combined with auto_events"),
-        ({"auto_events": {"n_normal_events": 1, "normal_events_per_hour": 0}},
-         "n_normal_events cannot be combined with normal_events_per_hour"),
+        ({"auto_events": {"normal_events_per_hour": 0}},
+         "unknown auto_events key 'normal_events_per_hour'"),
     ]
 
     @pytest.mark.parametrize("second, match", BAD_SECOND_PERSON)
@@ -1589,16 +1620,6 @@ class TestCli:
                      "--out", str(tmp_path / "night.csitrace")]) == 2
         assert f"{config}: invalid JSON" in capsys.readouterr().err
 
-    def test_simulate_seed_overrides_the_config_seed(self, tmp_path):
-        scenario = self._write_scenario(tmp_path)
-        trace_path = tmp_path / "night.csitrace"
-        assert main(["simulate", "--config", str(scenario), "--out", str(trace_path),
-                     "--seed", "9"]) == 0
-        cfg = json.loads(scenario.read_text())
-        got = read_trace(trace_path).content_hash()
-        assert got == simulate_from_config({**cfg, "seed": 9}).content_hash()
-        assert got != simulate_from_config(cfg).content_hash()
-
     def test_sweep_without_traces_exit_code(self, tmp_path, capsys):
         tdir = tmp_path / "traces"
         tdir.mkdir()
@@ -1654,8 +1675,7 @@ class TestCli:
         assert rc == 2
         assert match in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cfg, match", NON_OBJECT_CONFIGS + [
-        ({"pipeline": [1]}, "bad pipeline config: pipeline must be an object, got [1]")])
+    @pytest.mark.parametrize("cfg, match", NON_OBJECT_CONFIGS)
     def test_non_object_pipeline_config_exit_code(self, tmp_path, capsys, cfg, match):
         trace_path = tmp_path / "t.csitrace"
         write_trace(tiny_trace(), trace_path)
@@ -1671,15 +1691,14 @@ class TestCli:
         assert match in capsys.readouterr().err
 
     def test_setting_beside_pipeline_section_refused(self, tmp_path, capsys):
-        # a file with a "pipeline" section is a scenario config, which has no
-        # t_cal_s key; the section's k_streams does not make it readable
+        # a pipeline config holds its settings at the top level, and no section
         trace_path = tmp_path / "t.csitrace"
         write_trace(tiny_trace(), trace_path)
         config = tmp_path / "pipeline.json"
         config.write_text(json.dumps({"pipeline": {"k_streams": 3}, "t_cal_s": 1e9}))
         rc = main(["detect", "--trace", str(trace_path), "--config", str(config)])
         assert rc == 2
-        assert "unknown scenario config key 't_cal_s'" in capsys.readouterr().err
+        assert "bad pipeline config: unknown pipeline key 'pipeline'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, match", BAD_PIPELINE_SECTIONS)
     def test_bad_pipeline_section_refused_before_generation(
@@ -1693,23 +1712,27 @@ class TestCli:
         rc = main(["simulate", "--config", str(scenario),
                    "--out", str(tmp_path / "x.csitrace")])
         assert rc == 2
-        assert match in capsys.readouterr().err
+        assert "unknown scenario config key 'pipeline'" in capsys.readouterr().err
+        with pytest.raises(ValueError, match=re.escape(match)):
+            harness.pipeline_config(section)
 
     @pytest.mark.parametrize("cfg, expected", PIPELINE_FILES)
-    def test_pipeline_config_reads_both_shapes(self, cfg, expected):
+    def test_pipeline_config_reads_the_file(self, cfg, expected):
         config = harness.pipeline_config(cfg)
         assert config == expected
         # a count or length the file writes as an integer stays one in the report
         assert dataclasses.asdict(config) == dataclasses.asdict(expected)
         assert harness.pipeline_config(cfg, t_min_s=7.0).t_min_s == 7.0
 
-    def test_scenario_pipeline_section_applied(self, tmp_path):
-        scenario = self._write_scenario(tmp_path, pipeline={"t_cal_s": 10.0, "k_streams": 5})
+    def test_pipeline_file_applied(self, tmp_path):
         trace_path = tmp_path / "night.csitrace"
-        assert main(["simulate", "--config", str(scenario), "--out", str(trace_path)]) == 0
+        assert main(["simulate", "--config", str(self._write_scenario(tmp_path)),
+                     "--out", str(trace_path)]) == 0
+        config_path = tmp_path / "pipeline.json"
+        config_path.write_text(json.dumps({"t_cal_s": 10.0, "k_streams": 5}))
         report_path = tmp_path / "report.json"
         for flags, t_cal_s in [([], 10.0), (["--cal-len", "11"], 11.0)]:
-            assert main(["detect", "--trace", str(trace_path), "--config", str(scenario),
+            assert main(["detect", "--trace", str(trace_path), "--config", str(config_path),
                          "--report-out", str(report_path), *flags]) == 0
             config = json.loads(report_path.read_text())["config"]
             assert (config["t_cal_s"], config["k_streams"]) == (t_cal_s, 5)

@@ -39,11 +39,6 @@ class TestGeometry:
         g = SceneGeometry(wavelength_m=0.057225, psi=1.0)
         assert g.beta_rad_per_m == 2 * math.pi * 1.0 / 0.057225
 
-    def test_from_phi(self):
-        g = SceneGeometry.from_phi(math.pi / 3)  # 60 degrees -> psi = 1
-        assert g.psi == pytest.approx(1.0)
-        assert g.phi_rad == math.pi / 3
-
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             SceneGeometry(wavelength_m=-1.0)
