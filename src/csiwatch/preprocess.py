@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ._lanes import split_in_two
 from .config import PipelineConfig
@@ -61,6 +62,7 @@ MAD_SCALE = 1.4826  # scaled-MAD factor for a normal distribution
 HAMPEL_WINDOW_S = 0.5
 HAMPEL_N_SIGMAS = 3.0
 HAMPEL_CHUNK = 1024  # windows sorted per batch and lane
+SNR_BLOCK = 8  # rows per rfft call in select_streams
 DERIVE_CHUNK = 4096  # grid samples resampled per batch
 DERIVE_LANE_DIVISOR = 64  # a long window's lanes walk chunks of n // this
 PCA_BLOCK_S = 4.0
@@ -421,7 +423,13 @@ def hampel_filter(stream: np.ndarray, window_samples: int) -> np.ndarray:
     on the thread, and no thread outlives the call. A shorter row starts no
     thread. On the 15 selected rows of an hour (2 vCPUs), two halves won 21
     of 21 interleaved pairs against one lane, in two runs (195 against 270
-    ms and 208 against 272 ms, medians).
+    ms and 208 against 272 ms, medians). On a 13 s calibration row (2600
+    samples, w = 101: 50 centres in one chunk and about 95 candidates, 50
+    of them the samples near the ends) a call takes about 126 us (2 vCPUs,
+    numpy 2.4.6), the two sorts about 30 us of it: the rest is the fixed
+    cost of some 40 numpy calls on small arrays, which is why the windows
+    are one read-only strided view and the padded windows of the ends are
+    set in place.
 
     window_samples must be odd and >= 3. The stream must be finite (a NaN
     or Inf sample raises ValueError) and is not modified; returns a new
@@ -439,7 +447,8 @@ def hampel_filter(stream: np.ndarray, window_samples: int) -> np.ndarray:
     m = w // 2
     hop = m + 1
     n_centres = (n - w) // hop + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x, w)
+    step = x.strides[0]
+    windows = as_strided(x, (n - w + 1, w), (step, step), writeable=False)
     row = _HampelRow(x, windows, m, hop, hop // 2, n_centres)
     out = np.empty_like(x)
     if n_centres <= HAMPEL_CHUNK:
@@ -474,54 +483,68 @@ def _centre_chunk(row: _HampelRow, k0: int, k1: int) -> tuple[np.ndarray, np.nda
     m, hop, reach = row.m, row.hop, row.reach
     buf = row.windows[k0 * hop : (k1 - 1) * hop + 1 : hop].copy()
     buf.sort(axis=1)
-    med = buf[:, m : m + 1].copy()
-    # order statistics m -+ reach of W_c bound the median of every window
-    # within reach of c_k
-    lo = buf[:, m - reach : m - reach + 1].copy()
-    hi = buf[:, m + reach : m + reach + 1].copy()
+    # order statistics m - reach, m and m + reach of W_c: the outer two bound
+    # the median of every window within reach of c_k
+    stats = buf[:, m - reach : m + reach + 1 : reach].copy()
+    lo, med, hi = stats[:, :1], stats[:, 1:2], stats[:, 2:]
     # the MAD is the least spread max(med - s[t], s[t+m] - med) over
     # t = 0..m (a zero MAD may be -0.0 here; thresholds are only compared)
     spread = np.subtract(med, buf[:, :hop])
     np.maximum(spread, np.subtract(buf[:, m:], med, out=buf[:, m:]), out=spread)
-    thr = HAMPEL_N_SIGMAS * MAD_SCALE * spread.min(axis=1, keepdims=True)
+    thr = spread.min(axis=1)
+    thr *= HAMPEL_N_SIGMAS * MAD_SCALE
 
     first = reach + k0 * hop
     block = row.x[first : first + (k1 - k0) * hop].reshape(k1 - k0, hop)
-    # the screen's deviations reuse the MAD's buffers
+    # |x - lo| or |x - hi| exceeds thr >= 0 exactly where x - lo or hi - x
+    # does (lo <= hi, and rounding is monotone); the deviations reuse the
+    # MAD's buffers
     dev = np.subtract(block, lo, out=spread)
-    np.abs(dev, out=dev)
-    dev_hi = np.subtract(block, hi, out=buf[:, :hop])
-    np.abs(dev_hi, out=dev_hi)
-    np.maximum(dev, dev_hi, out=dev)
-    candidates = np.flatnonzero(dev > thr) + first
+    np.maximum(dev, np.subtract(hi, block, out=buf[:, :hop]), out=dev)
+    candidates = (dev > thr[:, None]).ravel().nonzero()[0]
+    candidates += first
     # the samples before block 0 and after the last block are more than
     # reach from their centre
+    parts = [candidates]
     if k0 == 0:
-        candidates = np.concatenate([np.arange(reach), candidates])
+        parts.insert(0, np.arange(reach))
     if k1 == row.n_centres:
-        candidates = np.concatenate([candidates, np.arange(first + dev.size, row.x.size)])
-    return candidates, thr[:, 0]
+        parts.append(np.arange(first + dev.size, row.x.size))
+    if len(parts) > 1:
+        candidates = np.concatenate(parts)
+    return candidates, thr
 
 
 def _candidate_chunk(
     row: _HampelRow, idx: np.ndarray, thr: np.ndarray, k0: int, out: np.ndarray
 ) -> None:
     """Replace each candidate in idx whose own median is beyond its
-    threshold with that median, in out. thr holds the thresholds of the
-    centres from k0 on, which own every sample in idx."""
+    threshold with that median, in out. idx is sorted; thr holds the
+    thresholds of the centres from k0 on, which own every sample in idx."""
     x, m, hop, reach = row.x, row.m, row.hop, row.reach
     n, w = x.size, 2 * m + 1
-    win = row.windows[np.clip(idx - m, 0, n - w)]
-    # the windows of the first and last m samples are padded with the
-    # nearest sample
-    edge = np.flatnonzero((idx < m) | (idx >= n - m))
-    win[edge] = x[np.clip(idx[edge, None] + np.arange(-m, m + 1), 0, n - 1)]
+    # the windows of the first and last m samples, a prefix and a suffix of
+    # idx, are padded with the nearest sample: sample i's is the first
+    # window with its last m - i samples set to x[0], or the last window
+    # with its first i + m + 1 - n samples set to x[-1]
+    head, tail = idx.searchsorted((m, n - m)).tolist()
+    starts = idx - m
+    starts[:head] = 0
+    starts[tail:] = n - w
+    win = row.windows[starts]
+    if head or tail < idx.size:
+        cols = np.arange(w)
+        np.copyto(win[:head], x[0], where=cols > idx[:head, None] + m)
+        np.copyto(win[tail:], x[-1], where=cols < idx[tail:, None] + (m + 1 - n))
     win.sort(axis=1)
     med_i = win[:, m]
     dev = np.subtract(x[idx], med_i)
     np.abs(dev, out=dev)
-    owner = np.clip((idx - reach) // hop - k0, 0, thr.size - 1)
-    replace = dev > thr[owner]
+    # the centre that owns each sample; clipping gives the first centre the
+    # samples before its block and the last one those after its
+    owner = idx - (reach + k0 * hop)
+    owner //= hop
+    replace = dev > thr.take(owner, mode="clip")
     out[idx[replace]] = med_i[replace]
 
 
@@ -540,18 +563,41 @@ def compute_stream_snr(stream: np.ndarray, sample_rate_hz: float, bw_br_hz: floa
     the denominator over f > bw_br up to Nyquist. A denominator that is
     zero up to FFT rounding (noiseless synthetic stream) returns the +inf
     sentinel so the stream ranks first; an all-zero spectrum returns 0.
+    This is the one-row case of _row_snrs, the block form select_streams
+    takes every calibration row's SNR from, and gives the same float.
     """
     x = np.asarray(stream, dtype=np.float64)
-    p = np.abs(np.fft.rfft(x)) ** 2
-    freqs = np.fft.rfftfreq(x.size, 1.0 / sample_rate_hz)
-    num = float(p[(freqs > 0) & (freqs <= bw_br_hz)].sum())
-    den = float(p[freqs > bw_br_hz].sum())
-    total = float(p.sum())
-    if num <= 1e-12 * total:  # constant stream: only FFT rounding off DC
-        return 0.0
-    if den <= 1e-12 * num:
-        return math.inf
-    return num / den
+    return _row_snrs(x[None, :], sample_rate_hz, bw_br_hz)[0]
+
+
+def _row_snrs(data: np.ndarray, sample_rate_hz: float, bw_br_hz: float) -> list[float]:
+    """compute_stream_snr of each row of data, SNR_BLOCK rows per rfft call.
+
+    The bands are contiguous bin ranges, so each row's sums are sums over
+    slices of its own periodogram row: the floats a sum over the row's
+    masked bins gives, whatever the block. One block's spectrum and
+    periodogram are held at a time: about 0.35 MB on 13 s rows.
+    """
+    if data.shape[1] == 0:  # rfftfreq would divide by zero
+        raise ValueError("a stream's SNR needs at least one sample")
+    freqs = np.fft.rfftfreq(data.shape[1], 1.0 / sample_rate_hz)
+    # bins 1 .. in_end - 1 are in band, out_start .. on out of band
+    in_end = np.count_nonzero(freqs <= bw_br_hz)
+    out_start = freqs.size - np.count_nonzero(freqs > bw_br_hz)
+    snrs = []
+    for i in range(0, data.shape[0], SNR_BLOCK):
+        p = np.abs(np.fft.rfft(data[i : i + SNR_BLOCK], axis=1))
+        np.square(p, out=p)
+        sums = zip(p[:, 1:in_end].sum(axis=1).tolist(), p[:, out_start:].sum(axis=1).tolist(),
+                   p.sum(axis=1).tolist())
+        for num, den, total in sums:
+            if num <= 1e-12 * total:  # constant stream: only FFT rounding off DC
+                snrs.append(0.0)
+            elif den <= 1e-12 * num:
+                snrs.append(math.inf)
+            else:
+                snrs.append(num / den)
+    return snrs
 
 
 @dataclass(frozen=True)
@@ -565,13 +611,12 @@ class CalibrationState:
 
 def select_streams(streams: StreamSet, k: int) -> tuple[list[StreamId], dict]:
     """Top-k stream ids by calibration SNR in BREATHING_BAND_HZ, ties broken
-    by id order."""
+    by id order. Every stream's SNR is compute_stream_snr's, taken
+    SNR_BLOCK rows per rfft call."""
     if k > streams.n_streams:
         raise ValueError(f"k = {k} exceeds the {streams.n_streams} available streams")
-    snrs = {
-        sid: compute_stream_snr(streams.data[row], streams.sample_rate_hz, BREATHING_BAND_HZ)
-        for row, sid in enumerate(streams.ids)
-    }
+    snrs = dict(zip(streams.ids, _row_snrs(streams.data, streams.sample_rate_hz,
+                                           BREATHING_BAND_HZ)))
     ranked = sorted(streams.ids, key=lambda sid: (-snrs[sid], sid))
     return ranked[:k], snrs
 
@@ -655,6 +700,11 @@ def calibrate(trace: CsiTrace, config: PipelineConfig) -> CalibrationState:
     sigma_c^2 is the maximum out-of-band energy of the PCA-denoised
     calibration stream over sliding detection windows. A trace whose
     Nyquist frequency is at or below ED_BAND_HZ is refused (check_sample_rate).
+
+    Cost: the same on every trace, whatever its length. On a 13 s window of
+    150 streams (2 vCPUs, numpy 2.4.6) a call takes about 28 ms: the 150
+    hampel_filter calls about 19 ms, derive_streams 5 ms, the SNRs 3 ms and
+    PCA under 1 ms.
     """
     fs = trace.sample_rate_hz
     check_sample_rate(fs)

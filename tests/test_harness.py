@@ -1720,8 +1720,9 @@ class TestCli:
     def test_pipeline_config_reads_the_file(self, cfg, expected):
         config = harness.pipeline_config(cfg)
         assert config == expected
-        # a count or length the file writes as an integer stays one in the report
-        assert dataclasses.asdict(config) == dataclasses.asdict(expected)
+        # a count or length the file writes as an integer stays one in the
+        # report: JSON text tells 10 from 10.0, where == does not
+        assert json.dumps(dataclasses.asdict(config)) == json.dumps(dataclasses.asdict(expected))
         assert harness.pipeline_config(cfg, t_min_s=7.0).t_min_s == 7.0
 
     def test_pipeline_file_applied(self, tmp_path):

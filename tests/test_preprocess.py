@@ -183,6 +183,33 @@ class TestHampel:
         x = mixed_stream(n, seed=n)
         assert hampel_filter(x, window).tobytes() == median_filter_hampel(x, window).tobytes()
 
+    @pytest.mark.parametrize("tail", range(25, 76))
+    def test_calibration_rows_bit_equal_to_median_filter(self, monkeypatch, tail):
+        # 13 s rows at 200 Hz and up to 50 samples longer (w = 101): 50
+        # centres, whose blocks end 25 to 75 samples before the row does,
+        # and one candidate chunk that spans both padded ends. The spikes at
+        # 30 and 47 (block 0), and at n - 45 while the last block reaches it,
+        # are screened candidates whose windows are padded
+        n = 25 + 50 * 51 + tail
+        x = mixed_stream(n, seed=n)
+        for i in (30, 47, n - 45, n - 26):
+            x[i] += 6.0
+        chunks = []
+        real = preprocess._candidate_chunk
+
+        def spy(row, idx, thr, k0, out):
+            chunks.append(idx.copy())
+            real(row, idx, thr, k0, out)
+
+        monkeypatch.setattr(preprocess, "_candidate_chunk", spy)
+        out = hampel_filter(x, 101)
+        assert out.tobytes() == median_filter_hampel(x, 101).tobytes()
+        assert (n - 101) // 51 + 1 == 50
+        (idx,) = chunks
+        assert idx[0] == 0 and idx[-1] == n - 1
+        assert {30, 47, n - 45}.issubset(idx.tolist())
+        assert np.count_nonzero(out != x) > 0
+
     def test_input_not_modified(self):
         x = mixed_stream(20_000, seed=3)
         before = x.copy()
@@ -976,6 +1003,18 @@ class TestUnwrap:
         assert peak < 8 * DERIVE_CHUNK * 8
 
 
+def reference_stream_snr(stream, sample_rate_hz, bw_br_hz):
+    """compute_stream_snr written out for one row, with its own rfft and the
+    bands picked by boolean masks: the oracle for bit-equality."""
+    p = np.abs(np.fft.rfft(stream)) ** 2
+    freqs = np.fft.rfftfreq(stream.size, 1.0 / sample_rate_hz)
+    num = float(p[(freqs > 0) & (freqs <= bw_br_hz)].sum())
+    den = float(p[freqs > bw_br_hz].sum())
+    if num <= 1e-12 * float(p.sum()):
+        return 0.0
+    return math.inf if den <= 1e-12 * num else num / den
+
+
 class TestStreamSnr:
     def test_white_noise_matches_band_ratio(self):
         # flat spectrum: expected SNR = (# bins in (0, bw]) / (# bins above),
@@ -1001,6 +1040,11 @@ class TestStreamSnr:
 
     def test_constant_stream_ranks_last(self):
         assert compute_stream_snr(np.ones(2600), FS, 0.6) == 0.0
+
+    def test_empty_stream_refused(self):
+        # a calibration window of no samples (t_cal_s under half a sample)
+        with pytest.raises(ValueError):
+            compute_stream_snr(np.zeros(0), FS, 0.6)
 
     def test_known_power_ratio(self):
         # tones on exact bins: 0.25 Hz in band, 5 Hz out of band, power 10:1
@@ -1071,6 +1115,45 @@ class TestSelection:
         with pytest.raises(ValueError, match=re.escape(
                 f"cal_start_s must be finite and at least 0 s, got {start!r}")):
             PipelineConfig(k_streams=5, cal_start_s=start)
+
+    def test_block_snrs_equal_row_snrs_on_calibration_windows(self):
+        # the 150 Hampel-filtered calibration rows of 10 seeded traces, one
+        # row made constant (0.0) and one a noiseless tone on a DFT bin
+        # (+inf); 150 rows are not a whole number of blocks
+        noise = NoiseSpec(awgn_sigma=0.02, outlier_rate_per_s=0.02, outlier_magnitude=8.0,
+                          jitter_std_s=0.0005)
+        t = np.arange(2600) / FS
+        for seed in range(10):
+            trace = breathing_trace(duration=14.0, noise=noise, seed=seed, n_rx=3, n_sc=30)
+            streams = derive_streams(trace, end_s=13.0)
+            preprocess._hampel_rows(streams)
+            assert streams.data.shape == (150, 2600)
+            assert streams.n_streams % preprocess.SNR_BLOCK != 0
+            streams.data[3 * seed] = 0.25
+            streams.data[149 - seed] = np.cos(2 * math.pi * 3 / 13.0 * t)
+            _, snrs = select_streams(streams, 15)
+            rows = [compute_stream_snr(row, FS, 0.6) for row in streams.data]
+            oracle = [reference_stream_snr(row, FS, 0.6) for row in streams.data]
+            assert np.array(list(snrs.values())).tobytes() == np.array(rows).tobytes()
+            assert np.array(rows).tobytes() == np.array(oracle).tobytes()
+            assert list(snrs) == list(streams.ids)
+            assert rows[3 * seed] == 0.0 and rows[149 - seed] == math.inf
+            assert all(0.0 < v < math.inf for i, v in enumerate(rows)
+                       if i not in (3 * seed, 149 - seed))
+
+    def test_select_streams_peak_memory_is_one_block(self):
+        # beside its 150 x 2600 input, select_streams holds one block of
+        # spectra and periodograms: 0.35 MB at 8 rows, 0.68 MB at 16, and
+        # 4.7 MB with all 150 rows at once
+        ids = all_stream_ids(3, 30)
+        streams = StreamSet(tuple(ids), np.random.default_rng(3).standard_normal((150, 2600)), FS)
+        tracemalloc.start()
+        try:
+            select_streams(streams, 15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6
 
     def test_k_larger_than_streams_rejected(self):
         ids = all_stream_ids(1, 2)
