@@ -12,7 +12,9 @@ Per-stream filtering and SNR are independent per stream; CalibrationState is
 immutable once computed. Hampel outlier rejection sorts the window of each
 MAD centre and takes a sample's exact running median only where that median
 could flip its keep-or-replace decision: every other sample is cleared
-against order statistics of its centre's sorted window. A row of more than
+against order statistics of its centre's sorted window. Calibration and
+extraction filter each derived row in place, holding the replacements
+until no window still to be read covers them. A row of more than
 HAMPEL_CHUNK centres is filtered in two halves at once, the second on a
 worker thread that the call joins (see hampel_filter). Streams are derived
 in chunks of grid samples: each chunk's packet search and slope
@@ -375,7 +377,7 @@ def _unwrap_in_place(phase: np.ndarray) -> None:
 class _HampelRow(NamedTuple):
     """One stream's Hampel geometry, read by both lanes."""
 
-    x: np.ndarray  # the stream
+    x: np.ndarray  # the row filtered in place
     windows: np.ndarray  # its sliding windows of w samples
     m: int  # the median's rank in a window, w // 2
     hop: int  # the spacing of the MAD centres, m + 1
@@ -383,7 +385,9 @@ class _HampelRow(NamedTuple):
     n_centres: int
 
 
-def hampel_filter(stream: np.ndarray, window_samples: int) -> np.ndarray:
+def hampel_filter(
+    stream: np.ndarray, window_samples: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Hampel outlier rejection: replace samples deviating from the local
     median by more than HAMPEL_N_SIGMAS scaled MADs with that median.
 
@@ -431,50 +435,97 @@ def hampel_filter(stream: np.ndarray, window_samples: int) -> np.ndarray:
     are one read-only strided view and the padded windows of the ends are
     set in place.
 
-    window_samples must be odd and >= 3. The stream must be finite (a NaN
-    or Inf sample raises ValueError) and is not modified; returns a new
-    float64 array.
+    In place: out, numpy's output argument, may be the stream itself, or
+    any float64 array of its shape, which then first takes a copy of the
+    stream. The windows read out, so every replacement waits until each
+    window that holds its sample has been copied. A lane writes a chunk's
+    replacements once the next chunk's windows, which reach m samples back
+    into it, have been read, and its last chunk's at its end; the
+    replacements within m samples of the half boundary, which the other
+    half's windows read, are written by the caller after the join. So a
+    lane holds at most two chunks of replacements (16 bytes each: position
+    and median), whatever share of the samples is replaced.
+    Memory: with out=stream a call allocates no row. Beside the row it
+    holds each lane's work arrays of one chunk and its replacements: a
+    peak of about 3.3 MB on an hour's row (720 000 samples, w = 101, 4 %
+    of them replaced), where a new output row takes 5.76 MB.
+
+    window_samples must be odd and >= 3. The stream must be 1-D and finite
+    (a NaN or Inf sample raises ValueError). With out=None the stream is not
+    modified and a new float64 array is returned; otherwise out is.
     """
     if window_samples < 3 or window_samples % 2 == 0:
         raise ValueError(f"window_samples must be odd and >= 3, got {window_samples}")
     x = np.asarray(stream, dtype=np.float64)
+    if x.ndim != 1:  # the windows stride along one axis
+        raise ValueError(f"hampel_filter needs a 1-D stream, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("hampel_filter needs a finite stream")
-    n = x.size
+    if out is None:
+        out = x.copy()
+    elif out is not x:
+        if out.shape != x.shape or out.dtype != np.float64:
+            raise ValueError(f"out must be a float64 array of shape {x.shape}")
+        np.copyto(out, x)
+    n = out.size
     w = min(window_samples, n if n % 2 == 1 else n - 1)
     if w < 3:
-        return x.copy()
+        return out
     m = w // 2
     hop = m + 1
     n_centres = (n - w) // hop + 1
-    step = x.strides[0]
-    windows = as_strided(x, (n - w + 1, w), (step, step), writeable=False)
-    row = _HampelRow(x, windows, m, hop, hop // 2, n_centres)
-    out = np.empty_like(x)
+    step = out.strides[0]
+    windows = as_strided(out, (n - w + 1, w), (step, step), writeable=False)
+    row = _HampelRow(out, windows, m, hop, hop // 2, n_centres)
     if n_centres <= HAMPEL_CHUNK:
-        _hampel_half(row, out, 0, n_centres)
+        _hampel_half(row, 0, n_centres)
         return out
     half = (n_centres + 1) // 2
-    split_in_two(lambda: _hampel_half(row, out, 0, half),
-                 lambda: _hampel_half(row, out, half, n_centres), "csiwatch-hampel")
+    mine, theirs = split_in_two(lambda: _hampel_half(row, 0, half),
+                                lambda: _hampel_half(row, half, n_centres), "csiwatch-hampel")
+    for idx, med in mine + theirs:
+        out[idx] = med
     return out
 
 
-def _hampel_half(row: _HampelRow, out: np.ndarray, k0: int, k1: int) -> None:
-    """Filter the samples that centres k0 to k1 - 1 own into out.
+def _hampel_half(row: _HampelRow, k0: int, k1: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Filter the samples that centres k0 to k1 - 1 own, in place.
 
     Centre c_k owns block k, the hop samples from c_k - (m - reach) to
     c_k + reach, all within reach of it; the first centre also owns the
     reach samples before its block, the last one every sample after its.
+    A chunk's replacements are written once the next chunk's windows are
+    read. Returns the replacements (positions, medians) within m samples
+    of the other half's, whose windows read them: the caller writes those
+    after the join.
     """
-    a = 0 if k0 == 0 else row.reach + k0 * row.hop
-    b = row.x.size if k1 == row.n_centres else row.reach + k1 * row.hop
-    out[a:b] = row.x[a:b]
+    x, m = row.x, row.m
+    # [lo, hi): the owned samples that no window of the other half reads
+    lo = 0 if k0 == 0 else row.reach + k0 * row.hop + m
+    hi = x.size if k1 == row.n_centres else row.reach + k1 * row.hop - m
+    shared, held = [], []  # held: the previous chunk's replacements
     for k in range(k0, k1, HAMPEL_CHUNK):
         k_end = min(k + HAMPEL_CHUNK, k1)
         candidates, thr = _centre_chunk(row, k, k_end)
-        for j in range(0, candidates.size, HAMPEL_CHUNK):
-            _candidate_chunk(row, candidates[j : j + HAMPEL_CHUNK], thr, k, out)
+        found = [_candidate_chunk(row, candidates[j : j + HAMPEL_CHUNK], thr, k)
+                 for j in range(0, candidates.size, HAMPEL_CHUNK)]
+        _write_between(x, held, lo, hi, shared)
+        held = found
+    _write_between(x, held, lo, hi, shared)
+    return shared
+
+
+def _write_between(
+    x: np.ndarray, replacements: list, lo: int, hi: int, shared: list
+) -> None:
+    """Write the replacements at positions in [lo, hi) into x, and append
+    the others to shared. Each replacement's positions are sorted."""
+    for idx, med in replacements:
+        i, j = idx.searchsorted((lo, hi)).tolist()
+        x[idx[i:j]] = med[i:j]
+        if i or j < idx.size:
+            rest = np.r_[0:i, j : idx.size]
+            shared.append((idx[rest], med[rest]))
 
 
 def _centre_chunk(row: _HampelRow, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -516,11 +567,11 @@ def _centre_chunk(row: _HampelRow, k0: int, k1: int) -> tuple[np.ndarray, np.nda
 
 
 def _candidate_chunk(
-    row: _HampelRow, idx: np.ndarray, thr: np.ndarray, k0: int, out: np.ndarray
-) -> None:
-    """Replace each candidate in idx whose own median is beyond its
-    threshold with that median, in out. idx is sorted; thr holds the
-    thresholds of the centres from k0 on, which own every sample in idx."""
+    row: _HampelRow, idx: np.ndarray, thr: np.ndarray, k0: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The candidates in idx whose own median is beyond their threshold,
+    and those medians. idx is sorted; thr holds the thresholds of the
+    centres from k0 on, which own every sample in idx."""
     x, m, hop, reach = row.x, row.m, row.hop, row.reach
     n, w = x.size, 2 * m + 1
     # the windows of the first and last m samples, a prefix and a suffix of
@@ -545,15 +596,16 @@ def _candidate_chunk(
     owner = idx - (reach + k0 * hop)
     owner //= hop
     replace = dev > thr.take(owner, mode="clip")
-    out[idx[replace]] = med_i[replace]
+    return idx[replace], med_i[replace]
 
 
 def _hampel_rows(streams: StreamSet) -> None:
-    """Hampel-filter every stream in place; the window is HAMPEL_WINDOW_S at
-    the streams' own sample rate, rounded up to odd and at least 3 samples."""
+    """Hampel-filter every stream in place (hampel_filter with out=row, so
+    no row is allocated or copied); the window is HAMPEL_WINDOW_S at the
+    streams' own sample rate, rounded up to odd and at least 3 samples."""
     window = max(int(round(HAMPEL_WINDOW_S * streams.sample_rate_hz)) | 1, 3)
     for row in streams.data:
-        row[:] = hampel_filter(row, window)
+        hampel_filter(row, window, out=row)
 
 
 def compute_stream_snr(stream: np.ndarray, sample_rate_hz: float, bw_br_hz: float) -> float:
@@ -699,7 +751,9 @@ def calibrate(trace: CsiTrace, config: PipelineConfig) -> CalibrationState:
     contain breathing only; that is the caller's protocol responsibility.
     sigma_c^2 is the maximum out-of-band energy of the PCA-denoised
     calibration stream over sliding detection windows. A trace whose
-    Nyquist frequency is at or below ED_BAND_HZ is refused (check_sample_rate).
+    Nyquist frequency is at or below ED_BAND_HZ is refused (check_sample_rate),
+    and so is a window of fewer grid samples than one ED_WINDOW_S detection
+    window, before any stream is derived.
 
     Cost: the same on every trace, whatever its length. On a 13 s window of
     150 streams (2 vCPUs, numpy 2.4.6) a call takes about 28 ms: the 150
@@ -714,6 +768,11 @@ def calibrate(trace: CsiTrace, config: PipelineConfig) -> CalibrationState:
             f"trace ({trace.duration_s:.2f} s) shorter than the calibration window "
             f"ending at {cal_end:.2f} s"
         )
+    # the window's grid samples, as derive_streams counts them, against
+    # sliding_out_of_band_energy's window length
+    if round(cal_end * fs) - round(config.cal_start_s * fs) < round(ED_WINDOW_S * fs):
+        raise ValueError(f"the {config.t_cal_s:g} s calibration window is shorter than one "
+                         f"{ED_WINDOW_S:g} s detection window")
     streams = derive_streams(trace, start_s=config.cal_start_s, end_s=cal_end)
     _hampel_rows(streams)
 
@@ -721,9 +780,6 @@ def calibrate(trace: CsiTrace, config: PipelineConfig) -> CalibrationState:
     rows = [streams.ids.index(sid) for sid in selected]
     p_cal = pca_first_component(streams.data[rows], fs)
     _, energies = sliding_out_of_band_energy(p_cal, fs)
-    if energies.size == 0:
-        raise ValueError(f"the {config.t_cal_s:g} s calibration window is shorter than one "
-                         f"{ED_WINDOW_S:g} s detection window")
     return CalibrationState(
         selected_ids=tuple(selected),
         sigma_c_sq=float(energies.max()),

@@ -1609,9 +1609,11 @@ class TestCli:
         assert main(["simulate", "--config", str(self._write_scenario(tmp_path)),
                      "--out", str(trace_path)]) == 0
         capsys.readouterr()
-        assert main(["detect", "--trace", str(trace_path), "--cal-len", "1"]) == 2
-        assert ("the 1 s calibration window is shorter than one 2 s detection window"
-                in capsys.readouterr().err)
+        # 0.001 s is no grid sample at all: refused before any stream is derived
+        for cal_len in ("1", "0.001"):
+            assert main(["detect", "--trace", str(trace_path), "--cal-len", cal_len]) == 2
+            assert (f"the {cal_len} s calibration window is shorter than one 2 s detection "
+                    "window" in capsys.readouterr().err)
 
     def test_config_that_is_not_json_named(self, tmp_path, capsys):
         config = tmp_path / "night.json"

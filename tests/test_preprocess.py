@@ -75,6 +75,12 @@ class TestHampel:
         with pytest.raises(ValueError):
             hampel_filter(np.ones(10), 1)
 
+    @pytest.mark.parametrize("shape", [(3, 500), (500, 1), ()])
+    def test_stream_of_other_than_one_axis_rejected(self, shape):
+        # the strided windows of a (3, 500) stream read past its buffer
+        with pytest.raises(ValueError, match=re.escape(f"1-D stream, got shape {shape}")):
+            hampel_filter(np.ones(shape), 101)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("n", [2, 500])
     def test_non_finite_stream_rejected(self, bad, n):
@@ -147,9 +153,9 @@ class TestHampel:
         windows = []
         real = preprocess.hampel_filter
 
-        def spy(stream, window_samples):
+        def spy(stream, window_samples, out=None):
             windows.append(window_samples)
-            return real(stream, window_samples)
+            return real(stream, window_samples, out)
 
         monkeypatch.setattr(preprocess, "hampel_filter", spy)
         trace = generate_trace(
@@ -197,9 +203,9 @@ class TestHampel:
         chunks = []
         real = preprocess._candidate_chunk
 
-        def spy(row, idx, thr, k0, out):
+        def spy(row, idx, thr, k0):
             chunks.append(idx.copy())
-            real(row, idx, thr, k0, out)
+            return real(row, idx, thr, k0)
 
         monkeypatch.setattr(preprocess, "_candidate_chunk", spy)
         out = hampel_filter(x, 101)
@@ -278,10 +284,10 @@ class TestHampelLanes:
         settled = {}
         real = preprocess._candidate_chunk
 
-        def spy(row, idx, thr, k0, out):
+        def spy(row, idx, thr, k0):
             name = threading.current_thread().name
             settled[name] = settled.get(name, 0) + idx.size
-            real(row, idx, thr, k0, out)
+            return real(row, idx, thr, k0)
 
         monkeypatch.setattr(preprocess, "_candidate_chunk", spy)
         x = threshold_ties_stream(110_000)
@@ -324,6 +330,108 @@ class TestHampelLanes:
             hampel_filter(self.stream(4 * HAMPEL_CHUNK), 101)
         assert threading.active_count() == before
 
+    @staticmethod
+    def spiked(x, positions):
+        """x with a +6 spike at each position; returns the positions."""
+        positions = np.array(sorted(set(positions)))
+        x[positions] += 6.0
+        return positions
+
+    @pytest.mark.parametrize("case", ["one chunk", "several chunks", "boundaries",
+                                      "padded ends", "20 % outliers"])
+    def test_in_place_bit_equal_to_median_filter(self, case):
+        # out=x reads no sample after it is replaced: at the end of a chunk,
+        # whose last m samples the next chunk's windows read, and within m of
+        # the half boundary, which the other lane's windows read
+        m, spikes = 50, None
+        if case == "one chunk":
+            x = mixed_stream(12_000, seed=1)
+        elif case == "several chunks":
+            x = self.stream(5 * HAMPEL_CHUNK + 301, 23, seed=2)
+        elif case == "boundaries":
+            # halves of 2053 centres: each lane's last chunk holds 5 centres
+            n_centres = 4 * HAMPEL_CHUNK + 10
+            x = self.stream(n_centres, 31, seed=3)
+            half = (n_centres + 1) // 2
+            edges = [25 + k * 51 for k in (HAMPEL_CHUNK, 2 * HAMPEL_CHUNK, half,
+                                           half + HAMPEL_CHUNK, half + 2 * HAMPEL_CHUNK)]
+            spikes = self.spiked(x, [e + d for e in edges
+                                     for d in (-m - 1, -m, -m + 1, -1, 0, 1, m - 1, m)])
+        elif case == "padded ends":
+            x = self.stream(2 * HAMPEL_CHUNK + 1, 40, seed=4)
+            spikes = self.spiked(x, [1, 2, m // 2, m - 1, m, m + 1])
+            spikes = np.r_[spikes, self.spiked(x, x.size - 1 - spikes)]
+        else:
+            x = with_outliers(self.stream(3 * HAMPEL_CHUNK, seed=5), seed=5)
+        expected = median_filter_hampel(x, 101).tobytes()
+        assert hampel_filter(x.copy(), 101).tobytes() == expected
+        y = x.copy()
+        assert hampel_filter(y, 101, out=y) is y
+        assert y.tobytes() == expected
+        if spikes is not None:
+            assert (y[spikes] != x[spikes]).all()
+        if case == "20 % outliers":
+            assert np.count_nonzero(y != x) >= x.size // 5
+
+    @pytest.mark.parametrize("first", ["caller", "worker"])
+    def test_half_run_to_its_end_first(self, monkeypatch, first):
+        # one half filters all it owns before the other reads its chunk at the
+        # half boundary b: the m samples on either side of b, which that
+        # chunk's windows read, must still be unfiltered then
+        n_centres = 4 * HAMPEL_CHUNK + 10
+        half = (n_centres + 1) // 2
+        m, b = 50, 25 + half * 51
+        x = with_outliers(self.stream(n_centres, 31, seed=7), seed=7)
+        spikes = self.spiked(x, [b - m - 1, b - m, b + m - 1, b + m])
+        done = threading.Event()
+        real_half, real_centre = preprocess._hampel_half, preprocess._centre_chunk
+
+        def half_spy(row, k0, k1):
+            shared = real_half(row, k0, k1)
+            if (k0 == 0) == (first == "caller"):
+                done.set()
+            return shared
+
+        def centre_spy(row, k0, k1):
+            # the worker's first chunk, or the caller's last
+            if k0 == (half if first == "caller" else 2 * HAMPEL_CHUNK):
+                assert done.wait(timeout=60)
+                assert row.x[b - m : b + m].tobytes() == x[b - m : b + m].tobytes()
+            return real_centre(row, k0, k1)
+
+        monkeypatch.setattr(preprocess, "_hampel_half", half_spy)
+        monkeypatch.setattr(preprocess, "_centre_chunk", centre_spy)
+        y = x.copy()
+        hampel_filter(y, 101, out=y)
+        assert y.tobytes() == median_filter_hampel(x, 101).tobytes()
+        assert (y[spikes] != x[spikes]).all()
+
+    def test_out_may_be_another_array(self):
+        x = self.stream(2 * HAMPEL_CHUNK + 1, 7, seed=6)
+        before = x.tobytes()
+        out = np.full_like(x, np.nan)
+        assert hampel_filter(x, 101, out=out) is out
+        assert out.tobytes() == median_filter_hampel(x, 101).tobytes()
+        assert x.tobytes() == before
+        for bad in (np.empty(x.size - 1), np.empty(x.size, dtype=np.float32)):
+            with pytest.raises(ValueError, match="out must be a float64 array of shape"):
+                hampel_filter(x, 101, out=bad)
+
+    def test_rows_filtered_in_place_hold_less_than_a_row(self):
+        # the 15 selected rows of an hour at 200 Hz: beside them, less than
+        # the 5.76 MB of one row (a new row per call held 8.9 MB)
+        rows = np.empty((15, 720_000))
+        for k, row in enumerate(rows):
+            row[:] = mixed_stream(row.size, seed=k)
+        streams = StreamSet(tuple(all_stream_ids(1, 15)), rows, FS)
+        tracemalloc.start()
+        try:
+            preprocess._hampel_rows(streams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows[0].nbytes
+
     def test_concurrent_callers_with_fast_thread_switching(self, fast_switching_callers):
         rows = [self.stream(2 * HAMPEL_CHUNK + 500 * k, seed=k) for k in range(6)]
         expected = [median_filter_hampel(x, 101).tobytes() for x in rows]
@@ -343,6 +451,14 @@ def threshold_ties_stream(n):
     x[spikes] = rng.choice([t, -t, np.nextafter(t, 10.0), 2.0 + t, -2.0 - t], n // 50)
     for start in range(1000, n, 3000):
         x[start : start + 200] = x[start]
+    return x
+
+
+def with_outliers(x, seed):
+    """x with a fifth of its samples, drawn at random, moved by 0.5 to 10."""
+    rng = np.random.default_rng(seed)
+    outliers = rng.choice(x.size, x.size // 5, replace=False)
+    x[outliers] += rng.choice([-1.0, 1.0], outliers.size) * rng.uniform(0.5, 10.0, outliers.size)
     return x
 
 
