@@ -4,14 +4,30 @@ A trace file is one JSON header line (format version, sample rate, antenna
 and subcarrier counts, record count, CSI dtype, scene geometry) followed by
 two arrays in NumPy ``.npy`` format: ``timestamps_s`` (float64, shape
 ``(n_records,)``) and ``csi`` (the header's dtype, shape
-``(n_rx, n_sc, n_records)``). The arrays hold the raw in-memory bytes, so
-write-then-read reproduces the arrays bit for bit. Reading checks each
-array's ``.npy`` header against the trace header before it allocates the
-array, and refuses pickled data, truncation and trailing bytes; `CsiTrace`
-itself rejects non-finite CSI and bad timestamps, and
-returns read-only arrays. A ``.gz`` extension transparently gzip-compresses at level 1;
-written gzip members carry no timestamp or file name, so equal content
-gives equal bytes.
+``(n_rx, n_sc, n_records)``). `write_trace` pads the header line with
+spaces to a multiple of 64 bytes; numpy pads each ``.npy`` header to 64
+bytes too, so both arrays' data start at offsets aligned for their dtypes.
+The arrays hold the raw in-memory bytes, so write-then-read reproduces the
+arrays bit for bit. Reading checks each array's ``.npy`` header against the
+trace header before it maps or allocates the array, and refuses pickled
+data, truncation and trailing bytes; `CsiTrace` itself rejects non-finite
+CSI and bad timestamps, and returns read-only arrays.
+
+A plain trace file is mapped, not read: `read_trace` returns read-only
+views of a read-only map of the file, so the CSI stays in the page cache
+and out of the process's heap. A ``.gz`` file, a FIFO or other non-regular
+file, an array whose data offset is not aligned for its dtype (files
+written before the header was padded) and a file the system will not map
+are read into memory instead. A mapped file must not be modified in place
+while its trace is alive: truncating it ends the process with SIGBUS at
+the map's next read. No write here modifies a regular file in place: each
+goes to a new sibling file that then replaces the target, so a live trace
+keeps the bytes it maps, and a write that raises or is killed never leaves
+half a file under the target's name. A FIFO or device is written in place.
+
+A ``.gz`` extension transparently gzip-compresses at level 1; written gzip
+members carry no timestamp or file name, so equal content gives equal
+bytes.
 
 A trace's ground truth travels next to it: ``<stem>.csitrace[.gz]`` has
 its labels in the CSV sidecar ``<stem>.labels.csv`` (start_s, end_s,
@@ -29,6 +45,9 @@ import hashlib
 import io
 import json
 import math
+import mmap
+import os
+import stat
 import zlib
 from pathlib import Path
 
@@ -56,6 +75,8 @@ TRACE_FORMAT_VERSION = 2
 TRACE_SUFFIXES = (".csitrace", ".csitrace.gz")
 
 _MAX_HEADER_BYTES = 1 << 16
+# the header line is padded to a multiple of this, numpy's .npy header alignment
+_HEADER_ALIGN = 64
 # bytes read per call into an array: a gzip read makes a temporary of this size
 _READ_CHUNK = 1 << 18
 _LABELS_HEADER = "start_s,end_s,class,person_id"
@@ -70,18 +91,44 @@ def _open(path, mode: str):
     level 1: on a 60 s complex64 trace level 9 took 1.4x as long and gave a
     slightly larger file, since float noise barely compresses. The gzip
     header gets mtime 0 and an empty file name.
+
+    A write goes to a new sibling, ``<path>.<random hex>.tmp``, which
+    replaces ``path`` once it is closed and is removed if the write raises.
+    An existing FIFO, device or directory is opened in place.
     """
-    with open(path, mode[0] + "b") as raw:
-        f = raw
-        if str(path).endswith(".gz"):
-            f = gzip.GzipFile(filename="", fileobj=raw, mode=mode[0] + "b", mtime=0,
-                              compresslevel=1)
-        with f:
-            if mode.endswith("b"):
-                yield f
-            else:
-                with io.TextIOWrapper(f, encoding="utf-8") as text:
-                    yield text
+    target = _replacement(path) if mode[0] == "w" else None
+    try:
+        with open(target[0] if target else path, "xb" if target else mode[0] + "b") as raw:
+            f = raw
+            if str(path).endswith(".gz"):
+                f = gzip.GzipFile(filename="", fileobj=raw, mode=mode[0] + "b", mtime=0,
+                                  compresslevel=1)
+            with f:
+                if mode.endswith("b"):
+                    yield f
+                else:
+                    with io.TextIOWrapper(f, encoding="utf-8") as text:
+                        yield text
+        if target:
+            os.replace(*target)
+    except BaseException:
+        if target:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(target[0])
+        raise
+
+
+def _replacement(path) -> tuple[str, str] | None:
+    """(a new sibling file to write, the file it is to replace) for a write
+    to ``path``, or None when ``path`` exists and is not a regular file.
+    The replaced file is the one a symbolic link ``path`` points to."""
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+    except FileNotFoundError:
+        pass
+    final = os.path.realpath(path)
+    return f"{final}.{os.urandom(4).hex()}.tmp", final
 
 
 def sidecar_path(trace_path, kind: str) -> Path:
@@ -97,7 +144,14 @@ def sidecar_path(trace_path, kind: str) -> Path:
 
 def write_trace(trace: CsiTrace, path) -> None:
     """Write a trace file (JSON header line + timestamps and CSI arrays) and
-    its labels sidecar."""
+    its labels sidecar.
+
+    The header line is padded with spaces to a multiple of 64 bytes, so a
+    plain file's arrays can be mapped aligned. Each file is written to a
+    new sibling that then replaces ``path``: a trace still mapped from the
+    old file keeps its bytes, and a failed write leaves no half-written
+    trace.
+    """
     header = {
         "version": TRACE_FORMAT_VERSION,
         "sample_rate_hz": trace.sample_rate_hz,
@@ -110,8 +164,10 @@ def write_trace(trace: CsiTrace, path) -> None:
             "psi": trace.geometry.psi,
         },
     }
+    line = json.dumps(header).encode("utf-8")
+    line += b" " * (-(len(line) + 1) % _HEADER_ALIGN) + b"\n"
     with _open(path, "wb") as f:
-        f.write(json.dumps(header).encode("utf-8") + b"\n")
+        f.write(line)
         np.save(f, np.asarray(trace.timestamps_s, dtype=np.float64), allow_pickle=False)
         np.save(f, trace.csi, allow_pickle=False)
     write_labels(trace.events, sidecar_path(path, "labels"))
@@ -131,11 +187,27 @@ def _read_header(f, path) -> dict:
     return header
 
 
-def _load_array(f, path, name: str, shape: tuple, dtype: np.dtype) -> np.ndarray:
+def _map(f) -> mmap.mmap | None:
+    """A read-only map of the whole of ``f``, or None when ``f`` is a gzip
+    stream or not a regular file, or the system refuses the map."""
+    if isinstance(f, gzip.GzipFile) or not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+        return None
+    try:
+        return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    except OSError:
+        return None
+
+
+def _load_array(f, path, name: str, shape: tuple, dtype: np.dtype,
+                mapped: mmap.mmap | None) -> np.ndarray:
     """Read one ``.npy`` array that must have the shape and dtype the trace
     header gives. Its ``.npy`` header is checked against them before
-    anything is allocated, so a file that claims more data than the trace
-    header costs nothing; then exactly the announced bytes are read."""
+    anything is mapped or allocated, so a file that claims more data than
+    the trace header costs nothing. When ``mapped`` (a map of the file ``f``
+    reads) is given and the data offset is aligned for ``dtype``, the array
+    is a read-only view of the map, once the file is seen to hold all of
+    its bytes, and ``f`` moves past them; otherwise exactly the announced
+    bytes are read into a new array."""
     fmt = np.lib.format
     try:
         version = fmt.read_magic(f)
@@ -154,8 +226,17 @@ def _load_array(f, path, name: str, shape: tuple, dtype: np.dtype) -> np.ndarray
             f"file holds shape {npy_shape} and dtype {npy_dtype}"
         )
     # a Fortran-order array is stored as its transpose in C order
+    stored = shape[::-1] if fortran_order else shape
+    if mapped is not None and (offset := f.tell()) % dtype.alignment == 0:
+        nbytes = math.prod(stored) * dtype.itemsize
+        if offset + nbytes > len(mapped):
+            raise ValueError(f"{path}: {name} array is truncated or malformed "
+                             f"({len(mapped) - offset} of {nbytes} bytes)")
+        arr = np.ndarray(stored, dtype, buffer=mapped, offset=offset)
+        f.seek(offset + nbytes)
+        return arr.T if fortran_order else arr
     try:
-        arr = np.empty(shape[::-1] if fortran_order else shape, dtype)
+        arr = np.empty(stored, dtype)
     except MemoryError as e:
         raise ValueError(f"{path}: {name} of shape {shape} does not fit in memory") from e
     data = arr.reshape(-1).view(np.uint8)
@@ -178,6 +259,14 @@ def read_trace(path) -> CsiTrace:
     events come from the labels sidecar, and are empty when there is none.
     The file format does not carry per-stream path parameters or the
     outlier log: the outlier log comes back empty, the path parameters None.
+
+    A plain regular file's arrays are read-only views of a read-only map of
+    the file wherever their data offsets are aligned for their dtypes, as
+    in every file `write_trace` writes. A view is taken only once its
+    ``.npy`` header and the file's size have been checked. The map lives as
+    long as the arrays, so the file must not be modified in place meanwhile
+    (`write_trace` replaces it instead). Other arrays, and those of a
+    ``.gz`` file or a FIFO, are read into memory.
     """
     try:
         with _open(path, "rb") as f:
@@ -191,8 +280,9 @@ def read_trace(path) -> CsiTrace:
                 geometry = SceneGeometry(wavelength_m=g["wavelength_m"], psi=g["psi"])
             except (KeyError, TypeError, AttributeError) as e:
                 raise ValueError(f"{path}: malformed trace header ({e!r})") from e
-            timestamps = _load_array(f, path, "timestamps_s", (n,), np.dtype(np.float64))
-            csi = _load_array(f, path, "csi", (n_rx, n_sc, n), dtype)
+            mapped = _map(f)
+            timestamps = _load_array(f, path, "timestamps_s", (n,), np.dtype(np.float64), mapped)
+            csi = _load_array(f, path, "csi", (n_rx, n_sc, n), dtype, mapped)
             if f.read(1):
                 raise ValueError(f"{path}: trailing bytes after the csi array")
     except (EOFError, zlib.error, gzip.BadGzipFile) as e:
@@ -303,8 +393,11 @@ def write_report(report, path) -> None:
 
 
 def file_sha256(path) -> str:
+    """SHA-256 of a file, read through one reused 1 MiB buffer."""
     h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
+    buf = bytearray(1 << 20)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as f:
+        while n := f.readinto(buf):
+            h.update(view[:n])
     return h.hexdigest()

@@ -5,7 +5,14 @@ import gzip
 import io
 import json
 import math
+import mmap
+import os
 import re
+import stat
+import subprocess
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +58,8 @@ from csiwatch.traceio import (
     write_labels,
     write_trace,
 )
+
+SRC_DIR = os.path.dirname(os.path.dirname(csi_sim.__file__))
 
 G = SceneGeometry()
 
@@ -260,6 +269,13 @@ def edit_trace_file(path, edit):
     path.write_bytes(gzip.compress(data) if gz else data)
 
 
+def mapped_file(arr):
+    """The map of a file that ``arr`` views, or None when it views heap memory."""
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return arr if isinstance(arr, mmap.mmap) else None
+
+
 def tiny_trace(duration=5.0, seed=0, dtype=np.complex128):
     noise = NoiseSpec(awgn_sigma=0.01, jitter_std_s=0.0005)
     return generate_trace(
@@ -323,6 +339,134 @@ class TestTraceIO:
         assert back.sample_rate_hz == trace.sample_rate_hz
         assert back.geometry == trace.geometry
 
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_plain_file_mapped_read_only_aligned(self, tmp_path, dtype):
+        trace = tiny_trace(dtype=dtype)
+        path = tmp_path / "t.csitrace"
+        write_trace(trace, path)
+        assert path.read_bytes().index(b"\n") % 64 == 63
+        back = read_trace(path)
+        for got, want in ((back.timestamps_s, trace.timestamps_s), (back.csi, trace.csi)):
+            assert type(got) is np.ndarray
+            assert mapped_file(got) is not None
+            assert got.flags.aligned
+            assert not got.flags.writeable
+            with pytest.raises(ValueError, match="WRITEABLE"):  # read-only memory
+                got.flags.writeable = True
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("source", ["gz", "unpadded", "fifo"])
+    def test_other_files_read_into_memory(self, tmp_path, source):
+        trace = tiny_trace(dtype=np.complex64)
+        path = tmp_path / ("t.csitrace.gz" if source == "gz" else "t.csitrace")
+        write_trace(trace, path)
+        if source == "unpadded":  # the layout written before the header line was padded
+            def unpad(data):
+                line, arrays = data.split(b"\n", 1)
+                # each array's data would start at this offset mod 64
+                assert (len(line.rstrip(b" ")) + 1) % 4 != 0
+                return line.rstrip(b" ") + b"\n" + arrays
+
+            edit_trace_file(path, unpad)
+        feeder = None
+        if source == "fifo":
+            data, path = path.read_bytes(), tmp_path / "fifo.csitrace"
+            os.mkfifo(path)
+            feeder = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+            feeder.start()
+        back = read_trace(path)
+        if feeder:
+            feeder.join(timeout=60)
+            assert not feeder.is_alive()
+        for got, want in ((back.timestamps_s, trace.timestamps_s), (back.csi, trace.csi)):
+            assert mapped_file(got) is None
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_detect_holds_no_heap_copy_of_the_csi(self, tmp_path):
+        # a 60 s 3x30 complex64 night read and run as csiwatch detect does:
+        # its CSI takes 8.64 MB, which a copy in the heap would add
+        noise = NoiseSpec(awgn_sigma=0.02, outlier_rate_per_s=0.02, outlier_magnitude=8.0,
+                          jitter_std_s=0.0005)
+        trace = generate_trace(Scenario(60.0, breathing_profile(60.0)), G, noise, seed=1,
+                               n_rx=3, n_sc=30, dtype=np.complex64)
+        path = tmp_path / "night.csitrace"
+        write_trace(trace, path)
+        del trace
+        tracemalloc.start()
+        try:
+            back = read_trace(path)
+            run_pipeline(back, PipelineConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.csi.nbytes == 8_640_000
+        assert peak < back.csi.nbytes
+
+    def test_rewriting_a_mapped_trace_keeps_its_bytes(self, tmp_path):
+        # in a child process: a map whose file is truncated in place ends the
+        # process with SIGBUS on its next read, which no except clause catches
+        script = """if True:
+            import mmap, sys
+            import numpy as np
+            from csiwatch.traceio import read_trace, write_trace
+            path, other = sys.argv[1:]
+            first = read_trace(path)
+            base = first.csi
+            while isinstance(base, np.ndarray):
+                base = base.base
+            assert isinstance(base, mmap.mmap), type(base)
+            kept = first.csi.copy()
+            write_trace(read_trace(other), path)
+            assert np.array_equal(first.csi, kept), "the mapped CSI changed"
+            assert not np.array_equal(read_trace(path).csi[..., :10], kept[..., :10])
+        """
+        path, other = tmp_path / "t.csitrace", tmp_path / "other.csitrace"
+        write_trace(tiny_trace(), path)
+        write_trace(tiny_trace(duration=2.0, seed=1), other)
+        run = subprocess.run([sys.executable, "-c", script, str(path), str(other)],
+                             env={**os.environ, "PYTHONPATH": SRC_DIR},
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, (run.returncode, run.stderr)
+
+    @pytest.mark.parametrize("suffix", ["csitrace", "csitrace.gz"])
+    def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch, suffix):
+        path = tmp_path / f"t.{suffix}"
+        write_trace(tiny_trace(), path)
+        files, old = sorted(tmp_path.iterdir()), path.read_bytes()
+
+        def save_then_fail(f, arr, **kwargs):
+            f.write(b"\x93NUMPY")
+            raise OSError("no space left")
+
+        monkeypatch.setattr(np, "save", save_then_fail)
+        with pytest.raises(OSError, match="no space left"):
+            write_trace(tiny_trace(seed=1), path)
+        assert sorted(tmp_path.iterdir()) == files
+        assert path.read_bytes() == old
+
+    def test_write_through_a_link_replaces_its_target(self, tmp_path):
+        target, link = tmp_path / "real.csitrace", tmp_path / "t.csitrace"
+        write_trace(tiny_trace(), target)
+        link.symlink_to(target.name)
+        trace = tiny_trace(seed=1)
+        write_trace(trace, link)
+        assert link.is_symlink()
+        assert np.array_equal(read_trace(target).csi, trace.csi)
+
+    def test_fifo_written_in_place(self, tmp_path):
+        path = tmp_path / "x.events.csv"
+        os.mkfifo(path)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(path.read_bytes()), daemon=True)
+        reader.start()
+        write_events_csv([DetectedEvent(1.0, 2.0, EventClass.NORMAL, None, None)], path)
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(path.stat().st_mode)
+        assert got == [b"start_s,end_s,class,b_pe_hz,decision_time_s\n1.0,2.0,normal,,\n"]
+
     @pytest.mark.parametrize("suffix", ["csitrace", "csitrace.gz"])
     def test_labels_travel_with_the_trace(self, tmp_path, suffix):
         trace = dataclasses.replace(tiny_trace(), events=(
@@ -345,8 +489,10 @@ class TestTraceIO:
         write_trace(trace, path)
 
         def add_phi_rad(data):
-            assert data.count(b'"psi": 1.0}}\n') == 1
-            return data.replace(b'"psi": 1.0}}\n', b'"psi": 1.0, "phi_rad": null}}\n')
+            # the line ends in the spaces that pad it to a multiple of 64 bytes
+            end = re.compile(rb'"psi": 1\.0\}\} *\n')
+            assert len(end.findall(data)) == 1
+            return end.sub(b'"psi": 1.0, "phi_rad": null}}\n', data)
 
         edit_trace_file(path, add_phi_rad)
         back = read_trace(path)
@@ -1349,19 +1495,22 @@ class TestCli:
     # equal to the old report without the new keys; both files were recorded
     # again when the trace header lost its "phi_rad": null entry, the trace
     # equal to the old one without it and the report to the old one but for
+    # trace_checksum; and both again when the trace header line was padded
+    # with spaces to a multiple of 64 bytes, the trace equal to the old one
+    # but for those spaces and the report to the old one but for
     # trace_checksum
     RECORDED_OUTPUTS = {
         (3, 0.72, 2.4, 1.0): {
-            "night.csitrace": "6a8ef3061d3e6204f9da6a59688df52dd26f9bef2d389103e0b8dc9c30f42e74",
+            "night.csitrace": "0f750e4dd09a3513128181a073ab486e9e5ab9b5c2e672abbb3767a75e4db982",
             "night.labels.csv": "42916ae6cdea35f000013ab26eef258066aa332836a9dc1bb6f92add75c761f5",
             "night.events.csv": "380762b185cfe1fb621dcde9b254e8d9f59dbe227ea5be91a9f98b716bffcf57",
-            "report.json": "4d737c51a7054f2d256f97501c65a1d157fb6c6474bee9160d4feb6e8109d37c",
+            "report.json": "514e1690ef0071264dffe9acc43e2cdf599d7b27ac3f06257960686b665ba9b8",
         },
         (17, 0.78, 3.3, 4.5): {
-            "night.csitrace": "b9f0457c468693d9dccba41d238908bc349d1b4ea4aacbc417017e9f76dd9c3e",
+            "night.csitrace": "0dd8ba41af92b4f4add57034a93b345889ccefac93dc016238d4cc0b6d45e9f1",
             "night.labels.csv": "42916ae6cdea35f000013ab26eef258066aa332836a9dc1bb6f92add75c761f5",
             "night.events.csv": "92cc0f4e7d732712f8b461c45cd17014b3d9631862b8ac48a1b0c762eef1ac77",
-            "report.json": "c9ef74c93b08eeedf0b5543aaf465529e98c9e852d24f5175948712be71b42d9",
+            "report.json": "4a735e5497bcfd9c2998b12ca201c813309a880a104b61e2f806b90133a8a76f",
         },
     }
 
